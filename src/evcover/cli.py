@@ -25,10 +25,9 @@ from .covering import build_coverage, evaluate, gap
 from .datasets import (DatasetSpec, generate_dataset, read_manifest,
                        write_manifest)
 from .exact import EnumerationCapExceeded, brute_force_optimum
-from .growth import (GfSolution, adjust_solution_max_outlets, build_gf_instance,
-                     extract_gf_solution, generate_growth_function, gf_forward_recursion,
-                     gf_solution_as_x, load_growth, per_node_ev, save_growth,
-                     write_node_ev_csv)
+from .growth import (_solve_gf_model, adjust_solution_max_outlets, build_gf_instance,
+                     generate_growth_function, gf_forward_recursion, gf_solution_as_x,
+                     load_growth, per_node_ev, save_growth, write_node_ev_csv)
 from .heuristics import (GraspConfig, GreedyConfig, HeuristicError, RollingHorizonConfig,
                          grasp, greedy, rolling_horizon)
 from .instance import Instance, SolutionX, load_instance, save_instance
@@ -300,74 +299,6 @@ def write_node_geojson(instance, node_ev, path):
         json.dump({"type": "FeatureCollection", "features": feats}, fh)
 
 
-def _solve_gf_model(gf_inst, solver_cmd, time_limit):
-    command = resolve_solver_command(solver_cmd)
-    if command is not None:
-        model = build_gf(gf_inst)
-        result = solve_external(model, command, time_limit_s=time_limit)
-        if result.ok:
-            return extract_gf_solution(gf_inst, result.values)
-        raise HeuristicError(f"GF solve failed: {result.status} {result.detail}")
-    return _solve_gf_by_enumeration(gf_inst)
-
-
-def _gf_schedule_options(gf_inst, base, t):
-    """Outlet vectors >= base affordable in period t (opening cost included)."""
-    J = len(gf_inst.station_ids)
-    out = []
-
-    def cost_of(j, lo, hi):
-        c = gf_inst.outlet_cost * (hi - lo)
-        if lo == 0 and hi > 0 and gf_inst.initial_outlets[j] == 0:
-            c += gf_inst.opening_cost[j]
-        return c
-
-    def extend(j, current, spent):
-        if j == J:
-            out.append(tuple(current))
-            return
-        for lv in range(base[j], int(gf_inst.max_outlets[j]) + 1):
-            c = cost_of(j, base[j], lv)
-            if spent + c > gf_inst.budgets[t] + 1e-9:
-                break
-            current.append(lv)
-            extend(j + 1, current, spent + c)
-            current.pop()
-
-    extend(0, [], 0.0)
-    return out
-
-
-def _solve_gf_by_enumeration(gf_inst, cap=200_000):
-    """Exhaustive search over cumulative outlet schedules with loads resolved
-    by the forward recursion; only viable at desk scale."""
-    T = gf_inst.horizon
-    best, best_total = None, -np.inf
-    count = 0
-
-    def walk(t, levels):
-        nonlocal best, best_total, count
-        if t == T:
-            outlets = np.array(levels, dtype=int).T  # (J, T) cumulative
-            sol = GfSolution(open=outlets > 0, outlets=outlets)
-            outcome = gf_forward_recursion(gf_inst, sol)
-            if outcome.yearly_totals[-1] > best_total:
-                best_total = outcome.yearly_totals[-1]
-                best = sol
-            return
-        base = levels[-1] if levels else tuple(int(v) for v in gf_inst.initial_outlets)
-        for opt in _gf_schedule_options(gf_inst, base, t):
-            count += 1
-            if count > cap:
-                raise HeuristicError("GF enumeration exceeds the desk-scale cap")
-            levels.append(opt)
-            walk(t + 1, levels)
-            levels.pop()
-
-    walk(0, [])
-    return best
-
-
 def cmd_compare_gf(args):
     paths, _ = _manifest_paths(args.manifest)
     os.makedirs(args.out, exist_ok=True)
@@ -384,7 +315,7 @@ def cmd_compare_gf(args):
     x_gf = gf_solution_as_x(gf_inst, gf_sol)
     x_adj = adjust_solution_max_outlets(gf_inst, gf_sol)
 
-    rows = []
+    rows, mc_xs = [], []
     for inst, cov, path in zip(instances, coverages, paths):
         name = os.path.splitext(os.path.basename(path))[0]
         f_gf = evaluate(inst, cov, x_gf)
@@ -392,6 +323,7 @@ def cmd_compare_gf(args):
         x_mc, f_mc, _, _, _, _ = run_method(
             inst, cov, args.mc_method, time_limit=args.time_limit,
             solver_cmd=args.solver_cmd, seed=args.seed)
+        mc_xs.append(x_mc)
         rows.append({"instance": name, "gf": f_gf, "gf_adjusted": f_adj, "mc": f_mc})
     with open(os.path.join(args.out, "comparison_rows.csv"), "w", newline="",
               encoding="utf-8") as fh:
@@ -413,10 +345,7 @@ def cmd_compare_gf(args):
     outcome = gf_forward_recursion(gf_inst, gf_sol)
     write_node_ev_csv(instances[0], outcome.node_ev,
                       os.path.join(args.out, "nodes_gf.csv"))
-    mc_x, _, _, _, _, _ = run_method(instances[0], coverages[0], args.mc_method,
-                                  time_limit=args.time_limit, solver_cmd=args.solver_cmd,
-                                  seed=args.seed)
-    mc_nodes = per_node_ev(instances[0], coverages[0], mc_x)
+    mc_nodes = per_node_ev(instances[0], coverages[0], mc_xs[0])
     write_node_ev_csv(instances[0], mc_nodes, os.path.join(args.out, "nodes_mc.csv"))
     write_node_geojson(instances[0], mc_nodes, os.path.join(args.out, "nodes_mc.geojson"))
     print(f"comparison -> {summary_path}")

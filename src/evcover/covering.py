@@ -11,6 +11,13 @@ over a flattened triplet index: scoring is a popcount weighted per
 Triplet layout: blocks ordered by (period, class); each block holds the R_i
 scenarios of one class in one period, padded to whole 64-bit words. Padding
 bits stay zero in every mask.
+
+Nesting invariant: utility is nondecreasing in the outlet count, so station j
+with k outlets covers a superset of what it covers with k - 1 outlets,
+a[j][k] ⊆ a[j][k+1]. The covered bits of a level vector are therefore the OR
+of each open station's top slot a[j][levels[j]] with the home-forced bits.
+`CoverageTensor.held_words` is the one place that computes them; every
+evaluation, score and heuristic gain is built on it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import HOME, OPT_OUT, Instance, InstanceError, SolutionX
+from .instance import HOME, OPT_OUT, Instance, SolutionX
 
 
 class CoverageError(ValueError):
@@ -199,6 +206,8 @@ class CoverageTensor:
     triplet p (0 when it never covers); a[j][k] is derivable as
     min_k >= 1 and min_k <= k, and is materialised as packed bitsets for
     popcount scoring. forced_bits marks triplets covered regardless of x.
+    Because a[j][k] ⊆ a[j][k+1] (nesting), the slot row of (j, k) already
+    holds everything station j covers with k outlets.
     """
 
     def __init__(self, instance: Instance, trip: TripletIndex, min_k, a_bits,
@@ -227,45 +236,41 @@ class CoverageTensor:
 
     # -- bitset machinery -------------------------------------------------
 
-    def active_slots(self, levels_t):
-        out = []
-        for j, lv in enumerate(levels_t):
-            base = self.slot_base[j]
-            out.extend(range(base, base + int(lv)))
-        return out
-
-    def cover_words(self, levels) -> np.ndarray:
-        """Covered-triplet bits for a full outlet schedule (n_stations, T)."""
-        words = np.zeros(self.trip.n_words, dtype=np.uint64)
-        for t in range(1, self.horizon + 1):
-            sl = self.trip.word_slice(t)
-            rows = self.active_slots(levels[:, t - 1])
-            if rows:
-                words[sl] = np.bitwise_or.reduce(self.a_bits[rows, sl], axis=0)
-        words |= self.forced_bits
-        return words
-
-    def held_cover_words(self, levels_t, t_from) -> np.ndarray:
-        """Covered bits over periods t_from..T with the period-t_from levels held."""
-        sl = self.trip.word_slice(t_from, self.horizon)
-        rows = self.active_slots(levels_t)
+    def held_words(self, levels_t, t_from, t_to=None) -> np.ndarray:
+        """Covered bits over periods t_from..t_to (t_to defaults to the last
+        period) with the level vector levels_t held throughout. By nesting,
+        only the top slot of each open station is ORed with the forced bits."""
+        sl = self.trip.word_slice(t_from, t_to if t_to is not None else self.horizon)
+        levels_t = np.asarray(levels_t)
+        open_j = np.flatnonzero(levels_t)
         out = self.forced_bits[sl].copy()
-        if rows:
+        if open_j.size:
+            rows = self.slot_base[open_j] + levels_t[open_j] - 1
             out |= np.bitwise_or.reduce(self.a_bits[rows, sl], axis=0)
         return out
 
+    def period_values(self, levels, t_from=1) -> np.ndarray:
+        """Weighted covered mass of each period t_from..T of a schedule (n_stations, T)."""
+        return np.array([self.value_of_words(self.held_words(levels[:, t - 1], t, t), t, t)
+                         for t in range(t_from, self.horizon + 1)])
+
+    def cover_words(self, levels) -> np.ndarray:
+        """Covered-triplet bits for a full outlet schedule (n_stations, T)."""
+        return np.concatenate([self.held_words(levels[:, t - 1], t, t)
+                               for t in range(1, self.horizon + 1)])
+
     def value_of_words(self, words, t_from=1, t_to=None) -> float:
-        """Weighted covered mass of a bit vector restricted to periods t_from..t_to."""
+        """Weighted covered mass of the bits of periods t_from..t_to; words
+        spans exactly those periods."""
         sl = self.trip.word_slice(t_from, t_to if t_to is not None else self.horizon)
-        w = words if words.shape[0] == sl.stop - sl.start else words[sl]
-        return float(np.bitwise_count(w).astype(np.float64) @ self.trip.word_weights[sl])
+        return float(np.bitwise_count(words).astype(np.float64) @ self.trip.word_weights[sl])
 
     def slot_gains(self, slot_rows, base_words, t_from, t_to=None):
         """For each candidate slot: weighted mass of triplets it newly covers
         against base_words, over periods t_from..t_to. base_words must already
         be restricted to the same period span."""
         sl = self.trip.word_slice(t_from, t_to if t_to is not None else self.horizon)
-        cand = self.a_bits[slot_rows][:, sl]
+        cand = self.a_bits[slot_rows, sl]
         fresh = cand & ~base_words[None, :]
         return np.bitwise_count(fresh).astype(np.float64) @ self.trip.word_weights[sl]
 
@@ -325,50 +330,42 @@ def build_coverage(instance: Instance, instance_hash=None) -> CoverageTensor:
 
 def evaluate(instance: Instance, coverage: CoverageTensor, x: SolutionX) -> float:
     """Solution quality f(x): weighted count of covered triplets, forced included."""
-    levels = _checked_levels(instance, coverage, x)
-    return coverage.value_of_words(coverage.cover_words(levels))
+    return coverage.value_of_words(coverage.cover_words(_checked_levels(coverage, x)))
 
 
 def evaluate_per_period(instance: Instance, coverage: CoverageTensor, x: SolutionX):
-    levels = _checked_levels(instance, coverage, x)
-    words = coverage.cover_words(levels)
-    return np.array([coverage.value_of_words(words, t, t)
-                     for t in range(1, coverage.horizon + 1)])
+    return coverage.period_values(_checked_levels(coverage, x))
 
 
-def _checked_levels(instance, coverage, x):
+def _checked_levels(coverage, x):
     if x.binary.shape[0] != len(coverage.station_ids) or x.binary.shape[2] != coverage.horizon:
         raise CoverageError("solution dimensions do not match coverage tensor")
-    if not x.ladder_ok():
-        raise InstanceError("ladder violated")
-    return x.levels
+    levels = x.levels  # raises InstanceError on a ladder violation
+    over = np.flatnonzero((levels > coverage.max_outlets[:, None]).any(axis=1))
+    if over.size:
+        j = int(over[0])
+        raise CoverageError(f"station {coverage.station_ids[j]} exceeds its "
+                            f"{int(coverage.max_outlets[j])} outlets")
+    return levels
 
 
 def score_myopic(coverage: CoverageTensor, x: SolutionX, t: int) -> float:
     """Period-t term of f under the period-t configuration of x."""
     _check_period(coverage, t)
-    levels = x.levels
-    words = coverage.held_cover_words(levels[:, t - 1], t)
-    return coverage.value_of_words(words[: _period_width(coverage, t)], t, t)
+    levels_t = _checked_levels(coverage, x)[:, t - 1]
+    return coverage.value_of_words(coverage.held_words(levels_t, t, t), t, t)
 
 
 def score_hyperoptic(coverage: CoverageTensor, x: SolutionX, t: int) -> float:
     """Terms t..T of f with the period-t configuration held for every later period."""
     _check_period(coverage, t)
-    levels = x.levels
-    words = coverage.held_cover_words(levels[:, t - 1], t)
-    return float(np.bitwise_count(words).astype(np.float64)
-                 @ coverage.trip.word_weights[coverage.trip.word_slice(t, coverage.horizon)])
+    levels_t = _checked_levels(coverage, x)[:, t - 1]
+    return coverage.value_of_words(coverage.held_words(levels_t, t), t)
 
 
 def _check_period(coverage, t):
     if not 1 <= t <= coverage.horizon:
         raise CoverageError(f"period {t} outside 1..{coverage.horizon}")
-
-
-def _period_width(coverage, t):
-    sl = coverage.trip.word_slice(t)
-    return sl.stop - sl.start
 
 
 def gap(best_value: float, value: float) -> float:

@@ -30,18 +30,18 @@ class EnumerationCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def period_extensions(instance, base, t_idx):
-    """All level vectors >= base affordable in period t, in lexicographic order."""
-    J = instance.n_stations
-    cost = instance.cost_budget.outlet_cost
-    budget = instance.cost_budget.budgets[t_idx]
+def period_extensions(base, step_cost, max_outlets, budget):
+    """All level vectors >= base whose added outlets fit the budget, in
+    lexicographic order. step_cost[j, k - 1] is the price of station j's k-th
+    outlet and max_outlets[j] its ceiling."""
+    J = len(base)
     out = []
 
     def extend(j, current, spent):
         if j == J:
             out.append(tuple(current))
             return
-        m_j = instance.stations[j].max_outlets
+        m_j = max_outlets[j]
         lv = base[j]
         add = 0.0
         while True:
@@ -51,12 +51,18 @@ def period_extensions(instance, base, t_idx):
             lv += 1
             if lv > m_j:
                 break
-            add += cost[j, lv - 1, t_idx]
+            add += step_cost[j, lv - 1]
             if spent + add > budget + 1e-9:
                 break
 
     extend(0, [], 0.0)
     return out
+
+
+def _instance_extensions(instance, base, t_idx):
+    """period_extensions under the instance's period-t_idx outlet costs and budget."""
+    return period_extensions(base, instance.cost_budget.outlet_cost[:, :, t_idx],
+                             instance.max_outlets, instance.cost_budget.budgets[t_idx])
 
 
 def count_feasible(instance: Instance) -> int:
@@ -66,7 +72,8 @@ def count_feasible(instance: Instance) -> int:
     def count_from(t_idx, base):
         if t_idx == instance.horizon:
             return 1
-        return sum(count_from(t_idx + 1, opt) for opt in period_extensions(instance, base, t_idx))
+        return sum(count_from(t_idx + 1, opt)
+                   for opt in _instance_extensions(instance, base, t_idx))
 
     return count_from(0, tuple(instance.initial_levels))
 
@@ -88,7 +95,7 @@ def enumerate_feasible(instance: Instance, budget: EnumerationBudget | None = No
             yield SolutionX.from_levels(levels, max_k)
             return
         base = chosen[-1] if chosen else tuple(instance.initial_levels)
-        for opt in period_extensions(instance, base, t_idx):
+        for opt in _instance_extensions(instance, base, t_idx):
             chosen.append(opt)
             yield from walk(t_idx + 1, chosen)
             chosen.pop()

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import CoverageTensor, build_coverage, evaluate, evaluate_per_period
+from .exact import period_extensions
 from .instance import Instance, SolutionX
+from .milp import build_gf
+from .solver import resolve_solver_command, solve_external
 
 
 class GrowthError(ValueError):
@@ -306,6 +309,52 @@ def gf_forward_recursion(gf: GfInstance, solution: GfSolution) -> GfOutcome:
         for i in gf.willing_nodes[j]:
             node_ev[i] = node_ev.get(i, 0.0) + stocks[j] * gf.node_population[i] / pop_j
     return GfOutcome(totals, stock_hist, node_ev)
+
+
+def _solve_gf_model(gf_inst, solver_cmd, time_limit):
+    """Solve the GF model externally, or by enumeration when no solver is configured."""
+    command = resolve_solver_command(solver_cmd)
+    if command is not None:
+        result = solve_external(build_gf(gf_inst), command, time_limit_s=time_limit)
+        if result.ok:
+            return extract_gf_solution(gf_inst, result.values)
+        raise GrowthError(f"GF solve failed: {result.status} {result.detail}")
+    return _solve_gf_by_enumeration(gf_inst)
+
+
+def _solve_gf_by_enumeration(gf_inst, cap=200_000):
+    """Exhaustive search over cumulative outlet schedules with loads resolved
+    by the forward recursion; only viable at desk scale."""
+    T = gf_inst.horizon
+    # price of each station's k-th outlet; opening a station adds to its first
+    step_cost = np.full((len(gf_inst.station_ids), int(gf_inst.max_outlets.max())),
+                        gf_inst.outlet_cost)
+    step_cost[:, 0] += np.where(gf_inst.initial_outlets == 0, gf_inst.opening_cost, 0.0)
+    best, best_total = None, -np.inf
+    count = 0
+
+    def walk(t, levels):
+        nonlocal best, best_total, count
+        if t == T:
+            outlets = np.array(levels, dtype=int).T  # (J, T) cumulative
+            sol = GfSolution(open=outlets > 0, outlets=outlets)
+            outcome = gf_forward_recursion(gf_inst, sol)
+            if outcome.yearly_totals[-1] > best_total:
+                best_total = outcome.yearly_totals[-1]
+                best = sol
+            return
+        base = levels[-1] if levels else tuple(int(v) for v in gf_inst.initial_outlets)
+        for opt in period_extensions(base, step_cost, gf_inst.max_outlets,
+                                     gf_inst.budgets[t]):
+            count += 1
+            if count > cap:
+                raise GrowthError("GF enumeration exceeds the desk-scale cap")
+            levels.append(opt)
+            walk(t + 1, levels)
+            levels.pop()
+
+    walk(0, [])
+    return best
 
 
 def adjust_solution_max_outlets(gf: GfInstance, solution: GfSolution) -> SolutionX:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import CoverageTensor, evaluate
-from .exact import EnumerationBudget, period_extensions
+from .exact import EnumerationBudget, _instance_extensions
 from .instance import Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
 from .solver import STATUS_NOT_CONFIGURED, resolve_solver_command, solve_external
@@ -88,21 +88,6 @@ def _initial_levels(instance):
     return np.repeat(instance.initial_levels[:, None], instance.horizon, axis=1)
 
 
-def _period_value(coverage, levels_t, t):
-    sl = coverage.trip.word_slice(t)
-    rows = coverage.active_slots(levels_t)
-    words = coverage.forced_bits[sl].copy()
-    if rows:
-        words |= np.bitwise_or.reduce(coverage.a_bits[rows, sl], axis=0)
-    return float(np.bitwise_count(words).astype(np.float64)
-                 @ coverage.trip.word_weights[sl])
-
-
-def _period_values_from(coverage, levels, t_from):
-    return np.array([_period_value(coverage, levels[:, t - 1], t)
-                     for t in range(t_from, coverage.horizon + 1)])
-
-
 def _construct(instance, coverage, mode, select, trace=None, clock=None):
     """Common greedy skeleton: per period, repeatedly add one affordable outlet
     chosen by `select` from the positive-score candidates, until no candidate
@@ -111,14 +96,12 @@ def _construct(instance, coverage, mode, select, trace=None, clock=None):
     levels = _initial_levels(instance)
     cost = instance.cost_budget.outlet_cost
     budgets = instance.cost_budget.budgets
-    pw_cache = {}
     for t in range(1, T + 1):
         if t > 1:
             levels[:, t - 1] = levels[:, t - 2]
         spent = 0.0
-        held = coverage.held_cover_words(levels[:, t - 1], t)
-        pw = pw_cache.setdefault(t, coverage.trip.word_slice(t).stop
-                                 - coverage.trip.word_slice(t).start)
+        t_to = t if mode == MYOPIC else T
+        held = coverage.held_words(levels[:, t - 1], t, t_to)
         while True:
             cand_j, cand_rows = [], []
             for j in range(J):
@@ -129,19 +112,15 @@ def _construct(instance, coverage, mode, select, trace=None, clock=None):
                     cand_rows.append(coverage.slot(j, lv + 1))
             if not cand_j:
                 break
-            if mode == MYOPIC:
-                gains = coverage.slot_gains(cand_rows, held[:pw], t, t)
-            else:
-                gains = coverage.slot_gains(cand_rows, held, t)
-            pick = select(np.asarray(gains))
+            gains = coverage.slot_gains(cand_rows, held, t, t_to)
+            pick = select(gains)
             if pick is None:
                 break
             j = cand_j[pick]
             lv = int(levels[j, t - 1])
             spent += cost[j, lv, t - 1]
             levels[j, t - 1] = lv + 1
-            sl = coverage.trip.word_slice(t, coverage.horizon)
-            held |= coverage.a_bits[cand_rows[pick], sl]
+            held = coverage.held_words(levels[:, t - 1], t, t_to)
             if trace is not None:
                 trace.append({"period": t, "station": instance.stations[j].id,
                               "k": lv + 1, "score": float(gains[pick]),
@@ -320,13 +299,9 @@ def _candidate_moves(instance, levels, t_idx, j):
 def _local_search(instance, coverage, levels, improvement_mode, min_rel_gain,
                   deadline=None, trace=None):
     levels = levels.copy()
-    f_cur = float(_period_values_from(coverage, levels, 1).sum())
+    values = coverage.period_values(levels)  # per period, refreshed on every accepted move
+    f_cur = float(values.sum())
     T = instance.horizon
-
-    def delta_of(new_levels, t):
-        new_tail = _period_values_from(coverage, new_levels, t)
-        old_tail = _period_values_from(coverage, levels, t)
-        return float(new_tail.sum() - old_tail.sum())
 
     for t in range(1, T + 1):
         t_idx = t - 1
@@ -339,23 +314,25 @@ def _local_search(instance, coverage, levels, improvement_mode, min_rel_gain,
                     for move, cand in _candidate_moves(instance, levels, t_idx, j):
                         if cand is None:
                             continue
-                        d = delta_of(cand, t)
+                        tail = coverage.period_values(cand, t)
+                        d = float(tail.sum() - values[t_idx:].sum())
                         if d > 1e-12:
-                            levels = cand
+                            levels, values[t_idx:] = cand, tail
                             f_cur += d
                             if trace is not None:
                                 trace.append({"period": t, "move": move, "f": f_cur})
             else:
-                best_d, best_cand, best_move = 0.0, None, None
+                best_d, best_cand, best_move, best_tail = 0.0, None, None, None
                 for j in range(instance.n_stations):
                     for move, cand in _candidate_moves(instance, levels, t_idx, j):
                         if cand is None:
                             continue
-                        d = delta_of(cand, t)
+                        tail = coverage.period_values(cand, t)
+                        d = float(tail.sum() - values[t_idx:].sum())
                         if d > best_d + 1e-12:
-                            best_d, best_cand, best_move = d, cand, move
+                            best_d, best_cand, best_move, best_tail = d, cand, move, tail
                 if best_cand is not None:
-                    levels = best_cand
+                    levels, values[t_idx:] = best_cand, best_tail
                     f_cur += best_d
                     if trace is not None:
                         trace.append({"period": t, "move": best_move, "f": f_cur})
@@ -501,14 +478,14 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
 
 def _best_period_by_enumeration(instance, coverage, t, base, budget):
     budget = budget or EnumerationBudget()
-    options = period_extensions(instance, tuple(int(v) for v in base), t - 1)
+    options = _instance_extensions(instance, tuple(int(v) for v in base), t - 1)
     if len(options) > budget.max_configurations:
         raise HeuristicError(
             f"period {t}: no solver configured and {len(options)} period states "
             f"exceed the enumeration budget")
     best_v, best = -np.inf, None
     for opt in options:
-        v = _period_value(coverage, np.asarray(opt), t)
+        v = coverage.value_of_words(coverage.held_words(opt, t, t), t, t)
         if v > best_v:
             best_v, best = v, opt
     return np.asarray(best, dtype=int)

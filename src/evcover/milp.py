@@ -344,33 +344,40 @@ def build_mc(instance: Instance, coverage: CoverageTensor) -> MilpModel:
     home-forced triplets enter the objective as a constant."""
     model = MilpModel("mc", "max")
     _add_x_block(model, instance)
-    trip = coverage.trip
     obj = {}
-    forced_words = coverage.forced_bits
-    for ci, uc in enumerate(instance.user_classes):
+    for ci in range(instance.n_classes):
         for t in range(1, instance.horizon + 1):
-            b = trip.block(ci, t - 1)
-            p0 = trip.bit_start[b]
-            w0 = trip.word_start[b]
-            weight = uc.populations[t - 1] / uc.scenario_count
-            for r in range(uc.scenario_count):
-                if forced_words[w0 + r // 64] >> np.uint64(r % 64) & np.uint64(1):
-                    continue
-                coeffs = {}
-                p = p0 + r
-                for alt in instance.choice_sets.c1[ci][t - 1]:
-                    j = instance.station_index[alt]
-                    mk = int(coverage.min_k[j, p])
-                    if mk:
-                        for k in range(mk, instance.stations[j].max_outlets + 1):
-                            coeffs[x_name(alt, k, t)] = 1.0
-                w = model.add_var(f"w_c{ci}_r{r}_t{t}", lb=0.0, ub=1.0)
-                obj[w] = weight
-                coeffs[w] = -1.0
-                model.add_row(f"cover_c{ci}_r{r}_t{t}", coeffs, ">=", 0.0)
+            _add_cover_rows(model, instance, coverage, ci, t, obj)
     model.set_objective(obj, constant=coverage.forced_mass)
     model.validate()
     return model
+
+
+def _add_cover_rows(model, instance, coverage, ci, t, obj):
+    """Covering variable and row of every non-forced triplet of class index
+    ci in period t, with its objective weight entered in obj; returns the
+    weight of the block's home-forced triplets."""
+    uc = instance.user_classes[ci]
+    b = coverage.trip.block(ci, t - 1)
+    p0, w0 = coverage.trip.bit_start[b], coverage.trip.word_start[b]
+    weight = uc.populations[t - 1] / uc.scenario_count
+    forced_weight = 0.0
+    for r in range(uc.scenario_count):
+        if coverage.forced_bits[w0 + r // 64] >> np.uint64(r % 64) & np.uint64(1):
+            forced_weight += weight
+            continue
+        coeffs = {}
+        for alt in instance.choice_sets.c1[ci][t - 1]:
+            j = instance.station_index[alt]
+            mk = int(coverage.min_k[j, p0 + r])
+            if mk:
+                for k in range(mk, instance.stations[j].max_outlets + 1):
+                    coeffs[x_name(alt, k, t)] = 1.0
+        w = model.add_var(f"w_c{ci}_r{r}_t{t}", lb=0.0, ub=1.0)
+        obj[w] = weight
+        coeffs[w] = -1.0
+        model.add_row(f"cover_c{ci}_r{r}_t{t}", coeffs, ">=", 0.0)
+    return forced_weight
 
 
 def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
@@ -396,30 +403,9 @@ def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
             model.add_row(f"ladder_{st.id}_{k}_t{t}",
                           {x_name(st.id, k, t): 1.0, x_name(st.id, k - 1, t): -1.0},
                           "<=", 0.0)
-    trip = coverage.trip
     obj = {}
-    constant = 0.0
-    forced_words = coverage.forced_bits
-    for ci, uc in enumerate(instance.user_classes):
-        b = trip.block(ci, t - 1)
-        p0, w0 = trip.bit_start[b], trip.word_start[b]
-        weight = uc.populations[t - 1] / uc.scenario_count
-        for r in range(uc.scenario_count):
-            if forced_words[w0 + r // 64] >> np.uint64(r % 64) & np.uint64(1):
-                constant += weight
-                continue
-            coeffs = {}
-            p = p0 + r
-            for alt in instance.choice_sets.c1[ci][t - 1]:
-                j = instance.station_index[alt]
-                mk = int(coverage.min_k[j, p])
-                if mk:
-                    for k in range(mk, instance.stations[j].max_outlets + 1):
-                        coeffs[x_name(alt, k, t)] = 1.0
-            w = model.add_var(f"w_c{ci}_r{r}_t{t}", lb=0.0, ub=1.0)
-            obj[w] = weight
-            coeffs[w] = -1.0
-            model.add_row(f"cover_c{ci}_r{r}_t{t}", coeffs, ">=", 0.0)
+    constant = sum(_add_cover_rows(model, instance, coverage, ci, t, obj)
+                   for ci in range(instance.n_classes))
     model.set_objective(obj, constant=constant)
     model.validate()
     return model

@@ -92,7 +92,7 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None,
         ]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=limit + 60.0)
+                                  timeout=None if time_limit_s is None else limit + 60.0)
         except subprocess.TimeoutExpired:
             return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
                                detail="solver subprocess exceeded the grace timeout")

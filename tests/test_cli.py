@@ -187,6 +187,24 @@ def test_compare_gf_workflow(tmp_path, tiny_manifest):
     assert len(geo["features"]) == len(insts[0].network.nodes)
 
 
+def test_compare_gf_runs_the_mc_method_once_per_instance(tmp_path, tiny_manifest,
+                                                         monkeypatch):
+    import evcover.cli as cli
+    calls = []
+    run_method = cli.run_method
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return run_method(inst, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_method", counted)
+    manifest, insts = tiny_manifest
+    rc = main(["compare-gf", str(manifest), "--out", str(tmp_path / "cmp"),
+               "--mc-method", "exact-enum", "--solver-cmd", "none"])
+    assert rc == 0
+    assert len(calls) == len(insts)
+
+
 def test_solve_writes_machine_readable_trace(tmp_path, tiny_manifest):
     manifest, _ = tiny_manifest
     out = tmp_path / "trace"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evcover.covering import (CoverageError, CoverageTensor, TripletIndex, UtilityLadder,
                               build_coverage, compute_abar, evaluate, evaluate_per_period,
@@ -8,6 +10,7 @@ from evcover.covering import (CoverageError, CoverageTensor, TripletIndex, Utili
                               station_utility_at_k)
 from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
+from evcover.heuristics import _local_search
 from evcover.instance import HOME, OPT_OUT, InstanceError, SolutionX
 
 from conftest import manual_instance
@@ -219,6 +222,22 @@ def test_evaluate_rejects_ladder_violation(small_instance, small_coverage):
         evaluate(small_instance, small_coverage, SolutionX(bad))
 
 
+@pytest.mark.parametrize("j", [0, 4])
+def test_evaluation_rejects_level_above_max_outlets(j):
+    # the first station would read its neighbour's slot rows, the last one
+    # would run past the end of the tensor
+    inst = generate_small_instance(3, n_nodes=12, n_stations=5, horizon=4, max_outlets=2,
+                                   max_scenarios=15, budget=250.0)
+    cov = build_coverage(inst)
+    levels = np.zeros((inst.n_stations, inst.horizon), dtype=int)
+    levels[j, :] = 3
+    x = SolutionX.from_levels(levels, 3)
+    for call in (lambda: evaluate(inst, cov, x), lambda: evaluate_per_period(inst, cov, x),
+                 lambda: score_myopic(cov, x, 1), lambda: score_hyperoptic(cov, x, 1)):
+        with pytest.raises(CoverageError, match="exceeds"):
+            call()
+
+
 def test_per_period_breakdown_sums_to_total(small_instance, small_coverage):
     rng = np.random.default_rng(3)
     x = random_feasible_solution(small_instance, rng)
@@ -277,6 +296,78 @@ def test_gap_examples():
     assert gap(200.0, 100.0) == pytest.approx(50.0)
     with pytest.raises(CoverageError):
         gap(0.0, 1.0)
+
+
+# -- the evaluation primitive against a naive reference ------------------------------
+
+
+def naive_held_coverage(inst, cov, levels_t, t):
+    """Per class: covered flags of period t with levels_t, straight from the
+    definition (some station with 0 < min_k <= level, or home-forced)."""
+    forced = preprocess_home_charging(inst).forced
+    out = []
+    for ci, uc in enumerate(inst.user_classes):
+        p0 = cov.trip.triplet_id(ci, t - 1, 0)
+        covered = np.zeros(uc.scenario_count, dtype=bool)
+        for r in range(uc.scenario_count):
+            mk = cov.min_k[:, p0 + r].astype(int)
+            covered[r] = bool(((mk > 0) & (mk <= levels_t)).any())
+            if forced[ci] is not None:
+                covered[r] |= bool(forced[ci][r, t - 1])
+        out.append(covered)
+    return out
+
+
+def naive_held_words(inst, cov, levels_t, t_from, t_to):
+    return np.concatenate([cov.trip.pack_block_rows(covered[None, :])[0]
+                           for t in range(t_from, t_to + 1)
+                           for covered in naive_held_coverage(inst, cov, levels_t, t)])
+
+
+def naive_period_value(inst, cov, levels_t, t):
+    return sum(uc.populations[t - 1] / uc.scenario_count * int(covered.sum())
+               for uc, covered in zip(inst.user_classes,
+                                      naive_held_coverage(inst, cov, levels_t, t)))
+
+
+@st.composite
+def tiny_instances(draw):
+    horizon = draw(st.integers(1, 3))
+    max_outlets = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        return generate_small_instance(seed, n_nodes=draw(st.integers(3, 6)),
+                                       n_stations=draw(st.integers(1, 3)), horizon=horizon,
+                                       max_outlets=max_outlets,
+                                       max_scenarios=draw(st.integers(4, 70)))
+    # one class with home charging, so forced triplets appear
+    n_stations = draw(st.integers(1, 3))
+    scenarios = draw(st.integers(1, 70))
+    eps = np.random.default_rng(seed).normal(0.0, 1.5, (2 + n_stations, scenarios, horizon))
+    return manual_instance(n_stations=n_stations, max_outlets=max_outlets, horizon=horizon,
+                           scenarios=scenarios, kappa_station=4.0, eps=eps, home_kappa=4.5)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(inst=tiny_instances(), schedule_seed=st.integers(0, 10_000),
+       improvement_mode=st.sampled_from(["first", "best"]))
+def test_held_words_and_period_values_match_naive_reference(inst, schedule_seed,
+                                                            improvement_mode):
+    cov = build_coverage(inst)
+    levels = random_feasible_solution(inst, np.random.default_rng(schedule_seed)).levels
+    T = inst.horizon
+    for t_from in range(1, T + 1):
+        for t_to in range(t_from, T + 1):
+            got = cov.held_words(levels[:, t_from - 1], t_from, t_to)
+            want = naive_held_words(inst, cov, levels[:, t_from - 1], t_from, t_to)
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+    want_values = [naive_period_value(inst, cov, levels[:, t - 1], t) for t in range(1, T + 1)]
+    assert cov.period_values(levels) == pytest.approx(want_values, rel=1e-12, abs=1e-9)
+    # the local search carries its value forward move by move
+    found, f = _local_search(inst, cov, levels, improvement_mode, 1e-4)
+    assert f == pytest.approx(cov.period_values(found).sum(), rel=1e-12, abs=1e-9)
 
 
 # -- cache ---------------------------------------------------------------------------

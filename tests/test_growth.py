@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from evcover.covering import build_coverage, evaluate
+from evcover.datasets import generate_small_dataset
 from evcover.exact import brute_force_optimum
-from evcover.growth import (GfSolution, GrowthError, GrowthFunction,
+from evcover.growth import (GfSolution, GrowthError, GrowthFunction, _solve_gf_model,
                             adjust_solution_max_outlets, build_gf_instance,
                             generate_growth_function, gf_forward_recursion,
                             gf_solution_as_x, growth_from_csv, growth_from_points,
@@ -202,3 +203,17 @@ def test_gf_milp_objective_matches_recursion_envelope(gf_setup):
     assert out.yearly_totals[-1] == pytest.approx(res.objective, rel=1e-6)
     # and yearly totals never decrease
     assert (np.diff(out.yearly_totals) >= -1e-9).all()
+
+
+@pytest.mark.parametrize("seed, final_total", [(21, 454.27), (22, 465.23), (23, 1200.81)])
+def test_gf_enumeration_reaches_milp_final_total(seed, final_total):
+    insts = generate_small_dataset(seed, 4, n_nodes=8, n_stations=3, horizon=2,
+                                   max_outlets=2, max_scenarios=15)
+    covs = [build_coverage(inst) for inst in insts]
+    ref = greedy(insts[0], covs[0], GreedyConfig(mode="hyperoptic")).x
+    gfi = build_gf_instance(insts[0], generate_growth_function(insts, ref, covs))
+    by_enum = gf_forward_recursion(gfi, _solve_gf_model(gfi, "none", 60.0))
+    by_milp = gf_forward_recursion(gfi, _solve_gf_model(gfi, None, 60.0))
+    assert by_enum.yearly_totals[-1] == pytest.approx(by_milp.yearly_totals[-1], abs=1e-6)
+    assert by_enum.yearly_totals[-1] == pytest.approx(final_total, abs=0.01)
+

@@ -41,6 +41,16 @@ def test_mc_toy_matches_brute_force():
     assert evaluate(inst, cov, x) == pytest.approx(f_star, abs=1e-6)
 
 
+def test_solve_without_time_limit_runs_untimed():
+    m = MilpModel("toy", "max")
+    m.add_var("x", 0, 1, BINARY)
+    m.add_row("budget", {"x": 150.0}, "<=", 200.0)
+    m.set_objective({"x": 1.0})
+    res = solve_external(m)
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == pytest.approx(1.0)
+
+
 def test_not_configured_paths(monkeypatch):
     assert resolve_solver_command("none") is None
     monkeypatch.setenv("EVCOVER_SOLVER_CMD", "none")

@@ -1,21 +1,25 @@
-"""Exact enumeration as the oracle, and the heuristic roster against it.
+"""The exact oracle, and the heuristic roster against it.
 
-At desk scale every feasible outlet schedule can be enumerated, which gives
-a certified optimum to measure greedy, GRASP and rolling horizon against.
+f is a sum of per-period terms and each period's options depend only on the
+previous period's outlet levels, so the optimum is a longest path over
+(period, level-vector) states. Valuing each reachable state once gives a
+certified optimum to measure greedy, GRASP and rolling horizon against.
 """
 
 import numpy as np
 
 from evcover import (GraspConfig, GreedyConfig, RollingHorizonConfig, brute_force_optimum,
-                     build_coverage, count_feasible, gap, grasp, greedy, rolling_horizon)
+                     build_coverage, count_feasible, gap, grasp, greedy, reachable_states,
+                     rolling_horizon)
 from evcover.datasets import generate_small_instance
 
 inst = generate_small_instance(11, n_stations=3, horizon=2)
 cov = build_coverage(inst)
 
-print(f"feasible schedules: {count_feasible(inst)}")
+n_states = sum(map(len, reachable_states(inst)))
+print(f"feasible schedules: {count_feasible(inst)}, reachable (period, levels) states: {n_states}")
 x_star, f_star = brute_force_optimum(inst, cov)
-print(f"brute-force optimum f* = {f_star:.2f}")
+print(f"exact optimum f* = {f_star:.2f}")
 print("optimal outlet counts per (station, period):")
 print(x_star.levels)
 

@@ -5,7 +5,8 @@ Every command is deterministic given its inputs, seed and config (solver
 wall times excepted). Outputs are plain files: instances and manifests as
 JSON, rows and reports as CSV, models as LP text, per-node results as CSV
 and GeoJSON. Exit code 2 flags runs in which at least one instance was
-skipped because a prerequisite (usually the solver) was missing.
+skipped because a prerequisite (usually the solver) was missing, or failed
+with an error; every other instance of the batch is still solved.
 """
 
 from __future__ import annotations
@@ -182,16 +183,33 @@ def run_method(instance: Instance, coverage, method, *, time_limit=DEFAULT_TIME_
     raise ValueError(f"unknown method {method!r}")
 
 
+def _instance_name(path):
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def _failed_row(path, method, status, detail):
+    return {"instance": _instance_name(path), "method": method, "status": status, "f": "",
+            "wall_time_s": "", "termination": "", "detail": detail}
+
+
+def _error_row(path, method, exc):
+    return _failed_row(path, method, "error", f"{type(exc).__name__}: {exc}")
+
+
 def _solve_one(args):
+    """Solve one instance into a (row, solution) pair. A missing prerequisite
+    gives a "skipped" row and any other failure an "error" row, so one bad
+    instance never sinks the batch."""
     path, method, options = args
-    name = os.path.splitext(os.path.basename(path))[0]
     try:
         inst = load_instance(path)
         cov = build_coverage(inst)
         x, f, wall, termination, detail, trace = run_method(inst, cov, method, **options)
     except (HeuristicError, EnumerationCapExceeded) as exc:
-        return {"instance": name, "method": method, "status": "skipped", "f": "",
-                "wall_time_s": "", "termination": "", "detail": str(exc)}, None
+        return _failed_row(path, method, "skipped", str(exc)), None
+    except Exception as exc:  # noqa: BLE001 - isolate the failure to this instance
+        return _error_row(path, method, exc), None
+    name = _instance_name(path)
     sol = {"instance": name, "method": method, "f": f, "x_levels": x.levels.tolist(),
            "trace": trace}
     return {"instance": name, "method": method, "status": "ok", "f": f,
@@ -235,8 +253,15 @@ def cmd_solve(args):
                "allocation": args.allocation}
     tasks = [(p, args.method, options) for p in paths]
     if args.threads > 1:
+        # one future per task: a worker that dies costs its own row, not the batch
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_solve_one, tasks))
+            futures = [pool.submit(_solve_one, t) for t in tasks]
+            results = []
+            for task, future in zip(tasks, futures):
+                try:
+                    results.append(future.result())
+                except Exception as exc:  # noqa: BLE001
+                    results.append((_error_row(task[0], args.method, exc), None))
     else:
         results = [_solve_one(t) for t in tasks]
     rows = []
@@ -253,12 +278,14 @@ def cmd_solve(args):
                     fh.write(json.dumps(entry, sort_keys=True, default=float) + "\n")
     rows_path = os.path.join(args.out, f"rows.{args.method}.csv")
     write_rows_csv(rows_path, rows)
-    n_skipped = sum(1 for r in rows if r["status"] != "ok")
-    print(f"{args.method}: {len(rows) - n_skipped} solved, {n_skipped} skipped -> {rows_path}")
+    n_skipped = sum(1 for r in rows if r["status"] == "skipped")
+    n_error = sum(1 for r in rows if r["status"] == "error")
+    print(f"{args.method}: {len(rows) - n_skipped - n_error} solved, {n_skipped} skipped, "
+          f"{n_error} failed -> {rows_path}")
     for r in rows:
         if r["status"] != "ok":
-            print(f"  skipped {r['instance']}: {r['detail']}")
-    return 2 if n_skipped else 0
+            print(f"  {r['status']} {r['instance']}: {r['detail']}")
+    return 2 if n_skipped or n_error else 0
 
 
 def cmd_report(args):

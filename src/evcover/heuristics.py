@@ -410,13 +410,11 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
                       "after_search_f": f_ls, "incumbent": incumbent_f,
                       "elapsed": time.perf_counter() - start})
 
-    if incumbent is None:
-        x = SolutionX.zeros(instance)
-        incumbent_f = evaluate(instance, coverage, x)
-    else:
-        x = SolutionX.from_levels(incumbent, max_k)
-    return HeuristicResult(x, float(incumbent_f), time.perf_counter() - start, trace,
-                           seed=config.seed, termination=termination)
+    # f of the incumbent, not the local search's running sum of deltas, which
+    # can drift from it in the last bits
+    x = SolutionX.zeros(instance) if incumbent is None else SolutionX.from_levels(incumbent, max_k)
+    return HeuristicResult(x, evaluate(instance, coverage, x), time.perf_counter() - start,
+                           trace, seed=config.seed, termination=termination)
 
 
 # -- rolling horizon ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from evcover.covering import build_coverage
+from evcover.covering import build_coverage, evaluate
 from evcover.datasets import generate_small_dataset, generate_small_instance
+from evcover.exact import enumerate_feasible
 from evcover.instance import CostBudget, ChoiceSets, Instance, Station, UserClass, UtilityParams
 from evcover.network import Edge, Network, Node
 
@@ -53,6 +54,17 @@ def manual_instance(*, n_stations=1, max_outlets=2, horizon=1, scenarios=1,
                     cost_budget=cost, utility_params=UtilityParams([kap], [bet]),
                     choice_sets=choice, error_tensor=[eps],
                     metadata={"dataset_kind": "manual", "seed": 0})
+
+
+def enumeration_optimum(instance, coverage, budget=None):
+    """Reference oracle: evaluate every feasible schedule in enumeration order
+    and keep the first strict maximum. Returns (SolutionX, f_star)."""
+    best_x, best_f = None, -np.inf
+    for x in enumerate_feasible(instance, budget):
+        f = evaluate(instance, coverage, x)
+        if f > best_f:
+            best_x, best_f = x, f
+    return best_x, float(best_f)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,29 @@ def test_solve_skips_without_solver(tmp_path, tiny_manifest, monkeypatch):
     rows = read_rows_csv(out / "rows.mc-external.csv")
     assert all(r["status"] == "skipped" for r in rows)
     assert all("not configured" in r["detail"] for r in rows)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_one_corrupt_instance_does_not_sink_the_batch(tmp_path, tiny_manifest, threads):
+    manifest, insts = tiny_manifest
+    root = tmp_path / "ds"
+    root.mkdir()
+    entries = []
+    for idx in range(len(insts)):
+        name = f"instance_{idx:03d}.json"
+        data = (Path(manifest).parent / name).read_text()
+        (root / name).write_text(data[: len(data) // 2] if idx == 1 else data)
+        entries.append({"path": name, "seed": 81, "index": idx})
+    bad_manifest = write_manifest(root, "small", 81, entries)
+    out = tmp_path / "runs"
+    rc = main(["solve", str(bad_manifest), "--method", "greedy-m", "--threads", threads,
+               "--out", str(out)])
+    assert rc == 2
+    rows = read_rows_csv(out / "rows.greedy-m.csv")
+    assert [r["instance"] for r in rows] == [f"instance_{i:03d}" for i in range(len(insts))]
+    assert [r["status"] for r in rows] == ["ok", "error"] + ["ok"] * (len(insts) - 2)
+    assert rows[1]["detail"].startswith("InstanceError: malformed instance file")
+    assert (out / "instance_000.greedy-m.solution.json").exists()
 
 
 def test_solve_mc_external_matches_exact(tmp_path, tiny_manifest):

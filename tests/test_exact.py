@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from evcover.covering import build_coverage, evaluate
+from evcover import exact
+from evcover.covering import CoverageTensor, build_coverage, evaluate
 from evcover.datasets import generate_small_instance
 from evcover.exact import (EnumerationBudget, EnumerationCapExceeded, brute_force_optimum,
-                           count_feasible, enumerate_feasible, random_feasible_solution)
+                           count_feasible, enumerate_feasible, random_feasible_solution,
+                           reachable_states)
 from evcover.instance import SolutionX, validate_solution
 
-from conftest import manual_instance
+from conftest import enumeration_optimum, manual_instance
 
 
 def recursive_count_oracle(inst):
@@ -111,3 +115,91 @@ def test_certificate_against_random_solutions(small_instance, small_coverage):
     for _ in range(200):
         x = random_feasible_solution(small_instance, rng)
         assert f_star >= evaluate(small_instance, small_coverage, x) - 1e-9
+
+
+# -- period-state DP against plain enumeration -----------------------------------
+
+
+def states_per_period(inst):
+    """Independent count: distinct period-t level vectors over every feasible schedule."""
+    seen = [set() for _ in range(inst.horizon)]
+    for x in enumerate_feasible(inst):
+        for t in range(inst.horizon):
+            seen[t].add(tuple(x.levels[:, t]))
+    return [len(s) for s in seen]
+
+
+@st.composite
+def dp_instances(draw):
+    """2-4 stations, horizon 1-3, at most 2 outlets; budgets from zero through
+    exactly one opening (150) to a few outlets per period."""
+    horizon = draw(st.integers(1, 3))
+    n_stations = draw(st.integers(2, 4))
+    max_outlets = draw(st.integers(1, 2))
+    budget = draw(st.sampled_from([0.0, 150.0, 200.0, 250.0]))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        return generate_small_instance(seed, n_nodes=draw(st.integers(max(3, n_stations), 7)),
+                                       n_stations=n_stations, horizon=horizon,
+                                       max_outlets=max_outlets,
+                                       max_scenarios=draw(st.integers(4, 40)), budget=budget)
+    # one class with home charging, so forced triplets appear
+    scenarios = draw(st.integers(1, 40))
+    eps = np.random.default_rng(seed).normal(0.0, 1.5, (2 + n_stations, scenarios, horizon))
+    return manual_instance(n_stations=n_stations, max_outlets=max_outlets, horizon=horizon,
+                           scenarios=scenarios, kappa_station=4.0, eps=eps, home_kappa=4.5,
+                           budget=budget, initial_outlets=draw(st.integers(0, 1)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(inst=dp_instances())
+def test_dp_optimum_matches_enumeration(inst):
+    cov = build_coverage(inst)
+    x, f = brute_force_optimum(inst, cov)
+    x_ref, f_ref = enumeration_optimum(inst, cov)
+    assert validate_solution(inst, x).ok
+    assert f == evaluate(inst, cov, x)
+    tol = 1e-12 * max(1.0, abs(f_ref))
+    assert abs(f - f_ref) <= tol
+    if not np.array_equal(x.levels, x_ref.levels):
+        # only a float near-tie may resolve differently from enumeration order
+        assert abs(evaluate(inst, cov, x_ref) - f) <= tol
+    assert sum(map(len, reachable_states(inst))) == sum(states_per_period(inst))
+
+
+def test_dp_returns_enumeration_optimum_on_desk_instances():
+    for seed in (1003, 1004):
+        inst = generate_small_instance(seed, n_nodes=12, n_stations=5, horizon=4,
+                                       max_outlets=2, max_scenarios=15, budget=250.0)
+        cov = build_coverage(inst)
+        x, f = brute_force_optimum(inst, cov)
+        x_ref, f_ref = enumeration_optimum(inst, cov)
+        assert f == f_ref
+        np.testing.assert_array_equal(x.levels, x_ref.levels)
+        assert sum(map(len, reachable_states(inst))) == 404
+
+
+def test_state_cap_refuses_before_any_valuation(monkeypatch):
+    inst = generate_small_instance(45, n_stations=3, horizon=3, budget=250.0)
+    cov = build_coverage(inst)
+    per_period = states_per_period(inst)
+    total = sum(per_period)
+    assert per_period[0] >= 2
+
+    def no_valuation(*args, **kwargs):
+        raise AssertionError("valued a state before refusing")
+
+    monkeypatch.setattr(exact, "evaluate", no_valuation)
+    monkeypatch.setattr(CoverageTensor, "held_words", no_valuation)
+    monkeypatch.setattr(CoverageTensor, "value_of_words", no_valuation)
+    # crossed in the last period: the count is every reachable state
+    with pytest.raises(EnumerationCapExceeded) as err:
+        brute_force_optimum(inst, cov, EnumerationBudget(max_configurations=total - 1))
+    assert err.value.count == total
+    assert err.value.cap == total - 1
+    assert f"{total} reachable states" in str(err.value)
+    # crossed in period 1: the forward pass stops there
+    with pytest.raises(EnumerationCapExceeded) as err:
+        brute_force_optimum(inst, cov, EnumerationBudget(max_configurations=1))
+    assert err.value.count == per_period[0]

@@ -187,6 +187,19 @@ def test_grasp_reproducible_and_bounded_by_optimum():
     assert validate_solution(inst, a.x).ok
 
 
+@pytest.mark.parametrize("seed, f_star", [(1003, 880.4084008882784),
+                                           (1004, 1297.9860203846154)])
+def test_grasp_reports_evaluate_and_never_beats_the_optimum_exactly(seed, f_star):
+    # the local search's running sum of deltas read 880.4084008882786 here
+    inst = generate_small_instance(seed, n_nodes=12, n_stations=5, horizon=4, max_outlets=2,
+                                   max_scenarios=15, budget=250.0)
+    cov = build_coverage(inst)
+    assert brute_force_optimum(inst, cov)[1] == f_star
+    res = grasp(inst, cov, GraspConfig(mode="myopic", max_solutions=50, seed=1))
+    assert res.f == evaluate(inst, cov, res.x)
+    assert res.f <= f_star
+
+
 def test_grasp_termination_reasons():
     inst, cov = tiny(325)
     by_examined = grasp(inst, cov, GraspConfig(max_solutions=3, seed=0))

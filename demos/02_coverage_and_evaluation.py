@@ -25,7 +25,8 @@ for k in range(0, inst.stations[0].max_outlets + 1):
     u = station_utility_at_k(inst, 1, 0, 0, sid, k)
     print(f"  k={k}: u = {u:7.3f}")
 
-# min-k thresholds: smallest outlet count at which station j covers triplet p
+# min-k thresholds: smallest outlet count at which station j covers triplet p,
+# derived from the nested slot bitsets (the only stored coverage data)
 p = cov.trip.triplet_id(0, 0, 0)
 print(f"\nmin-k thresholds for triplet {p}: {cov.min_k[:, p].tolist()} (0 = never)")
 

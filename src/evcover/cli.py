@@ -31,7 +31,7 @@ from .growth import (_solve_gf_model, adjust_solution_max_outlets, build_gf_inst
                      load_growth, per_node_ev, save_growth, write_node_ev_csv)
 from .heuristics import (GraspConfig, GreedyConfig, HeuristicError, RollingHorizonConfig,
                          grasp, greedy, rolling_horizon)
-from .instance import Instance, SolutionX, load_instance, save_instance
+from .instance import Instance, load_instance, save_instance
 from .milp import build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import generate_network, load_network, save_network
 from .lp_io import export_lp
@@ -123,17 +123,6 @@ def write_report_csv(path, aggregates):
         w.writerow(cols)
         for method, agg in aggregates.items():
             w.writerow([method] + [agg[c] for c in cols[1:]])
-
-
-# -- solution files -----------------------------------------------------------------
-
-
-def save_solution(path, instance_name, method, x: SolutionX, f, extra=None):
-    doc = {"schema": "evcover-solution-v1", "instance": instance_name, "method": method,
-           "f": f, "levels": x.levels.tolist(), **(extra or {})}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
 
 
 # -- method dispatch ----------------------------------------------------------------

@@ -18,11 +18,16 @@ a[j][k] ⊆ a[j][k+1]. The covered bits of a level vector are therefore the OR
 of each open station's top slot a[j][levels[j]] with the home-forced bits.
 `CoverageTensor.held_words` is the one place that computes them; every
 evaluation, score and heuristic gain is built on it.
+
+The nested slot bitsets are the only stored triplet-level coverage data. By
+the same nesting they also encode each covering threshold (the smallest
+outlet count at which a station covers a triplet), so `CoverageTensor.min_k`
+is derived from them on first use instead of being stored alongside.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +73,13 @@ class TripletIndex:
 
     def triplet_id(self, class_index, t_index, r):
         return int(self.bit_start[self.block(class_index, t_index)]) + r
+
+    def bit_of(self, triplet_ids):
+        """Bit position of each triplet in the word-padded layout: triplet p of
+        block b sits at 64 * word_start[b] + (p - bit_start[b])."""
+        p = np.asarray(triplet_ids)
+        b = np.searchsorted(self.bit_start, p, side="right") - 1
+        return 64 * self.word_start[b] + p - self.bit_start[b]
 
     def pack_block_rows(self, bools):
         """Pack (n_rows, R) booleans into (n_rows, words) little-endian uint64."""
@@ -200,29 +212,27 @@ def preprocess_home_charging(instance: Instance) -> HomePreprocess:
 
 
 class CoverageTensor:
-    """Pre-computed coverage bits a[j][k][triplet] plus covering thresholds.
+    """Pre-computed coverage bits a[j][k][triplet], packed one slot row per
+    (station, outlet count).
 
-    min_k[j, p] is the smallest outlet count at which station j covers
-    triplet p (0 when it never covers); a[j][k] is derivable as
-    min_k >= 1 and min_k <= k, and is materialised as packed bitsets for
-    popcount scoring. forced_bits marks triplets covered regardless of x.
-    Because a[j][k] ⊆ a[j][k+1] (nesting), the slot row of (j, k) already
-    holds everything station j covers with k outlets.
+    The slot row of (j, k) is slot_base[j] + k - 1 and holds everything
+    station j covers with k outlets; by nesting, a[j][k] ⊆ a[j][k+1].
+    forced_bits marks triplets covered regardless of x. These bitsets are
+    the only stored triplet-level data: the covering thresholds `min_k` are
+    derived from them on demand.
     """
 
-    def __init__(self, instance: Instance, trip: TripletIndex, min_k, a_bits,
-                 slot_base, forced_bits, forced_mass, instance_hash=None):
+    def __init__(self, instance: Instance, trip: TripletIndex, a_bits, slot_base,
+                 forced_bits, forced_mass):
         self.trip = trip
         self.station_ids = tuple(s.id for s in instance.stations)
         self.max_outlets = instance.max_outlets.copy()
-        self.min_k = min_k
         self.a_bits = a_bits
-        self.slot_base = slot_base  # slot row of (station_index j, k) = slot_base[j] + k - 1
+        self.slot_base = slot_base
         self.forced_bits = forced_bits
         self.forced_mass = float(forced_mass)
-        self.instance_hash = instance_hash
         self.horizon = trip.horizon
-        for arr in (self.min_k, self.a_bits, self.forced_bits):
+        for arr in (self.a_bits, self.forced_bits):
             arr.flags.writeable = False
 
     # -- raw access -----------------------------------------------------
@@ -231,8 +241,28 @@ class CoverageTensor:
         return int(self.slot_base[j_idx]) + k - 1
 
     def a_entry(self, j_idx, k, triplet_id):
-        mk = self.min_k[j_idx, triplet_id]
-        return 1 if 0 < mk <= k else 0
+        """a[j][k][p], read from the packed slot row of (j, k)."""
+        if not 1 <= k <= self.max_outlets[j_idx]:
+            raise CoverageError(f"k={k} outside 1..{int(self.max_outlets[j_idx])}")
+        bit = int(self.trip.bit_of(triplet_id))
+        return int(self.a_bits[self.slot(j_idx, k), bit // 64] >> np.uint64(bit % 64)
+                   & np.uint64(1))
+
+    @functools.cached_property
+    def min_k(self) -> np.ndarray:
+        """min_k[j, p]: the smallest outlet count at which station j covers
+        triplet p, 0 when it never does; read-only (n_stations, n_triplets)
+        uint8. By nesting, a covered triplet's bit is set in the rows
+        min_k..m_j of station j, so min_k = m_j + 1 - (number of set rows)."""
+        bits = self.trip.bit_of(np.arange(self.trip.n_triplets))
+        out = np.zeros((len(self.station_ids), self.trip.n_triplets), dtype=np.uint8)
+        for j, m_j in enumerate(self.max_outlets):
+            rows = self.a_bits[self.slot_base[j]: self.slot_base[j] + m_j]
+            held = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+            count = held.sum(axis=0, dtype=np.uint8)[bits]
+            out[j] = np.where(count > 0, m_j + 1 - count, 0)
+        out.flags.writeable = False
+        return out
 
     # -- bitset machinery -------------------------------------------------
 
@@ -275,13 +305,16 @@ class CoverageTensor:
         return np.bitwise_count(fresh).astype(np.float64) @ self.trip.word_weights[sl]
 
 
-def build_coverage(instance: Instance, instance_hash=None) -> CoverageTensor:
-    """Compute min-k covering thresholds and packed coverage bits for an instance."""
+def build_coverage(instance: Instance) -> CoverageTensor:
+    """Pack the nested coverage bits of every (station, outlet count) slot.
+
+    Each station's covering thresholds are computed per (class, period) block
+    and only packed, never stored: slot (j, k) holds the triplets with
+    0 < threshold <= k."""
     trip = TripletIndex(instance)
     J, T = instance.n_stations, instance.horizon
     pre = preprocess_home_charging(instance)
 
-    min_k = np.zeros((J, trip.n_triplets), dtype=np.uint8)
     slot_base = np.zeros(J, dtype=int)
     np.cumsum(instance.max_outlets[:-1], out=slot_base[1:])
     n_slots = int(instance.max_outlets.sum())
@@ -311,8 +344,6 @@ def build_coverage(instance: Instance, instance_hash=None) -> CoverageTensor:
             mk[:, ~member] = 0
             for t in range(T):
                 b = trip.block(ci, t)
-                p0 = trip.bit_start[b]
-                min_k[j, p0 : p0 + R] = mk[:, t]
                 if mk[:, t].any():
                     ws, we = trip.word_start[b], trip.word_start[b + 1]
                     rows_bool = (mk[None, :, t] > 0) & (
@@ -320,9 +351,8 @@ def build_coverage(instance: Instance, instance_hash=None) -> CoverageTensor:
                     a_bits[slot_base[j] : slot_base[j] + m_j, ws:we] = trip.pack_block_rows(
                         rows_bool)
 
-    return CoverageTensor(instance, trip, min_k, a_bits, slot_base,
-                          pre.forced_bits, pre.forced_mass,
-                          instance_hash=instance_hash)
+    return CoverageTensor(instance, trip, a_bits, slot_base, pre.forced_bits,
+                          pre.forced_mass)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -373,33 +403,3 @@ def gap(best_value: float, value: float) -> float:
     if best_value <= 0:
         raise CoverageError("gap undefined for best value <= 0")
     return 100.0 * (best_value - value) / best_value
-
-
-# -- coverage cache ---------------------------------------------------------
-
-
-def save_coverage(coverage: CoverageTensor, path, instance_hash):
-    meta = {"hash": instance_hash, "horizon": coverage.horizon,
-            "station_ids": list(coverage.station_ids)}
-    np.savez_compressed(
-        path, meta=json.dumps(meta), min_k=coverage.min_k, a_bits=coverage.a_bits,
-        forced_bits=coverage.forced_bits, slot_base=coverage.slot_base,
-        max_outlets=coverage.max_outlets, forced_mass=np.array([coverage.forced_mass]),
-    )
-
-
-def load_coverage(path, instance: Instance, instance_hash):
-    """Reload a cached tensor; returns None when the content hash differs."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta["hash"] != instance_hash:
-                return None
-            trip = TripletIndex(instance)
-            return CoverageTensor(
-                instance, trip, data["min_k"].copy(), data["a_bits"].copy(),
-                data["slot_base"].copy(), data["forced_bits"].copy(),
-                float(data["forced_mass"][0]), instance_hash=instance_hash,
-            )
-    except FileNotFoundError:
-        return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import CoverageTensor, build_coverage, evaluate, evaluate_per_period
+from .covering import CoverageTensor, build_coverage, evaluate_per_period
 from .exact import period_extensions
 from .instance import Instance, SolutionX
 from .milp import build_gf
@@ -372,11 +372,6 @@ def adjust_solution_max_outlets(gf: GfInstance, solution: GfSolution) -> Solutio
 def gf_solution_as_x(gf: GfInstance, solution: GfSolution) -> SolutionX:
     """The GF outlet schedule in ladder form, for evaluation under f."""
     return SolutionX.from_levels(solution.outlets.astype(int), int(gf.max_outlets.max()))
-
-
-def evaluate_under_mc(instance: Instance, coverage: CoverageTensor, x: SolutionX) -> float:
-    """Covering objective of an arbitrary solution (GF or otherwise)."""
-    return evaluate(instance, coverage, x)
 
 
 def per_node_ev(instance: Instance, coverage: CoverageTensor, x: SolutionX) -> dict:

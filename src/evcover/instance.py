@@ -12,7 +12,6 @@ read-only so they can be shared freely across threads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -222,13 +221,6 @@ class Instance:
     def demand_mass(self):
         """Sum over all triplets of N_i^t / R_i (the objective-scale constant)."""
         return float(sum(sum(uc.populations) for uc in self.user_classes))
-
-    def station_cost(self, j_idx, k, t_idx):
-        """Cost of going from k-1 to k outlets at station index j in period index t."""
-        return float(self.cost_budget.outlet_cost[j_idx, k - 1, t_idx])
-
-    def content_hash(self):
-        return hashlib.sha256(instance_to_json(self).encode()).hexdigest()
 
 
 # -- solutions ----------------------------------------------------------

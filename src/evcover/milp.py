@@ -118,41 +118,44 @@ def x_name(station_id, k, t):
     return f"x_{station_id}_{k}_{t}"
 
 
-def _add_x_block(model: MilpModel, instance: Instance):
-    """Ladder variables with budget, ladder and persistence rows.
+def _add_x_block(model: MilpModel, instance: Instance, periods, base_levels):
+    """Ladder variables of the given consecutive periods with budget, ladder
+    and persistence rows.
 
-    Period-1 persistence is imposed through lower bounds from the initial
-    state; the k=1 ladder row is vacuous (x_j0 == 1) and omitted.
+    Persistence into the first period is imposed through lower bounds from
+    base_levels (the outlets already held before it); its budget rhs is
+    raised by their cost, which the fixed variables consume. The k=1 ladder
+    row is vacuous (x_j0 == 1) and omitted.
     """
-    T = instance.horizon
+    first = periods[0]
     for j, st in enumerate(instance.stations):
         for k in range(1, st.max_outlets + 1):
-            for t in range(1, T + 1):
-                lb = 1.0 if st.initial_outlets >= k else 0.0
+            for t in periods:
+                lb = 1.0 if base_levels[j] >= k else 0.0
                 model.add_var(x_name(st.id, k, t), lb=lb, ub=1.0, kind=BINARY)
-    for t in range(1, T + 1):
+    for t in periods:
         coeffs = {}
         for j, st in enumerate(instance.stations):
             for k in range(1, st.max_outlets + 1):
                 c = instance.cost_budget.outlet_cost[j, k - 1, t - 1]
                 coeffs[x_name(st.id, k, t)] = c
-                if t > 1:
+                if t > first:
                     coeffs[x_name(st.id, k, t - 1)] = coeffs.get(x_name(st.id, k, t - 1), 0.0) - c
         rhs = instance.cost_budget.budgets[t - 1]
-        if t == 1:
+        if t == first:
             rhs += sum(
-                instance.cost_budget.outlet_cost[j, k - 1, 0]
+                instance.cost_budget.outlet_cost[j, k - 1, first - 1]
                 for j, st in enumerate(instance.stations)
-                for k in range(1, st.initial_outlets + 1)
+                for k in range(1, base_levels[j] + 1)
             )
         model.add_row(f"budget_t{t}", coeffs, "<=", rhs)
     for j, st in enumerate(instance.stations):
-        for t in range(1, T + 1):
+        for t in periods:
             for k in range(2, st.max_outlets + 1):
                 model.add_row(f"ladder_{st.id}_{k}_t{t}",
                               {x_name(st.id, k, t): 1.0, x_name(st.id, k - 1, t): -1.0},
                               "<=", 0.0)
-            if t > 1:
+            if t > first:
                 for k in range(1, st.max_outlets + 1):
                     model.add_row(f"persist_{st.id}_{k}_t{t}",
                                   {x_name(st.id, k, t): 1.0, x_name(st.id, k, t - 1): -1.0},
@@ -263,7 +266,7 @@ def build_sl(instance: Instance, bounds: BigMBounds, relax_w=False) -> MilpModel
     Home-forced triplets are dropped (their choice can never be opt-out)."""
     bounds.verify()
     model = MilpModel("sl", "min")
-    _add_x_block(model, instance)
+    _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
     pre = preprocess_home_charging(instance)
     T = instance.horizon
     obj = {}
@@ -343,7 +346,7 @@ def build_mc(instance: Instance, coverage: CoverageTensor) -> MilpModel:
     """Maximum covering model: one covering row per non-forced triplet;
     home-forced triplets enter the objective as a constant."""
     model = MilpModel("mc", "max")
-    _add_x_block(model, instance)
+    _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
     obj = {}
     for ci in range(instance.n_classes):
         for t in range(1, instance.horizon + 1):
@@ -388,21 +391,7 @@ def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
     if not 1 <= t <= instance.horizon:
         raise ModelError(f"period {t} outside horizon")
     model = MilpModel(f"mc_t{t}", "max")
-    base_levels = np.asarray(base_levels, dtype=int)
-    for j, st in enumerate(instance.stations):
-        for k in range(1, st.max_outlets + 1):
-            lb = 1.0 if base_levels[j] >= k else 0.0
-            model.add_var(x_name(st.id, k, t), lb=lb, ub=1.0, kind=BINARY)
-    coeffs = {}
-    for j, st in enumerate(instance.stations):
-        for k in range(base_levels[j] + 1, st.max_outlets + 1):
-            coeffs[x_name(st.id, k, t)] = instance.cost_budget.outlet_cost[j, k - 1, t - 1]
-    model.add_row(f"budget_t{t}", coeffs, "<=", instance.cost_budget.budgets[t - 1])
-    for j, st in enumerate(instance.stations):
-        for k in range(2, st.max_outlets + 1):
-            model.add_row(f"ladder_{st.id}_{k}_t{t}",
-                          {x_name(st.id, k, t): 1.0, x_name(st.id, k - 1, t): -1.0},
-                          "<=", 0.0)
+    _add_x_block(model, instance, [t], np.asarray(base_levels, dtype=int))
     obj = {}
     constant = sum(_add_cover_rows(model, instance, coverage, ci, t, obj)
                    for ci in range(instance.n_classes))

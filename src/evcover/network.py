@@ -136,6 +136,8 @@ def _gabriel_edges(points):
     from scipy.spatial import Delaunay
 
     pts = np.asarray(points)
+    if len(pts) == 2:  # Delaunay needs three points; two nodes share one edge
+        return [(0, 1)]
     tri = Delaunay(pts)
     cand = set()
     for simplex in tri.simplices:

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from evcover.covering import (CoverageError, CoverageTensor, TripletIndex, UtilityLadder,
                               build_coverage, compute_abar, evaluate, evaluate_per_period,
-                              gap, load_coverage, optout_utility, preprocess_home_charging,
-                              save_coverage, score_hyperoptic, score_myopic,
-                              station_utility_at_k)
+                              gap, optout_utility, preprocess_home_charging,
+                              score_hyperoptic, score_myopic, station_utility_at_k)
 from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
 from evcover.heuristics import _local_search
@@ -22,6 +21,13 @@ def naive_cover_entry(inst, j_id, k, t, ci, r):
         return 0
     u0 = optout_utility(inst, t, ci, r)
     return 1 if station_utility_at_k(inst, t, ci, r, j_id, k) >= u0 else 0
+
+
+def naive_min_k(inst, j, t, ci, r):
+    """Covering threshold by a linear scan over the outlet ladder (0 = never)."""
+    st_ = inst.stations[j]
+    return next((k for k in range(1, st_.max_outlets + 1)
+                 if naive_cover_entry(inst, st_.id, k, t, ci, r)), 0)
 
 
 def full_levels(inst):
@@ -81,6 +87,9 @@ def test_covering_threshold_example_shape():
     assert cov.min_k[0, p] == 4
     for k in range(1, 7):
         assert cov.a_entry(0, k, p) == (1 if k >= 4 else 0)
+    for k in (0, 7):
+        with pytest.raises(CoverageError, match="outside"):
+            cov.a_entry(0, k, p)
 
 
 def test_station_that_never_covers_has_zero_row():
@@ -113,10 +122,7 @@ def test_tensor_equals_naive_recomputation(seed):
                     for k in range(1, st.max_outlets + 1):
                         assert cov.a_entry(j, k, p) == naive_cover_entry(
                             inst, st.id, k, t, ci, r)
-                    # min-k threshold matches a linear scan
-                    scan = next((k for k in range(1, st.max_outlets + 1)
-                                 if naive_cover_entry(inst, st.id, k, t, ci, r)), 0)
-                    assert cov.min_k[j, p] == scan
+                    assert cov.min_k[j, p] == naive_min_k(inst, j, t, ci, r)
 
 
 def test_tensor_monotone_in_k(small_instance, small_coverage):
@@ -301,16 +307,17 @@ def test_gap_examples():
 # -- the evaluation primitive against a naive reference ------------------------------
 
 
-def naive_held_coverage(inst, cov, levels_t, t):
+def naive_held_coverage(inst, levels_t, t):
     """Per class: covered flags of period t with levels_t, straight from the
-    definition (some station with 0 < min_k <= level, or home-forced)."""
+    definition (some station with 0 < naive threshold <= level, or
+    home-forced). The thresholds come from the utility scan, not from the
+    tensor under test."""
     forced = preprocess_home_charging(inst).forced
     out = []
     for ci, uc in enumerate(inst.user_classes):
-        p0 = cov.trip.triplet_id(ci, t - 1, 0)
         covered = np.zeros(uc.scenario_count, dtype=bool)
         for r in range(uc.scenario_count):
-            mk = cov.min_k[:, p0 + r].astype(int)
+            mk = np.array([naive_min_k(inst, j, t, ci, r) for j in range(inst.n_stations)])
             covered[r] = bool(((mk > 0) & (mk <= levels_t)).any())
             if forced[ci] is not None:
                 covered[r] |= bool(forced[ci][r, t - 1])
@@ -321,13 +328,17 @@ def naive_held_coverage(inst, cov, levels_t, t):
 def naive_held_words(inst, cov, levels_t, t_from, t_to):
     return np.concatenate([cov.trip.pack_block_rows(covered[None, :])[0]
                            for t in range(t_from, t_to + 1)
-                           for covered in naive_held_coverage(inst, cov, levels_t, t)])
+                           for covered in naive_held_coverage(inst, levels_t, t)])
 
 
-def naive_period_value(inst, cov, levels_t, t):
+def naive_period_value(inst, levels_t, t):
     return sum(uc.populations[t - 1] / uc.scenario_count * int(covered.sum())
                for uc, covered in zip(inst.user_classes,
-                                      naive_held_coverage(inst, cov, levels_t, t)))
+                                      naive_held_coverage(inst, levels_t, t)))
+
+
+# scenario counts on both sides of one and two 64-bit word boundaries
+SCENARIO_COUNTS = st.one_of(st.integers(1, 70), st.sampled_from([63, 64, 65, 128, 129]))
 
 
 @st.composite
@@ -339,10 +350,10 @@ def tiny_instances(draw):
         return generate_small_instance(seed, n_nodes=draw(st.integers(3, 6)),
                                        n_stations=draw(st.integers(1, 3)), horizon=horizon,
                                        max_outlets=max_outlets,
-                                       max_scenarios=draw(st.integers(4, 70)))
+                                       max_scenarios=max(4, draw(SCENARIO_COUNTS)))
     # one class with home charging, so forced triplets appear
     n_stations = draw(st.integers(1, 3))
-    scenarios = draw(st.integers(1, 70))
+    scenarios = draw(SCENARIO_COUNTS)
     eps = np.random.default_rng(seed).normal(0.0, 1.5, (2 + n_stations, scenarios, horizon))
     return manual_instance(n_stations=n_stations, max_outlets=max_outlets, horizon=horizon,
                            scenarios=scenarios, kappa_station=4.0, eps=eps, home_kappa=4.5)
@@ -363,24 +374,50 @@ def test_held_words_and_period_values_match_naive_reference(inst, schedule_seed,
             want = naive_held_words(inst, cov, levels[:, t_from - 1], t_from, t_to)
             assert got.dtype == np.uint64
             np.testing.assert_array_equal(got, want)
-    want_values = [naive_period_value(inst, cov, levels[:, t - 1], t) for t in range(1, T + 1)]
+    want_values = [naive_period_value(inst, levels[:, t - 1], t) for t in range(1, T + 1)]
     assert cov.period_values(levels) == pytest.approx(want_values, rel=1e-12, abs=1e-9)
     # the local search carries its value forward move by move
     found, f = _local_search(inst, cov, levels, improvement_mode, 1e-4)
     assert f == pytest.approx(cov.period_values(found).sum(), rel=1e-12, abs=1e-9)
 
 
-# -- cache ---------------------------------------------------------------------------
+# -- the stored representation -------------------------------------------------------
 
 
-def test_coverage_cache_round_trip(tmp_path, small_instance, small_coverage):
-    h = small_instance.content_hash()
-    path = tmp_path / "cov.npz"
-    save_coverage(small_coverage, path, h)
-    loaded = load_coverage(path, small_instance, h)
-    assert loaded is not None
-    np.testing.assert_array_equal(loaded.min_k, small_coverage.min_k)
-    np.testing.assert_array_equal(loaded.a_bits, small_coverage.a_bits)
-    assert loaded.forced_mass == small_coverage.forced_mass
-    assert load_coverage(path, small_instance, "other-hash") is None
-    assert load_coverage(tmp_path / "missing.npz", small_instance, h) is None
+def padding_mask(trip):
+    """Per word: the bits that hold no triplet (the tail of each block's last word)."""
+    mask = np.zeros(trip.n_words, dtype=np.uint64)
+    for b, bits in enumerate(trip.block_bits):
+        tail = int(bits) % 64
+        if tail:
+            mask[trip.word_start[b + 1] - 1] = ~np.uint64((1 << tail) - 1)
+    return mask
+
+
+def test_tensor_stores_only_the_slot_bitsets(small_instance):
+    cov = build_coverage(small_instance)  # fresh: the session fixture may hold a derived min_k
+    arrays = {name for name, v in vars(cov).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"a_bits", "forced_bits", "slot_base", "max_outlets"}
+    mk = cov.min_k
+    assert mk is cov.min_k and not mk.flags.writeable
+    assert mk.shape == (small_instance.n_stations, cov.trip.n_triplets)
+    assert mk.dtype == np.uint8
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(inst=tiny_instances())
+def test_slot_bits_and_thresholds_match_naive_definition(inst):
+    cov = build_coverage(inst)
+    pad = padding_mask(cov.trip)
+    assert not (cov.a_bits & pad[None, :]).any()
+    assert not (cov.forced_bits & pad).any()
+    for ci, uc in enumerate(inst.user_classes):
+        for t in range(1, inst.horizon + 1):
+            for r in range(uc.scenario_count):
+                p = cov.trip.triplet_id(ci, t - 1, r)
+                for j, st_ in enumerate(inst.stations):
+                    for k in range(1, st_.max_outlets + 1):
+                        assert cov.a_entry(j, k, p) == naive_cover_entry(
+                            inst, st_.id, k, t, ci, r)
+                    assert cov.min_k[j, p] == naive_min_k(inst, j, t, ci, r)

@@ -169,14 +169,6 @@ def test_mc_optimum_dominates_gf_solution(gf_setup):
         assert f_star >= evaluate(inst, cov, x_gf) - 1e-9
 
 
-def test_purity_same_x_one_value(gf_setup):
-    insts, covs, ref, gf = gf_setup
-    from evcover.growth import evaluate_under_mc
-    a = evaluate_under_mc(insts[0], covs[0], ref)
-    b = evaluate(insts[0], covs[0], ref)
-    assert a == b
-
-
 def test_per_node_ev_sums_to_total(gf_setup, tmp_path):
     insts, covs, ref, _ = gf_setup
     nodes = per_node_ev(insts[0], covs[0], ref)

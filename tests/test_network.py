@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evcover.datasets import generate_small_instance
 from evcover.network import (Edge, Network, NetworkError, Node, generate_network,
                              load_network, network_from_text, network_to_text,
                              save_network, shortest_path_distances)
@@ -98,3 +99,11 @@ def test_network_file_round_trip(tmp_path):
     assert network_to_text(loaded) == network_to_text(net)
     with pytest.raises(NetworkError, match="document"):
         network_from_text("not a network")
+
+
+def test_two_node_network_has_one_edge():
+    net = generate_network(2, seed=4)
+    assert [(e.node_a, e.node_b) for e in net.edges] == [("n0", "n1")]
+    assert shortest_path_distances(net, "n0")["n1"] == pytest.approx(net.edges[0].length)
+    inst = generate_small_instance(1, n_nodes=2, n_stations=2)
+    assert inst.n_stations == 2

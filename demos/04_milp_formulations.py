@@ -1,4 +1,4 @@
-"""The two exact formulations, exported as LP text and solved externally.
+"""The two exact formulations, exported as LP text and solved through an LP file.
 
 The single-level (SL) model carries the full utility machinery: Big-M
 discounting for closed stations and a linearised argmax step per triplet.
@@ -38,7 +38,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"re-parsed: {back.n_variables} variables, {back.n_rows} rows (round trip)")
 
 # the solver adapter runs any LP-file solver via a command template; without
-# EVCOVER_SOLVER_CMD it falls back to the bundled scipy/HiGHS solver
+# EVCOVER_SOLVER_CMD it solves the LP file with the bundled scipy/HiGHS solver,
+# in this process
 res_mc = solve_external(mc, time_limit_s=60)
 res_sl = solve_external(sl, time_limit_s=300)
 total = sl_objective_complement(inst)

@@ -10,8 +10,7 @@ from .covering import (CoverageTensor, TripletIndex, UtilityLadder, build_covera
 from .datasets import DatasetSpec, generate_dataset, generate_small_instance
 from .errors import NestSpec, compute_asc, draw_errors, gumbel_draw
 from .exact import (EnumerationBudget, EnumerationCapExceeded, brute_force_optimum,
-                    count_feasible, enumerate_feasible, random_feasible_solution,
-                    reachable_states)
+                    count_feasible, random_feasible_solution, reachable_states)
 from .growth import (GfInstance, GfSolution, GrowthFunction, adjust_solution_max_outlets,
                      build_gf_instance, generate_growth_function, gf_forward_recursion,
                      gf_solution_as_x, per_node_ev)

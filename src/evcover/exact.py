@@ -1,5 +1,5 @@
 """The period-state DP oracle every other solver is measured against, plus
-plain enumeration of feasible schedules.
+counting and random sampling of feasible schedules.
 
 f is a sum of per-period covered masses, and which level vectors period t
 may take depends only on the period t-1 levels. The optimum is therefore a
@@ -22,8 +22,8 @@ from .instance import Instance, SolutionX, period_costs
 @dataclass(frozen=True)
 class EnumerationBudget:
     """Cap on the work of an exact pass, refused up front: reachable
-    (period, level-vector) states for the DP oracle and per period for the
-    rolling-horizon fallback, feasible schedules for `enumerate_feasible`.
+    (period, level-vector) states for the DP oracle, and options per period
+    for the rolling-horizon fallback.
     The DP oracle's peak RSS grows by about 450 bytes per state at 30
     stations (270 at 10), so the default admits at most ~1.8 GB."""
 
@@ -83,31 +83,6 @@ def count_feasible(instance: Instance) -> int:
                    for opt in _instance_extensions(instance, base, t_idx))
 
     return count_from(0, tuple(instance.initial_levels))
-
-
-def enumerate_feasible(instance: Instance, budget: EnumerationBudget | None = None):
-    """Yield every feasible SolutionX exactly once, lexicographic over the
-    per-period outlet-count vectors. Refuses up front when the state space
-    exceeds the enumeration budget."""
-    budget = budget or EnumerationBudget()
-    total = count_feasible(instance)
-    if total > budget.max_configurations:
-        raise EnumerationCapExceeded(total, budget.max_configurations)
-    max_k = int(instance.max_outlets.max()) if instance.n_stations else 0
-    T = instance.horizon
-
-    def walk(t_idx, chosen):
-        if t_idx == T:
-            levels = np.array(chosen, dtype=int).T  # (J, T)
-            yield SolutionX.from_levels(levels, max_k)
-            return
-        base = chosen[-1] if chosen else tuple(instance.initial_levels)
-        for opt in _instance_extensions(instance, base, t_idx):
-            chosen.append(opt)
-            yield from walk(t_idx + 1, chosen)
-            chosen.pop()
-
-    yield from walk(0, [])
 
 
 def reachable_states(instance: Instance, budget: EnumerationBudget | None = None):

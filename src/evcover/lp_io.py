@@ -109,7 +109,10 @@ _SECTION = re.compile(
     r"^(maximize|maximise|minimize|minimise|subject to|st|s\.t\.|bounds|"
     r"binaries|binary|bin|generals|general|gen|end)$", re.IGNORECASE)
 _NAME = r"[A-Za-z!\"#$%&(),;?@_'`{}|~.][A-Za-z0-9!\"#$%&(),;?@_'`{}|~.]*"
-_TOKEN = re.compile(rf"(<=|>=|=|\+|-|{_NAME}|[0-9.eE+-]+)")
+# One scan per expression: the scan skips whitespace, and each match is a
+# token (the group) or, failing that, a stray character (the group empty).
+_TOKEN = re.compile(rf"(<=|>=|=|\+|-|{_NAME}|[0-9.eE+-]+)|\S")
+_ROW_START = re.compile(rf"{_NAME}\s*:")
 
 
 class LpParseError(ValueError):
@@ -117,17 +120,10 @@ class LpParseError(ValueError):
 
 
 def _tokenize_expr(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise LpParseError(f"cannot tokenize near {text[pos:pos+24]!r}")
-        tokens.append(m.group(0))
-        pos = m.end()
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(1) is None)
+        raise LpParseError(f"cannot tokenize near {text[pos:pos+24]!r}")
     return tokens
 
 
@@ -206,7 +202,7 @@ def parse_lp(text: str) -> MilpModel:
     # rows may wrap across lines: a new row starts where 'name:' appears
     row_chunks = []
     for line in sections["rows"]:
-        if re.match(rf"^{_NAME}\s*:", line):
+        if _ROW_START.match(line):
             row_chunks.append(line)
         elif row_chunks:
             row_chunks[-1] += " " + line

@@ -1,7 +1,8 @@
-"""External MILP solver adapter, plus a bundled LP-file solver.
+"""MILP solver adapter, plus a bundled LP-file solver.
 
-The adapter runs any solver that accepts an LP file and writes a solution
-file, through a command template with {lp_path}, {sol_path} and {time_limit}
+`solve_external` writes the model as LP text and hands it to a solver that
+accepts an LP file and writes a solution file. Any such solver is run
+through a command template with {lp_path}, {sol_path} and {time_limit}
 placeholders, e.g.
 
     cbc {lp_path} sec {time_limit} solve solu {sol_path}
@@ -11,10 +12,12 @@ environment variable, else it falls back to the bundled solver below. Set
 EVCOVER_SOLVER_CMD=none to declare that no solver is available; callers
 then receive a 'not-configured' status and can skip or fall back.
 
-Bundled solver: `python -m evcover.solver LP SOL TIME_LIMIT` (also installed
-as `evcover-lp-solve`) parses the emitted LP dialect and solves it with
-scipy's HiGHS-backed MILP routine at zero MIP gap, writing a name/value
-solution file.
+Bundled solver: `solve_lp_file` parses the emitted LP dialect, solves it
+with scipy's HiGHS-backed MILP routine at zero MIP gap and writes a
+name/value solution file. When the resolved template is the bundled one,
+`solve_external` calls it in the calling process; the same function is the
+`python -m evcover.solver LP SOL [TIME_LIMIT]` program (installed as
+`evcover-lp-solve`), which other templates can spawn.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ERROR = "error"
 STATUS_NOT_CONFIGURED = "not-configured"
+
+BUNDLED_DETAIL = "bundled solver, in-process"
 
 
 @dataclass
@@ -72,10 +77,14 @@ def resolve_solver_command(solver_command=None):
 
 def solve_external(model: MilpModel, solver_command=None, time_limit_s=None,
                    workdir=None) -> SolveResult:
-    """Write the model as LP, run the solver subprocess, parse the solution.
+    """Write the model as LP, solve the LP file, parse the solution file.
 
-    The reported objective includes the model's objective constant (which is
-    not representable in LP text).
+    The bundled solver runs in the calling process; it has no grace timeout
+    beyond HiGHS's own time limit, and an exception inside it becomes an
+    'error' result. Any other template runs as a subprocess, killed 60 s
+    after the time limit when one is given; `detail` keeps the tail of its
+    output. The reported objective includes the model's objective constant
+    (which is not representable in LP text).
     """
     command = resolve_solver_command(solver_command)
     if command is None:
@@ -86,30 +95,38 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None,
         lp_path = os.path.join(tmp, f"{model.name}.lp")
         sol_path = os.path.join(tmp, f"{model.name}.sol")
         export_lp(model, lp_path)
-        argv = [
-            part.format(lp_path=lp_path, sol_path=sol_path, time_limit=repr(limit))
-            for part in shlex.split(command)
-        ]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=None if time_limit_s is None else limit + 60.0)
-        except subprocess.TimeoutExpired:
-            return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
-                               detail="solver subprocess exceeded the grace timeout")
-        except OSError as exc:
-            return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
-                               detail=f"could not run solver: {exc}")
+        if command == bundled_solver_command():
+            try:
+                solve_lp_file(lp_path, sol_path, limit)
+            except Exception as exc:  # the spawned program would exit without a solution
+                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
+                                   detail=f"bundled solver failed: {type(exc).__name__}: {exc}")
+            detail = BUNDLED_DETAIL
+        else:
+            argv = [
+                part.format(lp_path=lp_path, sol_path=sol_path, time_limit=repr(limit))
+                for part in shlex.split(command)
+            ]
+            try:
+                proc = subprocess.run(argv, capture_output=True, text=True,
+                                      timeout=None if time_limit_s is None else limit + 60.0)
+            except subprocess.TimeoutExpired:
+                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
+                                   detail="solver subprocess exceeded the grace timeout")
+            except OSError as exc:
+                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
+                                   detail=f"could not run solver: {exc}")
+            detail = (proc.stderr or proc.stdout or "")[-400:]
+            if not os.path.exists(sol_path):
+                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
+                                   detail=f"no solution file (exit {proc.returncode}): {detail}")
         wall = time.perf_counter() - start
-        if not os.path.exists(sol_path):
-            tail = (proc.stderr or proc.stdout or "")[-400:]
-            return SolveResult(STATUS_ERROR, wall_time=wall,
-                               detail=f"no solution file (exit {proc.returncode}): {tail}")
         status, objective, values = parse_solution_file(sol_path)
     if status in (STATUS_OPTIMAL, STATUS_TIMEOUT):
         if objective is None:
             objective = sum(model.objective.get(n, 0.0) * v for n, v in values.items())
         objective += model.objective_constant
-    return SolveResult(status, objective, values, wall)
+    return SolveResult(status, objective, values, wall, detail)
 
 
 # -- bundled LP solver (scipy / HiGHS) -----------------------------------------
@@ -173,6 +190,17 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     return status, objective, values
 
 
+def solve_lp_file(lp_path, sol_path, time_limit=None):
+    """The bundled solver: parse an LP file in the emitted dialect, solve it
+    with HiGHS and write a name/value solution file. Raises, before any
+    solution file is written, when the LP file cannot be read or parsed or
+    the solve itself fails."""
+    with open(lp_path, "r", encoding="utf-8") as fh:
+        model = parse_lp(fh.read())
+    status, objective, values = solve_model_inprocess(model, time_limit)
+    write_solution_pairs(sol_path, status, objective, values)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (2, 3):
@@ -181,13 +209,10 @@ def main(argv=None):
     lp_path, sol_path = argv[0], argv[1]
     time_limit = float(argv[2]) if len(argv) == 3 else None
     try:
-        with open(lp_path, "r", encoding="utf-8") as fh:
-            model = parse_lp(fh.read())
+        solve_lp_file(lp_path, sol_path, time_limit)
     except Exception as exc:  # malformed input must not crash silently
-        print(f"failed to parse {lp_path}: {exc}", file=sys.stderr)
+        print(f"failed to solve {lp_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    status, objective, values = solve_model_inprocess(model, time_limit)
-    write_solution_pairs(sol_path, status, objective, values)
     return 0
 
 

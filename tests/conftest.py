@@ -3,8 +3,10 @@ import pytest
 
 from evcover.covering import build_coverage, evaluate
 from evcover.datasets import generate_small_dataset, generate_small_instance
-from evcover.exact import enumerate_feasible
-from evcover.instance import CostBudget, ChoiceSets, Instance, Station, UserClass, UtilityParams
+from evcover.exact import (EnumerationBudget, EnumerationCapExceeded, _instance_extensions,
+                           count_feasible)
+from evcover.instance import (CostBudget, ChoiceSets, Instance, SolutionX, Station, UserClass,
+                             UtilityParams)
 from evcover.network import Edge, Network, Node
 
 
@@ -54,6 +56,31 @@ def manual_instance(*, n_stations=1, max_outlets=2, horizon=1, scenarios=1,
                     cost_budget=cost, utility_params=UtilityParams([kap], [bet]),
                     choice_sets=choice, error_tensor=[eps],
                     metadata={"dataset_kind": "manual", "seed": 0})
+
+
+def enumerate_feasible(instance, budget=None):
+    """Yield every feasible SolutionX exactly once, lexicographic over the
+    per-period outlet-count vectors. Refuses up front when the number of
+    feasible schedules exceeds the enumeration budget."""
+    budget = budget or EnumerationBudget()
+    total = count_feasible(instance)
+    if total > budget.max_configurations:
+        raise EnumerationCapExceeded(total, budget.max_configurations)
+    max_k = int(instance.max_outlets.max()) if instance.n_stations else 0
+    T = instance.horizon
+
+    def walk(t_idx, chosen):
+        if t_idx == T:
+            levels = np.array(chosen, dtype=int).T  # (J, T)
+            yield SolutionX.from_levels(levels, max_k)
+            return
+        base = chosen[-1] if chosen else tuple(instance.initial_levels)
+        for opt in _instance_extensions(instance, base, t_idx):
+            chosen.append(opt)
+            yield from walk(t_idx + 1, chosen)
+            chosen.pop()
+
+    yield from walk(0, [])
 
 
 def enumeration_optimum(instance, coverage, budget=None):

@@ -7,11 +7,10 @@ from evcover import exact
 from evcover.covering import CoverageTensor, build_coverage, evaluate
 from evcover.datasets import generate_small_instance
 from evcover.exact import (EnumerationBudget, EnumerationCapExceeded, brute_force_optimum,
-                           count_feasible, enumerate_feasible, random_feasible_solution,
-                           reachable_states)
+                           count_feasible, random_feasible_solution, reachable_states)
 from evcover.instance import SolutionX, validate_solution
 
-from conftest import enumeration_optimum, manual_instance
+from conftest import enumerate_feasible, enumeration_optimum, manual_instance
 
 
 def recursive_count_oracle(inst):

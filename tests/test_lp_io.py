@@ -1,12 +1,15 @@
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcover.covering import build_coverage
 from evcover.datasets import generate_small_instance
-from evcover.lp_io import (LpParseError, model_to_lp, parse_lp, parse_solution_pairs,
-                           parse_solution_sections, write_solution_pairs,
-                           parse_solution_file)
+from evcover.lp_io import (_NAME, LpParseError, _tokenize_expr, model_to_lp, parse_lp,
+                           parse_solution_pairs, parse_solution_sections,
+                           write_solution_pairs, parse_solution_file)
 from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, build_mc,
                           build_sl, compute_bounds)
 
@@ -167,3 +170,57 @@ def test_infeasible_status_words():
     assert status == "infeasible"
     status, _, _ = parse_solution_pairs("status feasible-timeout\nobjective 5\nx 1\n")
     assert status == "feasible-timeout"
+
+
+# -- the one-scan tokenizer against the per-token loop it replaced -----------------
+
+_LOOP_TOKEN = re.compile(rf"(<=|>=|=|\+|-|{_NAME}|[0-9.eE+-]+)")
+
+
+def loop_tokenize(text):
+    """Reference: one anchored match per token, skipping whitespace by hand."""
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _LOOP_TOKEN.match(text, pos)
+        if not m:
+            raise LpParseError(f"cannot tokenize near {text[pos:pos+24]!r}")
+        tokens.append(m.group(0))
+        pos = m.end()
+    return tokens
+
+
+def _outcome(tokenize, text):
+    try:
+        return "ok", tokenize(text)
+    except LpParseError as exc:
+        return "error", str(exc)
+
+
+# LP text (names, numbers, operators, exponents, whitespace) plus stray
+# characters no token starts with, including Unicode whitespace and letters
+_LP_ALPHABET = ("abxyzEe_.0123456789+-<>=:!#(){}|~ \t\n\r\x0b\x0c"
+                "*/^[]\\\x1c\xa0\u2003\u00e9\x00")
+_LP_PIECES = st.sampled_from(["x_1_2_3", "w_c0_t1_r12", "1.25", "-3e-05", "2.5E+10",
+                              " <= ", " >= ", " = ", " + ", " - ", "inf", "free", ".5e"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(alphabet=_LP_ALPHABET, max_size=80),
+                 st.lists(st.one_of(_LP_PIECES, st.text(alphabet=_LP_ALPHABET, max_size=3)),
+                          max_size=20).map("".join)))
+def test_tokenizer_equals_per_token_loop(text):
+    new, old = _outcome(_tokenize_expr, text), _outcome(loop_tokenize, text)
+    assert new == old
+    if new[0] == "error":
+        assert new[1].startswith("cannot tokenize near ")
+
+
+def test_tokenizer_reports_first_stray_character():
+    with pytest.raises(LpParseError, match=r"cannot tokenize near '\* 3 y <= 4'"):
+        _tokenize_expr("2 x + * 3 y <= 4")
+    assert _tokenize_expr("  2 x1 -3.5e-2 y.z>=inf  ") == [
+        "2", "x1", "-", "3.5e-2", "y.z", ">=", "inf"]

@@ -1,16 +1,24 @@
 import os
+import shlex
 import sys
 
 import numpy as np
 import pytest
 
+from evcover import solver
 from evcover.covering import build_coverage
 from evcover.datasets import generate_small_instance
 from evcover.exact import brute_force_optimum
-from evcover.milp import BINARY, MilpModel, build_mc, extract_solution_x
-from evcover.solver import (STATUS_ERROR, STATUS_INFEASIBLE, STATUS_NOT_CONFIGURED,
-                            STATUS_OPTIMAL, STATUS_TIMEOUT, bundled_solver_command,
-                            resolve_solver_command, solve_external, solve_model_inprocess)
+from evcover.growth import build_gf_instance, generate_growth_function
+from evcover.heuristics import GreedyConfig, greedy
+from evcover.milp import (BINARY, MilpModel, build_gf, build_mc, build_mc_period, build_sl,
+                          compute_bounds, extract_solution_x)
+from evcover.solver import (BUNDLED_DETAIL, STATUS_ERROR, STATUS_INFEASIBLE,
+                            STATUS_NOT_CONFIGURED, STATUS_OPTIMAL, STATUS_TIMEOUT,
+                            bundled_solver_command, resolve_solver_command, solve_external,
+                            solve_model_inprocess)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def infeasible_toy():
@@ -129,3 +137,82 @@ def test_bundled_cli_main(tmp_path):
     status, _, _ = parse_solution_file(sol)
     assert status == STATUS_INFEASIBLE
     assert main([str(tmp_path / "missing.lp"), str(sol)]) == 1
+
+
+# -- the in-process bundled route against the spawned program it replaces ----------
+
+
+@pytest.fixture
+def child_env(monkeypatch):
+    """The spawned bundled program imports evcover from this checkout."""
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+
+
+def reference_models(small_dataset):
+    """MC, SL and first-period MC models of three tiny instances, a GF model
+    and the infeasible toy."""
+    models = []
+    for seed in (81, 82, 83):
+        inst = generate_small_instance(seed, n_stations=3, horizon=2, max_outlets=2,
+                                       max_scenarios=8)
+        cov = build_coverage(inst)
+        models += [build_mc(inst, cov), build_sl(inst, compute_bounds(inst)),
+                   build_mc_period(inst, cov, 1, inst.initial_levels)]
+    covs = [build_coverage(i) for i in small_dataset]
+    ref = greedy(small_dataset[0], covs[0], GreedyConfig(mode="hyperoptic")).x
+    curve = generate_growth_function(small_dataset, ref, covs)
+    models.append(build_gf(build_gf_instance(small_dataset[0], curve, radius_km=10.0)))
+    models.append(infeasible_toy())
+    return models
+
+
+def test_inprocess_route_equals_spawned_program(small_dataset, child_env):
+    # the bundled program, spelled differently (trailing space) so that it is spawned
+    python = shlex.quote(sys.executable)
+    spawned = f"{python} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}} "
+    assert resolve_solver_command(spawned) != bundled_solver_command()
+    for model in reference_models(small_dataset):
+        here = solve_external(model, time_limit_s=60)
+        child = solve_external(model, spawned, time_limit_s=60)
+        assert here.detail == BUNDLED_DETAIL
+        assert (here.status, here.objective, here.values) == \
+            (child.status, child.objective, child.values), model.name
+    assert [here.status, child.status] == [STATUS_INFEASIBLE] * 2
+
+
+def test_default_route_starts_no_process(monkeypatch):
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("the bundled solver must not be spawned")
+
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    monkeypatch.setattr(solver.subprocess, "run", no_spawn)
+    res = solve_external(infeasible_toy(), time_limit_s=30)
+    assert res.status == STATUS_INFEASIBLE
+    assert res.detail == BUNDLED_DETAIL
+
+
+@pytest.mark.parametrize("target", ["parse_lp", "solve_model_inprocess"])
+def test_inprocess_exception_becomes_error_result(target, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom inside the bundled solver")
+
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    monkeypatch.setattr(solver, target, boom)
+    res = solve_external(infeasible_toy(), time_limit_s=30)
+    assert res.status == STATUS_ERROR
+    assert not res.ok and res.values == {} and res.objective is None
+    assert "RuntimeError: boom inside the bundled solver" in res.detail
+
+
+def test_spawned_solver_output_kept_on_success():
+    writer = ("import sys; open(sys.argv[1], 'w').write('status optimal\\nx 1\\n'); "
+              "print('x' * 500 + 'solver chatter')")
+    python = shlex.quote(sys.executable)
+    res = solve_external(infeasible_toy(),
+                         solver_command=f"{python} -c \"{writer}\" {{sol_path}}",
+                         time_limit_s=5)
+    assert res.status == STATUS_OPTIMAL and res.values == {"x": 1.0}
+    assert res.detail.endswith("solver chatter\n")
+    assert len(res.detail) == 400

@@ -129,8 +129,7 @@ def write_report_csv(path, aggregates):
 
 
 def run_method(instance: Instance, coverage, method, *, time_limit=DEFAULT_TIME_LIMIT,
-               solver_cmd=None, alpha=0.85, seed=0, improvement_mode="first",
-               mode=None, allocation=None):
+               solver_cmd=None, alpha=0.85, seed=0, mode=None, allocation=None):
     """Run one solve method; returns a HeuristicResult-shaped tuple
     (x, f, wall_time, termination, detail, trace). `mode` and `allocation`
     override the variant encoded in the method name."""
@@ -159,8 +158,7 @@ def run_method(instance: Instance, coverage, method, *, time_limit=DEFAULT_TIME_
     if method in ("grasp-m", "grasp-h"):
         cfg = GraspConfig(alpha=alpha,
                           mode=mode or ("myopic" if method.endswith("-m") else "hyperoptic"),
-                          time_limit_s=time_limit, seed=seed,
-                          improvement_mode=improvement_mode)
+                          time_limit_s=time_limit, seed=seed)
         res = grasp(instance, coverage, cfg)
         return res.x, res.f, res.wall_time, res.termination, "", res.trace
     if method in ("rh-even", "rh-geom"):

@@ -6,7 +6,9 @@ Generals, terminated by End. Output is deterministic: constraints in build
 order, bound/binary/general lines lexicographic by variable name, numbers
 with 12 significant digits. Objective constants are not representable
 portably in LP text, so they are written as a header comment and re-added
-by the solver adapter.
+by the solver adapter. A variable or row name that is not one `_NAME` token
+is refused. `parse_lp` reads exactly this dialect, not general LP text; any
+other text raises LpParseError.
 """
 
 from __future__ import annotations
@@ -14,15 +16,22 @@ from __future__ import annotations
 import math
 import re
 
-from .milp import BINARY, CONTINUOUS, INTEGER, LinVar, MilpModel, ModelError
+from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError
 
 _NUM = "%.12g"
 _LINE_WIDTH = 240
+# A name is one token: no space, colon, sign or relational character, and
+# no leading digit.
+_NAME = re.compile(r"[A-Za-z!\"#$%&(),;?@_'`{}|~.][A-Za-z0-9!\"#$%&(),;?@_'`{}|~.]*")
 
 
 def _fmt(value):
     out = _NUM % value
     return out
+
+
+def _first_bad_name(names):
+    return next((name for name in names if not _NAME.fullmatch(name)), None)
 
 
 def _terms(coeffs, var_order, fallback_var):
@@ -59,6 +68,10 @@ def model_to_lp(model: MilpModel) -> str:
     model.validate()
     if not model.variables:
         raise ModelError("cannot export a model without variables")
+    bad = _first_bad_name([v.name for v in model.variables] + [r.name for r in model.rows])
+    if bad is not None:
+        raise ModelError(f"name {bad!r} cannot be written as LP text: a name is one token of "
+                         f"letters, digits and !\"#$%&(),;?@_'`{{}}|~. not starting with a digit")
     fallback = model.variables[0].name
     lines = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
@@ -105,191 +118,121 @@ def export_lp(model: MilpModel, path):
 
 # -- LP parsing ---------------------------------------------------------------
 
-_SECTION = re.compile(
-    r"^(maximize|maximise|minimize|minimise|subject to|st|s\.t\.|bounds|"
-    r"binaries|binary|bin|generals|general|gen|end)$", re.IGNORECASE)
-_NAME = r"[A-Za-z!\"#$%&(),;?@_'`{}|~.][A-Za-z0-9!\"#$%&(),;?@_'`{}|~.]*"
-# One scan per expression: the scan skips whitespace, and each match is a
-# token (the group) or, failing that, a stray character (the group empty).
-_TOKEN = re.compile(rf"(<=|>=|=|\+|-|{_NAME}|[0-9.eE+-]+)|\S")
-_ROW_START = re.compile(rf"{_NAME}\s*:")
+_HEADERS = {"Maximize", "Minimize", "Subject To", "Bounds", "Binaries", "Generals", "End"}
+_CONSTANT = "\\ ObjectiveConstant: "
 
 
 class LpParseError(ValueError):
     pass
 
 
-def _tokenize_expr(text):
-    tokens = _TOKEN.findall(text)
-    if "" in tokens:
-        pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(1) is None)
-        raise LpParseError(f"cannot tokenize near {text[pos:pos+24]!r}")
-    return tokens
+def _number(tok):
+    try:
+        return float(tok)
+    except ValueError:
+        raise LpParseError(f"expected a number, got {tok!r}") from None
 
 
-def _parse_linear(tokens):
-    """Tokens -> (coeffs dict, constant). Accepts '3 x', 'x', '- 2.5 y', '+ x'."""
-    coeffs, constant = {}, 0.0
-    sign, pending = 1.0, None
-    for tok in tokens:
-        if tok == "+":
-            if pending is not None:
-                constant += sign * pending
-                pending = None
-            sign = 1.0
-        elif tok == "-":
-            if pending is not None:
-                constant += sign * pending
-                pending = None
-            sign = -1.0
+def _linear(entry, tokens):
+    """`[-]c name` then `± c name` terms -> {name: coeff}, in written order."""
+    signs = tokens[2::3]
+    if len(tokens) % 3 != 2 or not {"+", "-"}.issuperset(signs):
+        raise LpParseError(f"{entry!r}: expected '[-]c name' then '± c name' terms")
+    try:
+        values = [float(tokens[0])] + [float(s + c) for s, c in zip(signs, tokens[3::3])]
+    except ValueError:
+        raise LpParseError(f"{entry!r}: a coefficient is not a number") from None
+    coeffs = dict(zip(tokens[1::3], values))
+    if len(coeffs) != len(values):
+        raise LpParseError(f"{entry!r}: a variable appears twice")
+    return coeffs
+
+
+def _entries(lines):
+    """(name, tokens) per `name: ...` entry, run on over its wrapped lines (no colon)."""
+    entries = []
+    for line in lines:
+        name, colon, body = line.partition(":")
+        if colon:
+            entries.append((name.strip(), body.split()))
+        elif entries:
+            entries[-1][1].extend(line.split())
         else:
-            try:
-                value = float(tok)
-            except ValueError:
-                coeff = sign * (1.0 if pending is None else pending)
-                coeffs[tok] = coeffs.get(tok, 0.0) + coeff
-                sign, pending = 1.0, None
-            else:
-                pending = value if pending is None else pending * value
-    if pending is not None:
-        constant += sign * pending
-    return coeffs, constant
+            raise LpParseError(f"{line.strip()!r} does not start with 'name:'")
+    return entries
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse the emitted LP dialect back into a MilpModel."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if line.strip():
-            lines.append(line)
-    sense = None
-    sections: dict[str, list[str]] = {"objective": [], "rows": [], "bounds": [],
-                                      "binaries": [], "generals": []}
-    current = None
-    for line in lines:
-        stripped = line.strip()
-        m = _SECTION.match(stripped)
-        if m:
-            word = m.group(1).lower()
-            if word in ("maximize", "maximise"):
-                sense, current = "max", "objective"
-            elif word in ("minimize", "minimise"):
-                sense, current = "min", "objective"
-            elif word in ("subject to", "st", "s.t."):
-                current = "rows"
-            elif word == "bounds":
-                current = "bounds"
-            elif word in ("binaries", "binary", "bin"):
-                current = "binaries"
-            elif word in ("generals", "general", "gen"):
-                current = "generals"
-            elif word == "end":
-                current = None
-            continue
-        if current is None:
-            raise LpParseError(f"content outside any section: {stripped!r}")
-        sections[current].append(stripped)
-    if sense is None:
-        raise LpParseError("no objective section")
+    """Read back exactly the dialect `model_to_lp` writes; any other text
+    raises LpParseError. Variables come back sorted by name."""
+    lines = text.splitlines()
+    marks = [k for k, line in enumerate(lines) if line in _HEADERS] + [len(lines)]
+    headers = [lines[k] for k in marks[:-1]]
+    bodies = [lines[a + 1:b] for a, b in zip(marks, marks[1:])]
+    optional = [h for h in ("Binaries", "Generals") if h in headers]
+    if headers[:1] not in (["Maximize"], ["Minimize"]) or bodies[-1] or \
+            headers[1:] != ["Subject To", "Bounds", *optional, "End"]:
+        raise LpParseError("expected the sections Maximize or Minimize, Subject To, Bounds, "
+                           "[Binaries], [Generals] and End, in this order, ending the text")
+    comments = lines[:marks[0]]
+    if not all(line.startswith("\\") for line in comments):
+        raise LpParseError("only comment lines may precede the objective")
+    constant = next((_number(line[len(_CONSTANT):]) for line in comments
+                     if line.startswith(_CONSTANT)), 0.0)
+    sections = dict(zip(headers, bodies))
 
-    model = MilpModel("parsed", sense)
-    obj_text = " ".join(sections["objective"])
-    if ":" in obj_text:
-        obj_text = obj_text.split(":", 1)[1]
-    obj_coeffs, _ = _parse_linear(_tokenize_expr(obj_text))
+    objective = _entries(sections[headers[0]])
+    if [label for label, _ in objective] != ["obj"]:
+        raise LpParseError("the objective section must hold the one entry 'obj:'")
+    obj_coeffs = _linear(*objective[0])
+    rows = []
+    for name, tokens in _entries(sections["Subject To"]):
+        if len(tokens) < 4 or tokens[-2] not in ("<=", ">=", "="):
+            raise LpParseError(f"{name!r}: expected terms, then a relational operator and rhs")
+        # + 0.0 reads a written "-0" rhs as 0
+        rows.append((name, _linear(name, tokens[:-2]), tokens[-2], _number(tokens[-1]) + 0.0))
 
-    # rows may wrap across lines: a new row starts where 'name:' appears
-    row_chunks = []
-    for line in sections["rows"]:
-        if _ROW_START.match(line):
-            row_chunks.append(line)
-        elif row_chunks:
-            row_chunks[-1] += " " + line
-        else:
-            row_chunks.append("anon: " + line)
-    seen_vars: dict[str, LinVar] = {}
+    bounds, kind = {}, {}
+    for line in sections["Bounds"]:
+        match line.split():
+            case [name, "free"]:
+                lo, hi = -math.inf, math.inf
+            case [name, ">=", lo]:
+                lo, hi = _number(lo), math.inf
+            case [name, "=", lo]:
+                lo = hi = _number(lo)
+            case [lo, "<=", name, "<=", hi]:
+                lo, hi = _number(lo), _number(hi)
+            case _:
+                raise LpParseError(f"bounds line {line.strip()!r} has none of the written shapes")
+        if name in bounds:
+            raise LpParseError(f"{name!r} has two bounds lines")
+        bounds[name] = lo, hi
+    for header, var_kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        for line in sections.get(header, ()):
+            tokens = line.split()
+            if len(tokens) != 1 or tokens[0] in kind:
+                raise LpParseError(f"{header}: {line.strip()!r} is not one new name")
+            kind[tokens[0]] = var_kind
+    names = set(obj_coeffs).union(*(coeffs for _, coeffs, _, _ in rows), bounds, kind)
 
-    def touch(name):
-        if name not in seen_vars:
-            seen_vars[name] = LinVar(name, 0.0, math.inf, CONTINUOUS)
-
-    parsed_rows = []
-    for chunk in row_chunks:
-        name, body = chunk.split(":", 1)
-        tokens = _tokenize_expr(body)
-        op_positions = [k for k, tok in enumerate(tokens) if tok in ("<=", ">=", "=")]
-        if len(op_positions) != 1:
-            raise LpParseError(f"row {name.strip()!r}: expected one relational operator")
-        k = op_positions[0]
-        coeffs, const = _parse_linear(tokens[:k])
-        _, rhs = _parse_linear(tokens[k + 1:])
-        for var in coeffs:
-            touch(var)
-        parsed_rows.append((name.strip(), coeffs, tokens[k], rhs - const))
-    for var in obj_coeffs:
-        touch(var)
-
-    for line in sections["bounds"]:
-        tokens = _tokenize_expr(line)
-        if len(tokens) == 2 and tokens[1].lower() == "free":
-            touch(tokens[0])
-            seen_vars[tokens[0]].lb = -math.inf
-            continue
-        ops = [k for k, tok in enumerate(tokens) if tok in ("<=", ">=", "=")]
-        if len(ops) == 1:
-            k = ops[0]
-            left, right = tokens[:k], tokens[k + 1:]
-            if len(left) >= 1 and not _is_number(left[-1]):
-                name = left[-1]
-                touch(name)
-                val = _tokens_to_number(right)
-                if tokens[k] == "<=":
-                    seen_vars[name].ub = val
-                elif tokens[k] == ">=":
-                    seen_vars[name].lb = val
-                else:
-                    seen_vars[name].lb = seen_vars[name].ub = val
-            else:
-                name = right[-1]
-                touch(name)
-                val = _tokens_to_number(left)
-                if tokens[k] == "<=":
-                    seen_vars[name].lb = val
-                else:
-                    seen_vars[name].ub = val
-        elif len(ops) == 2:
-            lo = _tokens_to_number(tokens[: ops[0]])
-            name = tokens[ops[0] + 1]
-            hi = _tokens_to_number(tokens[ops[1] + 1:])
-            touch(name)
-            seen_vars[name].lb, seen_vars[name].ub = lo, hi
-        else:
-            raise LpParseError(f"cannot parse bounds line {line!r}")
-
-    for line in sections["binaries"]:
-        for name in line.split():
-            touch(name)
-            v = seen_vars[name]
-            v.kind = BINARY
-            v.lb, v.ub = max(v.lb, 0.0), min(v.ub if math.isfinite(v.ub) else 1.0, 1.0)
-    for line in sections["generals"]:
-        for name in line.split():
-            touch(name)
-            seen_vars[name].kind = INTEGER
-
-    for name in sorted(seen_vars):
-        v = seen_vars[name]
-        model.add_var(v.name, v.lb, v.ub, v.kind)
-    for name, coeffs, op, rhs in parsed_rows:
+    bad = _first_bad_name([*names, *(name for name, _, _, _ in rows)])
+    if bad is not None:
+        raise LpParseError(f"{bad!r} is not a name of the dialect")
+    model = MilpModel("parsed", "max" if headers[0] == "Maximize" else "min")
+    for name in sorted(names):
+        model.add_var(name, *bounds.get(name, (0.0, math.inf)), kind.get(name, CONTINUOUS))
+    for name, coeffs, op, rhs in rows:
         model.add_row(name, coeffs, op, rhs)
-    model.set_objective(obj_coeffs)
-    m = re.search(r"\\ ObjectiveConstant: ([-0-9.eE+]+)", text)
-    if m:
-        model.objective_constant = float(m.group(1))
-    model.validate()
+    model.set_objective(obj_coeffs, constant)
+    try:
+        model.validate()
+    except ModelError as exc:
+        raise LpParseError(str(exc)) from None
     return model
 
+
+# -- solution files -------------------------------------------------------------
 
 def _is_number(tok):
     try:
@@ -298,17 +241,6 @@ def _is_number(tok):
     except ValueError:
         return tok.lower() in ("inf", "-inf", "+inf")
 
-
-def _tokens_to_number(tokens):
-    text = "".join(tokens).lower()
-    if text in ("inf", "+inf"):
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    return float(text)
-
-
-# -- solution files -------------------------------------------------------------
 
 _STATUS_WORDS = {
     "optimal": "optimal",

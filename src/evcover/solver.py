@@ -12,10 +12,11 @@ environment variable, else it falls back to the bundled solver below. Set
 EVCOVER_SOLVER_CMD=none to declare that no solver is available; callers
 then receive a 'not-configured' status and can skip or fall back.
 
-Bundled solver: `solve_lp_file` parses the emitted LP dialect, solves it
-with scipy's HiGHS-backed MILP routine at zero MIP gap and writes a
-name/value solution file. When the resolved template is the bundled one,
-`solve_external` calls it in the calling process; the same function is the
+Bundled solver: `solve_lp_file` reads exactly the LP dialect `export_lp`
+writes (not general LP text), solves it with scipy's HiGHS-backed MILP
+routine at zero MIP gap and writes a name/value solution file. When the
+resolved template is the bundled one, `solve_external` calls it in the
+calling process; the same function is the
 `python -m evcover.solver LP SOL [TIME_LIMIT]` program (installed as
 `evcover-lp-solve`), which other templates can spawn.
 """

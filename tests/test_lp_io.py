@@ -1,17 +1,22 @@
 import math
-import re
+import operator
+import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcover.covering import build_coverage
-from evcover.datasets import generate_small_instance
-from evcover.lp_io import (_NAME, LpParseError, _tokenize_expr, model_to_lp, parse_lp,
-                           parse_solution_pairs, parse_solution_sections,
-                           write_solution_pairs, parse_solution_file)
-from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, build_mc,
-                          build_sl, compute_bounds)
+from evcover.datasets import generate_small_dataset, generate_small_instance
+from evcover.growth import GrowthFunction, build_gf_instance
+from evcover.instance import Instance
+from evcover.lp_io import (LpParseError, model_to_lp, parse_lp, parse_solution_pairs,
+                           parse_solution_sections, write_solution_pairs, parse_solution_file)
+from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, build_gf,
+                          build_mc, build_sl, compute_bounds)
+from evcover.network import Network
+from evcover.solver import solve_external
 
 
 def toy_model():
@@ -172,55 +177,137 @@ def test_infeasible_status_words():
     assert status == "feasible-timeout"
 
 
-# -- the one-scan tokenizer against the per-token loop it replaced -----------------
-
-_LOOP_TOKEN = re.compile(rf"(<=|>=|=|\+|-|{_NAME}|[0-9.eE+-]+)")
+# -- names the dialect cannot carry -----------------------------------------------
 
 
-def loop_tokenize(text):
-    """Reference: one anchored match per token, skipping whitespace by hand."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _LOOP_TOKEN.match(text, pos)
-        if not m:
-            raise LpParseError(f"cannot tokenize near {text[pos:pos+24]!r}")
-        tokens.append(m.group(0))
-        pos = m.end()
-    return tokens
+def spaced_network_instance(inst):
+    """The instance with every node id `n` renamed to `zone n`."""
+    rename = {n.id: f"zone {n.id}" for n in inst.network.nodes}
+    net = Network([replace(n, id=rename[n.id]) for n in inst.network.nodes],
+                  [replace(e, node_a=rename[e.node_a], node_b=rename[e.node_b])
+                   for e in inst.network.edges])
+    return Instance(net, [replace(s, node_id=rename[s.node_id]) for s in inst.stations],
+                    [replace(u, home_node=rename[u.home_node]) for u in inst.user_classes],
+                    inst.horizon, inst.cost_budget, inst.utility_params, inst.choice_sets,
+                    inst.error_tensor)
 
 
-def _outcome(tokenize, text):
-    try:
-        return "ok", tokenize(text)
-    except LpParseError as exc:
-        return "error", str(exc)
+def test_names_outside_the_dialect_are_refused():
+    m = toy_model()
+    m.add_var("gh_zone 1_3_t1", 0, 5)
+    with pytest.raises(ModelError, match=r"name 'gh_zone 1_3_t1' cannot be written"):
+        model_to_lp(m)
+    m = toy_model()
+    m.add_row("cap:2", {"x1": 1.0}, "<=", 1.0)
+    with pytest.raises(ModelError, match=r"name 'cap:2' cannot be written"):
+        model_to_lp(m)
 
 
-# LP text (names, numbers, operators, exponents, whitespace) plus stray
-# characters no token starts with, including Unicode whitespace and letters
-_LP_ALPHABET = ("abxyzEe_.0123456789+-<>=:!#(){}|~ \t\n\r\x0b\x0c"
-                "*/^[]\\\x1c\xa0\u2003\u00e9\x00")
-_LP_PIECES = st.sampled_from(["x_1_2_3", "w_c0_t1_r12", "1.25", "-3e-05", "2.5E+10",
-                              " <= ", " >= ", " = ", " + ", " - ", "inf", "free", ".5e"])
+def test_gf_model_of_a_network_with_spaced_node_ids_is_refused(monkeypatch):
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    inst = spaced_network_instance(generate_small_dataset(53, 1, horizon=2)[0])
+    curve = GrowthFunction((0.0, 0.5, 1.0), (1.2, 1.2), (0.1, 0.1))
+    model = build_gf(build_gf_instance(inst, curve, radius_km=1e9))
+    with pytest.raises(ModelError, match=r"name 'gh_zone \S+_1_t1' cannot be written"):
+        model_to_lp(model)
+    with pytest.raises(ModelError, match="cannot be written"):
+        solve_external(model, time_limit_s=30)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(st.text(alphabet=_LP_ALPHABET, max_size=80),
-                 st.lists(st.one_of(_LP_PIECES, st.text(alphabet=_LP_ALPHABET, max_size=3)),
-                          max_size=20).map("".join)))
-def test_tokenizer_equals_per_token_loop(text):
-    new, old = _outcome(_tokenize_expr, text), _outcome(loop_tokenize, text)
-    assert new == old
-    if new[0] == "error":
-        assert new[1].startswith("cannot tokenize near ")
+# -- the reader against the writer ------------------------------------------------
+
+_NAME_HEAD = string.ascii_letters + "!\"#$%&(),;?@_'`{}|~."
+_NAMES = st.builds(operator.add, st.sampled_from(_NAME_HEAD),
+                   st.text(_NAME_HEAD + string.digits, min_size=30, max_size=60))
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([0.0, 1.0, -1.0, 2.5e-7, -3e20]))
 
 
-def test_tokenizer_reports_first_stray_character():
-    with pytest.raises(LpParseError, match=r"cannot tokenize near '\* 3 y <= 4'"):
-        _tokenize_expr("2 x + * 3 y <= 4")
-    assert _tokenize_expr("  2 x1 -3.5e-2 y.z>=inf  ") == [
-        "2", "x1", "-", "3.5e-2", "y.z", ">=", "inf"]
+@st.composite
+def lp_models(draw):
+    """Models whose names force wrapping, with negative and exponent
+    coefficients, zero and empty expressions, all kinds and infinite bounds."""
+    model = MilpModel("drawn", draw(st.sampled_from(["min", "max"])))
+    names = draw(st.lists(_NAMES, min_size=1, max_size=10, unique=True))
+    for name in names:
+        kind = draw(st.sampled_from([CONTINUOUS, BINARY, INTEGER]))
+        if kind == BINARY:
+            lb, ub = draw(st.sampled_from([(0, 1), (0, 0), (1, 1)]))
+        else:
+            lo, hi = sorted(draw(st.lists(_NUMBERS, min_size=2, max_size=2)))
+            shapes = [(lo, hi), (lo, lo)]
+            if kind == CONTINUOUS:
+                shapes += [(0, math.inf), (-math.inf, math.inf), (lo, math.inf),
+                           (-math.inf, hi)]
+            lb, ub = draw(st.sampled_from(shapes))
+        model.add_var(name, lb, ub, kind)
+    expressions = st.dictionaries(st.sampled_from(names), _NUMBERS, max_size=len(names))
+    for name in draw(st.lists(_NAMES, max_size=4, unique=True)):
+        model.add_row(name, draw(expressions), draw(st.sampled_from(["<=", ">=", "="])),
+                      draw(_NUMBERS))
+    model.set_objective(draw(expressions), constant=draw(_NUMBERS))
+    return model
+
+
+def written(value):
+    return float("%.12g" % value)
+
+
+def read_back_expected(model):
+    """What parse_lp(model_to_lp(model)) should hold: variables sorted by
+    name, numbers to 12 significant digits, zero coefficients dropped and an
+    empty expression as the zero term of the first variable."""
+    def expression(coeffs):
+        kept = [(name, written(c)) for name, c in sorted(coeffs.items()) if c != 0]
+        return kept or [(model.variables[0].name, 0.0)]
+
+    rows = [(r.name, expression(r.coeffs), r.sense, written(r.rhs)) for r in model.rows]
+    objective = expression(model.objective)
+    used = {name for _, coeffs, _, _ in rows for name, _ in coeffs} | dict(objective).keys()
+    variables = [(v.name, written(v.lb), written(v.ub), v.kind)
+                 for v in sorted(model.variables, key=lambda v: v.name)
+                 if v.name in used or (v.lb, v.ub, v.kind) != (0.0, math.inf, CONTINUOUS)]
+    return model.sense, variables, rows, objective, written(model.objective_constant)
+
+
+def read_back(model):
+    return (model.sense, [(v.name, v.lb, v.ub, v.kind) for v in model.variables],
+            [(r.name, list(r.coeffs.items()), r.sense, r.rhs) for r in model.rows],
+            list(model.objective.items()), model.objective_constant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_models())
+def test_round_trip_equals_model_to_twelve_digits(model):
+    assert read_back(parse_lp(model_to_lp(model))) == read_back_expected(model)
+
+
+def one_deletion_each(text):
+    """The text with each line, and each token of each line, deleted in turn."""
+    lines = text.splitlines()
+    for k, line in enumerate(lines):
+        yield lines[:k] + lines[k + 1:]
+        tokens = line.split(" ")
+        for j in range(len(tokens)):
+            yield lines[:k] + [" ".join(tokens[:j] + tokens[j + 1:])] + lines[k + 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lp_models())
+def test_deleting_a_line_or_token_parses_or_raises(model):
+    for lines in one_deletion_each(model_to_lp(model)):
+        try:
+            parse_lp("\n".join(lines) + "\n")
+        except (LpParseError, ModelError):
+            pass
+
+
+def test_text_outside_the_dialect_raises():
+    for text in ["", "Maximize\n obj: 1 x\nEnd\n",
+                 GOLDEN.replace("Subject To", "subject to"),
+                 GOLDEN.replace(" cap: 150 x1 + 50 x2", " cap: 150 x1 50 x2"),
+                 GOLDEN.replace(" 0 <= x2 <= 2.5", " x2 <= 2.5"),
+                 GOLDEN.replace(" x1\nEnd", " x1 x2\nEnd"),
+                 GOLDEN + "\n", GOLDEN.replace("Bounds", "Generals\nBounds")]:
+        with pytest.raises(LpParseError):
+            parse_lp(text)

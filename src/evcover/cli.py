@@ -26,14 +26,15 @@ from .covering import build_coverage, evaluate, gap
 from .datasets import (DatasetSpec, generate_dataset, read_manifest,
                        write_manifest)
 from .exact import EnumerationCapExceeded, brute_force_optimum
-from .growth import (_solve_gf_model, adjust_solution_max_outlets, build_gf_instance,
-                     generate_growth_function, gf_forward_recursion, gf_solution_as_x,
-                     load_growth, per_node_ev, save_growth, write_node_ev_csv)
+from .growth import (GrowthError, _solve_gf_model, adjust_solution_max_outlets,
+                     build_gf_instance, generate_growth_function, gf_forward_recursion,
+                     gf_solution_as_x, load_growth, per_node_ev, save_growth,
+                     write_node_ev_csv)
 from .heuristics import (GraspConfig, GreedyConfig, HeuristicError, RollingHorizonConfig,
                          grasp, greedy, rolling_horizon)
-from .instance import Instance, load_instance, save_instance
+from .instance import Instance, InstanceError, load_instance, save_instance
 from .milp import build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
-from .network import generate_network, load_network, save_network
+from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
 from .solver import resolve_solver_command, solve_external
 
@@ -129,10 +130,11 @@ def write_report_csv(path, aggregates):
 
 
 def run_method(instance: Instance, coverage, method, *, time_limit=DEFAULT_TIME_LIMIT,
-               solver_cmd=None, alpha=0.85, seed=0, mode=None, allocation=None):
+               solver_cmd=None, alpha=0.85, seed=0):
     """Run one solve method; returns a HeuristicResult-shaped tuple
-    (x, f, wall_time, termination, detail, trace). `mode` and `allocation`
-    override the variant encoded in the method name."""
+    (x, f, wall_time, termination, detail, trace). The method name alone
+    selects the variant: `-m` / `-h` the myopic / hyperoptic search mode,
+    `rh-even` / `rh-geom` the rolling-horizon time allocation."""
     start = time.perf_counter()
     if method == "exact-enum":
         x, f = brute_force_optimum(instance, coverage)
@@ -152,19 +154,18 @@ def run_method(instance: Instance, coverage, method, *, time_limit=DEFAULT_TIME_
         f = evaluate(instance, coverage, x)
         return x, f, time.perf_counter() - start, result.status, "", []
     if method in ("greedy-m", "greedy-h"):
-        cfg = GreedyConfig(mode=mode or ("myopic" if method.endswith("-m") else "hyperoptic"))
+        cfg = GreedyConfig(mode="myopic" if method.endswith("-m") else "hyperoptic")
         res = greedy(instance, coverage, cfg)
         return res.x, res.f, res.wall_time, res.termination, "", res.trace
     if method in ("grasp-m", "grasp-h"):
         cfg = GraspConfig(alpha=alpha,
-                          mode=mode or ("myopic" if method.endswith("-m") else "hyperoptic"),
+                          mode="myopic" if method.endswith("-m") else "hyperoptic",
                           time_limit_s=time_limit, seed=seed)
         res = grasp(instance, coverage, cfg)
         return res.x, res.f, res.wall_time, res.termination, "", res.trace
     if method in ("rh-even", "rh-geom"):
-        cfg = RollingHorizonConfig(
-            allocation=allocation or ("even" if method == "rh-even" else "geometric"),
-            total_time_limit_s=time_limit)
+        cfg = RollingHorizonConfig(allocation="even" if method == "rh-even" else "geometric",
+                                   total_time_limit_s=time_limit)
         res = rolling_horizon(instance, coverage, cfg, solver=solver_cmd)
         return res.x, res.f, res.wall_time, res.termination, "", res.trace
     raise ValueError(f"unknown method {method!r}")
@@ -207,16 +208,23 @@ def _solve_one(args):
 
 
 def cmd_generate(args):
-    if args.network:
-        net = load_network(args.network)
-    else:
-        net = generate_network(args.nodes, seed=args.seed)
+    # the whole dataset is built before the first file is written, so a
+    # network that cannot hold the kind's stations leaves nothing behind
+    try:
+        if args.network:
+            net = load_network(args.network)
+        else:
+            net = generate_network(args.nodes, seed=args.seed)
+        spec = DatasetSpec(kind=args.kind, network=net, instance_count=args.count,
+                           base_seed=args.seed)
+        instances = generate_dataset(spec)
+    except (InstanceError, NetworkError) as exc:
+        print(f"evcover generate: {exc}", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     save_network(net, os.path.join(args.out, "network.csv"))
-    spec = DatasetSpec(kind=args.kind, network=net, instance_count=args.count,
-                       base_seed=args.seed)
     entries = []
-    for inst in generate_dataset(spec):
+    for inst in instances:
         idx = inst.metadata["instance_index"]
         fname = f"instance_{idx:03d}.json"
         save_instance(inst, os.path.join(args.out, fname))
@@ -236,8 +244,7 @@ def cmd_solve(args):
     paths, _ = _manifest_paths(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     options = {"time_limit": args.time_limit, "solver_cmd": args.solver_cmd,
-               "alpha": args.alpha, "seed": args.seed, "mode": args.mode,
-               "allocation": args.allocation}
+               "alpha": args.alpha, "seed": args.seed}
     tasks = [(p, args.method, options) for p in paths]
     if args.threads > 1:
         # one future per task: a worker that dies costs its own row, not the batch
@@ -376,7 +383,12 @@ def cmd_export(args):
         if not args.growth:
             print("gf export needs --growth FILE", file=sys.stderr)
             return 1
-        gf_inst = build_gf_instance(inst, load_growth(args.growth), radius_km=args.radius)
+        try:
+            growth = load_growth(args.growth)
+        except GrowthError as exc:
+            print(f"evcover export: {args.growth}: {exc}", file=sys.stderr)
+            return 1
+        gf_inst = build_gf_instance(inst, growth, radius_km=args.radius)
         model = build_gf(gf_inst)
     export_lp(model, args.out)
     print(f"{args.formulation}: {model.n_variables} variables, {model.n_rows} constraints "
@@ -410,10 +422,6 @@ def make_parser():
                    help="command template with {lp_path} {sol_path} {time_limit}; "
                         "'none' disables the solver")
     s.add_argument("--alpha", type=float, default=0.85)
-    s.add_argument("--mode", choices=["myopic", "hyperoptic"], default=None,
-                   help="override the search mode encoded in the method name")
-    s.add_argument("--allocation", choices=["even", "geometric"], default=None,
-                   help="override the rolling-horizon time allocation")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_solve)

@@ -37,6 +37,7 @@ _KIND_TABLE = {
 BUDGET_PER_PERIOD = 400.0
 COST_FIRST_OUTLET = 150.0
 COST_LATER_OUTLET = 50.0
+HOME_ASC_OFFSET = 0.5  # kappa_home = kappa_optout + offset (not from the source data)
 
 
 @dataclass
@@ -45,8 +46,6 @@ class DatasetSpec:
     network: Network
     instance_count: int = 20
     base_seed: int = 0
-    home_asc_offset: float = 0.5    # kappa_home = kappa_optout + offset (not from the source data)
-    quadratic_beta: bool = False    # sensitivity variant: increment k is beta*k instead of beta
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
@@ -160,16 +159,14 @@ def generate_dataset(spec: DatasetSpec) -> list[Instance]:
             if alt == OPT_OUT:
                 kap[pos, :] = OPT_OUT_ASC
             elif alt == HOME:
-                kap[pos, :] = OPT_OUT_ASC + spec.home_asc_offset
+                kap[pos, :] = OPT_OUT_ASC + HOME_ASC_OFFSET
             else:
                 st = stations[alt - 1]
                 center = net.node(st.node_id).city_center
                 dist = station_dist[alt - 1, ni]
                 for t in range(1, T + 1):
                     kap[pos, t - 1] = compute_asc(kind, st, uc, t, dist, city_center=center)
-                increments = (np.arange(1, m_j + 1) * b_inc if spec.quadratic_beta
-                              else np.full(m_j, b_inc))
-                bet[pos, :, :] = increments[:, None]
+                bet[pos, :, :] = b_inc
         kappa.append(kap)
         beta.append(bet)
 

@@ -23,6 +23,11 @@ from .milp import build_gf
 from .solver import resolve_solver_command, solve_external
 
 
+# GF prices: every outlet, and the opening of a station with no outlets yet
+GF_OUTLET_COST = 50.0
+GF_OPENING_COST = 100.0
+
+
 class GrowthError(ValueError):
     pass
 
@@ -181,13 +186,18 @@ def growth_from_csv(text: str) -> GrowthFunction:
     rows = list(csv.reader(text.strip().splitlines()))
     if not rows or rows[0] != _GF_HEADER:
         raise GrowthError(f"bad growth-function header: {rows[:1]!r}")
-    q = [float(rows[1][0])]
-    m, o = [], []
-    for row in rows[1:]:
-        q.append(float(row[1]))
-        m.append(float(row[2]))
-        o.append(float(row[3]))
-    return GrowthFunction(q, m, o)
+    if len(rows) < 2:
+        raise GrowthError("growth-function file has no segments")
+    segments = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(_GF_HEADER):
+            raise GrowthError(f"line {line}: expected {len(_GF_HEADER)} values, got {len(row)}")
+        try:
+            segments.append([float(v) for v in row])
+        except ValueError as exc:
+            raise GrowthError(f"line {line}: {exc}") from None
+    q = [segments[0][0]] + [seg[1] for seg in segments]
+    return GrowthFunction(q, [seg[2] for seg in segments], [seg[3] for seg in segments])
 
 
 def save_growth(gf: GrowthFunction, path):
@@ -205,6 +215,10 @@ def load_growth(path) -> GrowthFunction:
 
 @dataclass
 class GfInstance:
+    """Growth-function data of one covering instance. Outlet capacity is
+    infinite: an open station serves every EV its willing nodes adopt, and
+    outlets only cost budget."""
+
     station_ids: tuple
     willing_nodes: tuple         # per station: node ids within the consideration radius
     max_outlets: np.ndarray
@@ -216,15 +230,13 @@ class GfInstance:
     budgets: np.ndarray
     growth: GrowthFunction
     horizon: int
-    home_fraction: float = 0.566
-    capacity_per_outlet: float | None = None  # None encodes infinite capacity
 
 
-def build_gf_instance(instance: Instance, growth: GrowthFunction, radius_km=10.0,
-                      outlet_cost=50.0, opening_cost=100.0,
-                      home_fraction=0.566, capacity_per_outlet=None) -> GfInstance:
+def build_gf_instance(instance: Instance, growth: GrowthFunction,
+                      radius_km=10.0) -> GfInstance:
     """Assemble GF data from a covering instance: willing sets from the
-    consideration radius, raw node populations, matching budgets."""
+    consideration radius, raw node populations, matching budgets, and the
+    GF_OUTLET_COST / GF_OPENING_COST prices."""
     net = instance.network
     station_nodes = [s.node_id for s in instance.stations]
     dist = net.distance_matrix(station_nodes)
@@ -239,13 +251,11 @@ def build_gf_instance(instance: Instance, growth: GrowthFunction, radius_km=10.0
         initial_outlets=instance.initial_levels.copy(),
         population=net.total_population,
         node_population={n.id: n.population for n in net.nodes},
-        outlet_cost=float(outlet_cost),
-        opening_cost=np.full(len(station_nodes), float(opening_cost)),
+        outlet_cost=GF_OUTLET_COST,
+        opening_cost=np.full(len(station_nodes), GF_OPENING_COST),
         budgets=np.asarray(instance.cost_budget.budgets, dtype=float),
         growth=growth,
         horizon=instance.horizon,
-        home_fraction=home_fraction,
-        capacity_per_outlet=capacity_per_outlet,
     )
 
 
@@ -294,11 +304,7 @@ def gf_forward_recursion(gf: GfInstance, solution: GfSolution) -> GfOutcome:
         for j in range(J):
             if not solution.open[j, t]:
                 continue
-            inc = shares[j] * inc_city
-            if gf.capacity_per_outlet is not None and gf.home_fraction > 0:
-                cap = gf.capacity_per_outlet * solution.outlets[j, t]
-                inc = min(inc, max(cap / gf.home_fraction - stocks[j], 0.0))
-            stocks[j] += inc
+            stocks[j] += shares[j] * inc_city
         stock_hist[:, t] = stocks
         totals[t] = stocks.sum()
     node_ev = {}

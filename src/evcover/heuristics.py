@@ -3,7 +3,15 @@
 All heuristics work on outlet-count schedules (levels[j, t]) and only ever
 emit feasible solutions. Greedy is deterministic; GRASP is reproducible from
 its seed; rolling horizon delegates each period to the external solver (or
-to per-period enumeration when no solver is configured).
+to per-period enumeration, capped by the default `EnumerationBudget`, when no
+solver is configured).
+
+The search rules are fixed: the GRASP restricted candidate list keeps the
+additions whose gain is at least alpha times the best gain; the local search
+takes the first improving move and leaves a period once a pass gains less
+than LOCAL_SEARCH_MIN_REL_GAIN of f; the GRASP filter switches on after
+FILTER_WARMUP searched candidates; geometric rolling-horizon allocation gives
+period 1 FIRST_PERIOD_SHARE_S seconds and halves it every period.
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ from .solver import STATUS_NOT_CONFIGURED, resolve_solver_command, solve_externa
 MYOPIC = "myopic"
 HYPEROPTIC = "hyperoptic"
 
+FILTER_WARMUP = 10                 # searched candidates before the GRASP filter acts
+LOCAL_SEARCH_MIN_REL_GAIN = 1e-4   # a period's search stops below this relative gain
+FIRST_PERIOD_SHARE_S = 3600.0      # geometric allocation: period 1, halved every period
+
 
 class HeuristicError(RuntimeError):
     pass
@@ -38,33 +50,29 @@ class GreedyConfig:
 
 @dataclass
 class GraspConfig:
+    """GRASP settings. The rules the loop applies are constants: value RCL
+    (gain >= alpha * best gain), first-improvement local search stopping
+    below LOCAL_SEARCH_MIN_REL_GAIN, and the filter after FILTER_WARMUP
+    searched candidates."""
+
     alpha: float = 0.85
     mode: str = MYOPIC
     max_solutions: int = 300
     max_filtered: int = 500
     time_limit_s: float = 7200.0
-    improvement_mode: str = "first"   # or "best"
-    filter_warmup: int = 10
-    local_search_min_rel_gain: float = 1e-4
     seed: int = 0
-    rcl_rule: str = "value"           # or "subtractive"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.mode not in (MYOPIC, HYPEROPTIC):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.improvement_mode not in ("first", "best"):
-            raise ValueError("improvement_mode must be 'first' or 'best'")
-        if self.rcl_rule not in ("value", "subtractive"):
-            raise ValueError("rcl_rule must be 'value' or 'subtractive'")
 
 
 @dataclass
 class RollingHorizonConfig:
     allocation: str = "even"          # or "geometric"
     total_time_limit_s: float = 7200.0
-    first_period_share_s: float = 3600.0  # geometric: halved every period
 
     def __post_init__(self):
         if self.allocation not in ("even", "geometric"):
@@ -156,25 +164,15 @@ def grasp_construct(instance, coverage, alpha, mode, rng) -> SolutionX:
     list of positive-gain additions within alpha of the best. With alpha = 1
     the greedy tie-break applies, so the output is exactly the greedy
     solution."""
-    return _grasp_construct_rule(instance, coverage, alpha, mode, rng, "value")
-
-
-def _grasp_construct_rule(instance, coverage, alpha, mode, rng, rcl_rule) -> SolutionX:
     def pick(gains):
         if gains.size == 0:
             return None
         best = gains.max()
         if best <= 0.0:
             return None
-        if alpha >= 1.0 and rcl_rule == "value":
+        if alpha >= 1.0:
             return int(np.argmax(gains))
-        if rcl_rule == "value":
-            threshold = alpha * best
-        else:
-            positive = gains[gains > 0.0]
-            worst = positive.min()
-            threshold = best - alpha * (best - worst)
-        rcl = np.flatnonzero((gains > 0.0) & (gains >= threshold - 1e-12))
+        rcl = np.flatnonzero((gains > 0.0) & (gains >= alpha * best - 1e-12))
         return int(rng.choice(rcl))
 
     _, x = _construct(instance, coverage, mode, pick)
@@ -296,8 +294,7 @@ def _candidate_moves(instance, levels, t_idx, j):
         yield ("split", j, jp), _move_split(instance, levels, j, jp, t_idx)
 
 
-def _local_search(instance, coverage, levels, improvement_mode, min_rel_gain,
-                  deadline=None, trace=None):
+def _local_search(instance, coverage, levels, deadline=None, trace=None):
     levels = levels.copy()
     values = coverage.period_values(levels)  # per period, refreshed on every accepted move
     f_cur = float(values.sum())
@@ -309,46 +306,29 @@ def _local_search(instance, coverage, levels, improvement_mode, min_rel_gain,
             if deadline is not None and time.perf_counter() > deadline:
                 return levels, f_cur
             pass_start = f_cur
-            if improvement_mode == "first":
-                for j in range(instance.n_stations):
-                    for move, cand in _candidate_moves(instance, levels, t_idx, j):
-                        if cand is None:
-                            continue
-                        tail = coverage.period_values(cand, t)
-                        d = float(tail.sum() - values[t_idx:].sum())
-                        if d > 1e-12:
-                            levels, values[t_idx:] = cand, tail
-                            f_cur += d
-                            if trace is not None:
-                                trace.append({"period": t, "move": move, "f": f_cur})
-            else:
-                best_d, best_cand, best_move, best_tail = 0.0, None, None, None
-                for j in range(instance.n_stations):
-                    for move, cand in _candidate_moves(instance, levels, t_idx, j):
-                        if cand is None:
-                            continue
-                        tail = coverage.period_values(cand, t)
-                        d = float(tail.sum() - values[t_idx:].sum())
-                        if d > best_d + 1e-12:
-                            best_d, best_cand, best_move, best_tail = d, cand, move, tail
-                if best_cand is not None:
-                    levels, values[t_idx:] = best_cand, best_tail
-                    f_cur += best_d
-                    if trace is not None:
-                        trace.append({"period": t, "move": best_move, "f": f_cur})
+            for j in range(instance.n_stations):
+                for move, cand in _candidate_moves(instance, levels, t_idx, j):
+                    if cand is None:
+                        continue
+                    tail = coverage.period_values(cand, t)
+                    d = float(tail.sum() - values[t_idx:].sum())
+                    if d > 1e-12:
+                        levels, values[t_idx:] = cand, tail
+                        f_cur += d
+                        if trace is not None:
+                            trace.append({"period": t, "move": move, "f": f_cur})
             gained = f_cur - pass_start
             rel = (gained / pass_start) if pass_start > 0 else (np.inf if gained > 0 else 0.0)
-            if rel < min_rel_gain:
+            if rel < LOCAL_SEARCH_MIN_REL_GAIN:
                 break
     return levels, f_cur
 
 
-def local_search(instance: Instance, coverage: CoverageTensor, x: SolutionX,
-                 improvement_mode="first", min_rel_gain=1e-4) -> SolutionX:
-    """Add / Transfer / Split moves, period by period; never worsens f and
-    never leaves the feasible set (infeasible moves are discarded)."""
-    levels, _ = _local_search(instance, coverage, x.levels, improvement_mode,
-                              min_rel_gain)
+def local_search(instance: Instance, coverage: CoverageTensor, x: SolutionX) -> SolutionX:
+    """Add / Transfer / Split moves, period by period, taking the first
+    improving move; never worsens f and never leaves the feasible set
+    (infeasible moves are discarded)."""
+    levels, _ = _local_search(instance, coverage, x.levels)
     max_k = int(instance.max_outlets.max())
     return SolutionX.from_levels(levels, max_k)
 
@@ -385,8 +365,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
         if time.perf_counter() >= deadline:
             termination = "time_limit"
             break
-        x_c = _grasp_construct_rule(instance, coverage, config.alpha, config.mode,
-                                    rng, config.rcl_rule)
+        x_c = grasp_construct(instance, coverage, config.alpha, config.mode, rng)
         examined += 1
         f_c = evaluate(instance, coverage, x_c)
         if grasp_filter(f_c, incumbent_f, max_rel):
@@ -395,14 +374,11 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
                           "incumbent": incumbent_f,
                           "elapsed": time.perf_counter() - start})
             continue
-        levels, f_ls = _local_search(instance, coverage, x_c.levels,
-                                     config.improvement_mode,
-                                     config.local_search_min_rel_gain,
-                                     deadline=deadline)
+        levels, f_ls = _local_search(instance, coverage, x_c.levels, deadline=deadline)
         if max_rel is None:
             if f_c > 0:
                 warmup_ratios.append(f_ls / f_c)
-            if len(warmup_ratios) >= config.filter_warmup:
+            if len(warmup_ratios) >= FILTER_WARMUP:
                 max_rel = max(warmup_ratios)
         if f_ls > incumbent_f:
             incumbent, incumbent_f = levels, f_ls
@@ -424,7 +400,7 @@ def _period_time_limits(config: RollingHorizonConfig, T):
     if config.allocation == "even":
         return [config.total_time_limit_s / T] * T
     limits, remaining = [], config.total_time_limit_s
-    share = config.first_period_share_s
+    share = FIRST_PERIOD_SHARE_S
     for _ in range(T):
         lim = min(share, remaining)
         limits.append(lim)
@@ -435,7 +411,7 @@ def _period_time_limits(config: RollingHorizonConfig, T):
 
 def rolling_horizon(instance: Instance, coverage: CoverageTensor,
                     config: RollingHorizonConfig | None = None,
-                    solver=None, enumeration_budget=None) -> HeuristicResult:
+                    solver=None) -> HeuristicResult:
     """Fix one period at a time: solve the period-t MC restriction under its
     time share, freeze the outcome, move on. Each period model carries the
     previous configuration as fixed lower bounds, which is also its warm
@@ -461,8 +437,7 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
             trace.append({"period": t, "limit_s": limits[t - 1], "status": result.status,
                           "objective": result.objective, "wall_time": result.wall_time})
         else:
-            new_levels = _best_period_by_enumeration(instance, coverage, t, base,
-                                                     enumeration_budget)
+            new_levels = _best_period_by_enumeration(instance, coverage, t, base)
             trace.append({"period": t, "limit_s": limits[t - 1], "status": "enumerated",
                           "objective": None, "wall_time": None})
         levels[:, t - 1:] = new_levels[:, None]
@@ -474,10 +449,9 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
                            termination="completed")
 
 
-def _best_period_by_enumeration(instance, coverage, t, base, budget):
-    budget = budget or EnumerationBudget()
+def _best_period_by_enumeration(instance, coverage, t, base):
     options = _instance_extensions(instance, tuple(int(v) for v in base), t - 1)
-    if len(options) > budget.max_configurations:
+    if len(options) > EnumerationBudget().max_configurations:
         raise HeuristicError(
             f"period {t}: no solver configured and {len(options)} period states "
             f"exceed the enumeration budget")

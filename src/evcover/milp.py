@@ -199,28 +199,13 @@ class BigMBounds:
                 raise ModelError(f"class index {ci}: negative Big-M constant")
 
 
-def compute_bounds(instance: Instance, strengthen_abar=False) -> BigMBounds:
+def compute_bounds(instance: Instance) -> BigMBounds:
     """Exact bound formulas; checks abar < u0 for every scenario and lowers
     abar with a warning where the check fails (small R can break it)."""
     T = instance.horizon
     abar = compute_abar(instance)
     adjusted = []
     b_all, nu_all, mu_all = [], [], []
-
-    if strengthen_abar:
-        for ci in range(instance.n_classes):
-            alt_index = instance.choice_sets.alt_index[ci]
-            kap = instance.utility_params.kappa[ci]
-            bet = instance.utility_params.beta[ci]
-            eps = instance.error_tensor[ci]
-            for t in range(T):
-                vals = [
-                    (kap[pos, t] + bet[pos, 0, t] + eps[pos, :, t]).min()
-                    for alt, pos in alt_index.items()
-                    if alt not in (OPT_OUT, HOME) and alt in instance.choice_sets.c1[ci][t]
-                ]
-                if vals:
-                    abar[ci, t] = min(vals)
 
     for ci in range(instance.n_classes):
         alt_index = instance.choice_sets.alt_index[ci]
@@ -260,10 +245,13 @@ def compute_bounds(instance: Instance, strengthen_abar=False) -> BigMBounds:
 # -- single-level model --------------------------------------------------------
 
 
-def build_sl(instance: Instance, bounds: BigMBounds, relax_w=False) -> MilpModel:
+def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
     """Single-level model: minimise the opt-out mass subject to the ladder
     block, Big-M utility discounting, and the KKT-linearised choice step.
-    Home-forced triplets are dropped (their choice can never be opt-out)."""
+    Home-forced triplets are dropped (their choice can never be opt-out).
+    The open-utility upper row needs no slack for a closed station, because
+    abar <= kappa + eps for every considered station and scenario: abar is
+    their minimum, and compute_bounds only ever lowers it."""
     bounds.verify()
     model = MilpModel("sl", "min")
     _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
@@ -288,9 +276,7 @@ def build_sl(instance: Instance, bounds: BigMBounds, relax_w=False) -> MilpModel
                 names_w, names_u = {}, {}
                 for alt in alts_block:
                     a_tag = f"{tag}_a{alt if alt != HOME else -1}"
-                    names_w[alt] = model.add_var(
-                        f"w_{a_tag}", lb=0.0, ub=1.0,
-                        kind=CONTINUOUS if relax_w else BINARY)
+                    names_w[alt] = model.add_var(f"w_{a_tag}", lb=0.0, ub=1.0, kind=BINARY)
                     names_u[alt] = model.add_var(f"u_{a_tag}", lb=-math.inf, ub=math.inf)
                 alpha = model.add_var(f"alpha_{tag}", lb=-math.inf, ub=math.inf)
                 obj[names_w[OPT_OUT]] = weight[t - 1]
@@ -312,13 +298,8 @@ def build_sl(instance: Instance, bounds: BigMBounds, relax_w=False) -> MilpModel
                     row = {names_u[alt]: 1.0, **{n: -c for n, c in beta_x.items()}}
                     row[x_name(alt, 1, t)] = row.get(x_name(alt, 1, t), 0.0) - nu
                     model.add_row(f"uopenlo_{tag}_a{alt}", row, ">=", ke - nu)
-                    # a strengthened discount level can sit above kappa+eps;
-                    # the upper row then needs slack while the station is closed
-                    slack = max(0.0, ab - ke)
                     row = {names_u[alt]: 1.0, **{n: -c for n, c in beta_x.items()}}
-                    if slack > 0:
-                        row[x_name(alt, 1, t)] = row.get(x_name(alt, 1, t), 0.0) + slack
-                    model.add_row(f"uopenhi_{tag}_a{alt}", row, "<=", ke + slack)
+                    model.add_row(f"uopenhi_{tag}_a{alt}", row, "<=", ke)
                 for alt in alts_block:
                     pos = alt_index[alt]
                     mu = bounds.mu[ci][pos, r, t - 1]
@@ -404,8 +385,8 @@ def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
 
 
 def build_gf(gf_instance) -> MilpModel:
-    """Intracity growth-function MILP. With infinite per-outlet capacity the
-    capacity rows are omitted and EV loads are gated by station openness
+    """Intracity growth-function MILP. Per-outlet capacity is infinite, so
+    there are no capacity rows; EV loads are gated by station openness
     instead, which keeps the model bounded."""
     gf = gf_instance
     growth = gf.growth
@@ -500,19 +481,11 @@ def build_gf(gf_instance) -> MilpModel:
 
     for j, sid in enumerate(gf.station_ids):
         for t in range(1, T + 1):
-            if gf.capacity_per_outlet is None:
-                for i in gf.willing_nodes[j]:
-                    model.add_row(f"ggate_{i}_{sid}_t{t}",
-                                  {f"gh_{i}_{sid}_t{t}": 1.0,
-                                   f"gy_{sid}_t{t}": -float(gf.node_population[i])},
-                                  "<=", 0.0)
-            else:
-                coeffs = {n: gf.home_fraction for n in h_sum(j, t)}
-                cap = gf.capacity_per_outlet
-                for tp in range(1, t + 1):
-                    coeffs[f"gx_{sid}_t{tp}"] = -cap
-                model.add_row(f"gcapout_{sid}_t{t}", coeffs, "<=",
-                              cap * gf.initial_outlets[j])
+            for i in gf.willing_nodes[j]:
+                model.add_row(f"ggate_{i}_{sid}_t{t}",
+                              {f"gh_{i}_{sid}_t{t}": 1.0,
+                               f"gy_{sid}_t{t}": -float(gf.node_population[i])},
+                              "<=", 0.0)
 
     obj = {}
     for j in range(len(gf.station_ids)):

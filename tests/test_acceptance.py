@@ -279,7 +279,7 @@ def test_criterion_9_invariant_suites(tiny_set):
     for inst, cov, _, _ in tiny_set[:10]:
         x = random_feasible_solution(inst, rng)
         trace = []
-        _local_search(inst, cov, x.levels, "first", 1e-4, trace=trace)
+        _local_search(inst, cov, x.levels, trace=trace)
         fs = [row["f"] for row in trace]
         nondecreasing &= all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
     checks.append(("local-search trace nondecreasing", nondecreasing))

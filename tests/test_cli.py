@@ -11,6 +11,7 @@ from evcover.cli import (RunReport, main, nearest_rank_percentile, read_rows_csv
 from evcover.covering import build_coverage, evaluate
 from evcover.datasets import generate_small_dataset, write_manifest
 from evcover.exact import brute_force_optimum
+from evcover.growth import GrowthError, growth_from_csv
 from evcover.instance import SolutionX, load_instance, save_instance
 from evcover.lp_io import parse_lp
 
@@ -48,6 +49,22 @@ def test_generate_deterministic(tmp_path):
         main(["generate", "Simple", "--nodes", "12", "--seed", "5",
               "--count", "1", "--out", str(out)])
     assert (a / "instance_000.json").read_bytes() == (b / "instance_000.json").read_bytes()
+
+
+@pytest.mark.parametrize("nodes, rc", [(8, 1), (10, 0)])
+def test_generate_on_a_network_too_small_for_the_stations(tmp_path, capsys, nodes, rc):
+    # Simple needs 10 station nodes
+    out = tmp_path / "ds"
+    assert main(["generate", "Simple", "--nodes", str(nodes), "--seed", "1",
+                 "--count", "1", "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.strip().splitlines() == [
+            "evcover generate: need 10 station nodes, network has 8"]
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert (out / "network.csv").exists() and (out / "instance_000.json").exists()
 
 
 def test_generate_count_zero(tmp_path):
@@ -189,6 +206,26 @@ def test_export_gf_requires_growth(tmp_path, tiny_manifest):
     assert rc == 1
 
 
+@pytest.mark.parametrize("text", [
+    "q_lo,q_hi,slope,intercept\n",                  # header only
+    "q_lo,q_hi,slope,intercept\n0.0,1.0,1.0\n",     # short row
+    "q_lo,q_hi,slope,intercept\n0.0,1.0,one,0.0\n",  # not a number
+])
+def test_malformed_growth_csv_is_one_error_line(tmp_path, tiny_manifest, capsys, text):
+    with pytest.raises(GrowthError):
+        growth_from_csv(text)
+    manifest, _ = tiny_manifest
+    inst_path = os.path.join(os.path.dirname(manifest), "instance_000.json")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    out = tmp_path / "g.lp"
+    rc = main(["export", inst_path, "--formulation", "gf", "--growth", str(bad),
+               "--out", str(out)])
+    assert rc == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_compare_gf_workflow(tmp_path, tiny_manifest):
     manifest, insts = tiny_manifest
     out = tmp_path / "cmp"
@@ -241,14 +278,3 @@ def test_solve_writes_machine_readable_trace(tmp_path, tiny_manifest):
     for entry in lines:
         assert {"period", "station", "k", "score", "elapsed"} <= set(entry)
 
-
-def test_solve_mode_override(tmp_path, tiny_manifest):
-    manifest, insts = tiny_manifest
-    out_m = tmp_path / "m"
-    out_override = tmp_path / "o"
-    main(["solve", str(manifest), "--method", "greedy-h", "--mode", "myopic",
-          "--out", str(out_override)])
-    main(["solve", str(manifest), "--method", "greedy-m", "--out", str(out_m)])
-    a = read_rows_csv(out_override / "rows.greedy-h.csv")
-    b = read_rows_csv(out_m / "rows.greedy-m.csv")
-    assert [r["f"] for r in a] == [r["f"] for r in b]

@@ -119,12 +119,3 @@ def test_manifest_round_trip(tmp_path):
     assert doc["kind"] == "Simple"
     assert doc["instances"] == entries
 
-
-def test_quadratic_beta_sensitivity_flag(net40):
-    spec = DatasetSpec("Simple", net40, instance_count=1, quadratic_beta=True)
-    inst = generate_dataset(spec)[0]
-    ci = 0
-    alts = inst.choice_sets.alternatives[ci]
-    station_pos = [p for p, a in enumerate(alts) if a > 0]
-    b = inst.utility_params.beta[ci][station_pos[0], :, 0]
-    np.testing.assert_allclose(b, 0.281 * np.arange(1, len(b) + 1))

@@ -1,0 +1,76 @@
+"""Greedy, GRASP and local-search trajectories pinned against recorded runs.
+
+`data/golden_trajectories.json` holds what commit a62c578 produced on three
+oracle-desk-style instances: greedy picks, GRASP traces (30 solutions,
+seed 1) and the local search's accepted moves from a seeded random start.
+Moves, picks and filter decisions must match exactly. Values are compared
+to rel 1e-12, because another numpy/BLAS may round the last bit of a sum
+differently.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from evcover.covering import build_coverage
+from evcover.datasets import generate_small_instance
+from evcover.exact import random_feasible_solution
+from evcover.heuristics import GraspConfig, GreedyConfig, _local_search, grasp, greedy
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_trajectories.json").read_text())
+MODES = ("myopic", "hyperoptic")
+
+
+def close(got, want):
+    if want is None:
+        return got is None or not np.isfinite(got)
+    return got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def case(request):
+    seed = int(request.param)
+    inst = generate_small_instance(seed, n_nodes=12, n_stations=5, horizon=4, max_outlets=2,
+                                   max_scenarios=15, budget=250.0)
+    return seed, inst, build_coverage(inst), GOLDEN[request.param]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_greedy_picks(case, mode):
+    _, inst, cov, golden = case
+    want = golden[f"greedy-{mode}"]
+    res = greedy(inst, cov, GreedyConfig(mode=mode))
+    assert [[e["period"], e["station"], e["k"]] for e in res.trace] == want["picks"]
+    assert all(close(e["score"], w) for e, w in zip(res.trace, want["scores"]))
+    assert close(res.f, want["f"])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grasp_trace(case, mode):
+    _, inst, cov, golden = case
+    want = golden[f"grasp-{mode}"]
+    res = grasp(inst, cov, GraspConfig(mode=mode, max_solutions=30, seed=1))
+    assert [e["filtered"] for e in res.trace] == want["filtered"]
+    for e, c, a, i in zip(res.trace, want["constructed_f"], want["after_search_f"],
+                          want["incumbent"]):
+        assert close(e["constructed_f"], c)
+        assert close(e.get("after_search_f"), a)
+        assert close(e["incumbent"], i)
+    assert res.x.levels.tolist() == want["levels"]
+    assert close(res.f, want["f"])
+    assert res.termination == want["termination"]
+
+
+def test_local_search_moves(case):
+    seed, inst, cov, golden = case
+    want = golden["local_search"]
+    x = random_feasible_solution(inst, np.random.default_rng(seed))
+    assert x.levels.tolist() == want["start"]
+    trace = []
+    levels, f = _local_search(inst, cov, x.levels, trace=trace)
+    assert [[e["period"], *e["move"]] for e in trace] == want["moves"]
+    assert all(close(e["f"], w) for e, w in zip(trace, want["f_after_move"]))
+    assert levels.tolist() == want["levels"]
+    assert close(f, want["f"])

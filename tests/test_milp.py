@@ -218,27 +218,6 @@ def test_sl_zero_budget_objective_is_total_minus_forced():
     assert cov.forced_mass == pytest.approx(forced_mass)
 
 
-def test_sl_relaxed_w_is_a_lower_bound():
-    # relaxing w is only exact for the isolated lower-level LP; in the
-    # KKT-linearised single-level form fractional w weakens the argmax
-    # encoding, so the flag yields a relaxation bound, not an equal optimum
-    inst = generate_small_instance(56, n_stations=2, max_scenarios=5)
-    bounds = compute_bounds(inst)
-    from evcover.solver import solve_model_inprocess
-    _, obj_bin, _ = solve_model_inprocess(build_sl(inst, bounds))
-    _, obj_rel, _ = solve_model_inprocess(build_sl(inst, bounds, relax_w=True))
-    assert obj_rel <= obj_bin + 1e-9
-
-
-def test_strengthened_abar_same_objective():
-    inst = generate_small_instance(57, n_stations=2, max_scenarios=6)
-    from evcover.solver import solve_model_inprocess
-    _, obj_plain, _ = solve_model_inprocess(build_sl(inst, compute_bounds(inst)))
-    strong = compute_bounds(inst, strengthen_abar=True)
-    _, obj_strong, _ = solve_model_inprocess(build_sl(inst, strong))
-    assert obj_strong == pytest.approx(obj_plain, abs=1e-6)
-
-
 def test_mc_forced_constant_through_solver():
     eps = np.zeros((3, 4, 1))
     eps[1, :, 0] = 2.0  # home always wins: every triplet forced

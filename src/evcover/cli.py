@@ -25,6 +25,7 @@ import numpy as np
 from .covering import build_coverage, evaluate, gap
 from .datasets import (DatasetSpec, generate_dataset, read_manifest,
                        write_manifest)
+from .errors import ErrorSimError
 from .exact import EnumerationCapExceeded, brute_force_optimum
 from .growth import (GrowthError, _solve_gf_model, adjust_solution_max_outlets,
                      build_gf_instance, generate_growth_function, gf_forward_recursion,
@@ -218,7 +219,7 @@ def cmd_generate(args):
         spec = DatasetSpec(kind=args.kind, network=net, instance_count=args.count,
                            base_seed=args.seed)
         instances = generate_dataset(spec)
-    except (InstanceError, NetworkError) as exc:
+    except (InstanceError, NetworkError, ErrorSimError) as exc:
         print(f"evcover generate: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
@@ -237,11 +238,15 @@ def cmd_generate(args):
 def _manifest_paths(manifest_path):
     doc = read_manifest(manifest_path)
     root = os.path.dirname(os.path.abspath(manifest_path))
-    return [os.path.join(root, e["path"]) for e in doc["instances"]], doc
+    return [os.path.join(root, e["path"]) for e in doc["instances"]]
 
 
 def cmd_solve(args):
-    paths, _ = _manifest_paths(args.manifest)
+    try:
+        paths = _manifest_paths(args.manifest)
+    except InstanceError as exc:
+        print(f"evcover solve: {exc}", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     options = {"time_limit": args.time_limit, "solver_cmd": args.solver_cmd,
                "alpha": args.alpha, "seed": args.seed}
@@ -321,7 +326,13 @@ def write_node_geojson(instance, node_ev, path):
 
 
 def cmd_compare_gf(args):
-    paths, _ = _manifest_paths(args.manifest)
+    try:
+        paths = _manifest_paths(args.manifest)
+        if not paths:
+            raise InstanceError(f"{args.manifest}: manifest lists no instances")
+    except InstanceError as exc:
+        print(f"evcover compare-gf: {exc}", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     instances = [load_instance(p) for p in paths]
     coverages = [build_coverage(inst) for inst in instances]

@@ -94,12 +94,11 @@ class TripletIndex:
 
 @dataclass
 class HomePreprocess:
-    """Triplets guaranteed covered by home charging, and the reduced C0 sets."""
+    """Triplets guaranteed covered by home charging."""
 
     forced: tuple          # per class: (R, T) bool array, or None when no home alternative
     forced_bits: np.ndarray
     forced_mass: float
-    reduced_c0: tuple      # per class, per period: alternatives kept (opt-out only)
 
 
 def compute_abar(instance: Instance) -> np.ndarray:
@@ -120,41 +119,6 @@ def compute_abar(instance: Instance) -> np.ndarray:
             if vals:
                 abar[ci, t] = min(vals)
     return abar
-
-
-class UtilityLadder:
-    """Per-class utilities u[alt, r, t, k] for k = 0..max_outlets.
-
-    Station rows hold the closed-station level abar at k = 0 and
-    kappa + eps + cumulative beta for k >= 1; exogenous rows (opt-out, home)
-    are constant in k. Nondecreasing in k because increments are >= 0.
-    """
-
-    def __init__(self, instance: Instance, class_index: int, abar=None):
-        ci = class_index
-        alts = instance.choice_sets.alternatives[ci]
-        kap = instance.utility_params.kappa[ci]
-        bet = instance.utility_params.beta[ci]
-        eps = instance.error_tensor[ci]
-        R, T = eps.shape[1], eps.shape[2]
-        max_k = bet.shape[1]
-        if abar is None:
-            abar = compute_abar(instance)
-        base = kap[:, None, :] + eps  # (n_alts, R, T)
-        u = np.empty((len(alts), R, T, max_k + 1))
-        u[:, :, :, 0] = base
-        cum = np.cumsum(bet, axis=1)  # (n_alts, max_k, T)
-        u[:, :, :, 1:] = base[:, :, :, None] + cum.transpose(0, 2, 1)[:, None, :, :]
-        for pos, alt in enumerate(alts):
-            if alt not in (OPT_OUT, HOME):
-                u[pos, :, :, 0] = abar[ci, :][None, :]
-            else:
-                u[pos, :, :, 1:] = base[pos, :, :, None]
-        self.u = u
-        self.alternatives = alts
-
-    def nondecreasing_in_k(self):
-        return bool((np.diff(self.u, axis=3) >= -1e-12).all())
 
 
 def optout_utility(instance: Instance, t, i, r) -> float:
@@ -185,15 +149,15 @@ def station_utility_at_k(instance: Instance, t, i, r, j, k, abar=None) -> float:
 def preprocess_home_charging(instance: Instance) -> HomePreprocess:
     """Split triplets on home charging: strictly better than opt-out means the
     EV is purchased regardless of x (forced covered); otherwise the home
-    alternative can never be selected and is dropped, leaving C0 = {opt-out}."""
+    alternative can never be selected and only opt-out competes with the
+    stations."""
     trip = TripletIndex(instance)
     forced_bits = np.zeros(trip.n_words, dtype=np.uint64)
-    forced, reduced_c0, mass = [], [], 0.0
+    forced, mass = [], 0.0
     for ci, uc in enumerate(instance.user_classes):
         alt_index = instance.choice_sets.alt_index[ci]
         if HOME not in alt_index:
             forced.append(None)
-            reduced_c0.append(instance.choice_sets.c0[ci])
             continue
         kap = instance.utility_params.kappa[ci]
         eps = instance.error_tensor[ci]
@@ -202,13 +166,12 @@ def preprocess_home_charging(instance: Instance) -> HomePreprocess:
         u_opt = kap[o, None, :] + eps[o]
         f = u_home > u_opt
         forced.append(f)
-        reduced_c0.append(tuple((OPT_OUT,) for _ in range(instance.horizon)))
         for t in range(instance.horizon):
             b = trip.block(ci, t)
             ws, we = trip.word_start[b], trip.word_start[b + 1]
             forced_bits[ws:we] |= trip.pack_block_rows(f[None, :, t])[0]
             mass += trip.block_weight[b] * int(f[:, t].sum())
-    return HomePreprocess(tuple(forced), forced_bits, mass, tuple(reduced_c0))
+    return HomePreprocess(tuple(forced), forced_bits, mass)
 
 
 class CoverageTensor:

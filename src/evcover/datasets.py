@@ -61,8 +61,9 @@ class _Skeleton:
     horizon: int
 
 
-def _farthest_point_stations(network, n_stations, seed):
-    """Spread candidate stations: seeded start, then greedy max-min graph distance."""
+def _place_stations(network, n_stations, max_outlets, seed):
+    """Candidate stations spread by farthest-point sampling (seeded start, then
+    greedy max-min graph distance), and their distances to every node."""
     if n_stations > len(network):
         raise InstanceError(f"need {n_stations} station nodes, network has {len(network)}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x57A7]))
@@ -73,7 +74,10 @@ def _farthest_point_stations(network, n_stations, seed):
         chosen.append(nxt)
         d = network.distance_matrix([network.node_ids[nxt]])[0]
         dist_to_chosen = np.minimum(dist_to_chosen, d)
-    return [network.node_ids[i] for i in chosen]
+    station_nodes = [network.node_ids[i] for i in chosen]
+    stations = [Station(id=si + 1, node_id=nid, max_outlets=max_outlets)
+                for si, nid in enumerate(station_nodes)]
+    return stations, network.distance_matrix(station_nodes)  # (|M|, n_nodes)
 
 
 def _build_classes(spec: DatasetSpec, station_dist, station_ids):
@@ -133,24 +137,30 @@ def _build_classes(spec: DatasetSpec, station_dist, station_ids):
 
 def generate_dataset(spec: DatasetSpec) -> list[Instance]:
     """All instances of one dataset; they differ only in the error-tensor seed."""
-    kind = spec.kind
-    T, n_stations, m_j, radius, beta_val, beta_home = _KIND_TABLE[kind]
+    T, n_stations, m_j, _, _, _ = _KIND_TABLE[spec.kind]
     net = spec.network
     if net.total_population <= 0:
         raise InstanceError("network has no population")
+    stations, station_dist = _place_stations(net, n_stations, m_j, spec.base_seed)
+    classes, c0, c1 = _build_classes(spec, station_dist, [s.id for s in stations])
+    cost_budget = CostBudget.uniform(n_stations, m_j, T, COST_FIRST_OUTLET,
+                                     COST_LATER_OUTLET, BUDGET_PER_PERIOD)
+    return _assemble(spec.kind, spec.kind, _Skeleton(tuple(classes), ChoiceSets(c0, c1), T),
+                     net, stations, station_dist, cost_budget, spec.base_seed,
+                     spec.instance_count)
 
-    station_nodes = _farthest_point_stations(net, n_stations, spec.base_seed)
-    stations = [Station(id=si + 1, node_id=nid, max_outlets=m_j, initial_outlets=0, level3=True)
-                for si, nid in enumerate(station_nodes)]
-    station_ids = [s.id for s in stations]
-    station_dist = net.distance_matrix(station_nodes)  # (|M|, n_nodes)
 
-    classes, c0, c1 = _build_classes(spec, station_dist, station_ids)
-    choice_sets = ChoiceSets(c0, c1)
-
+def _assemble(kind, label, skeleton, net, stations, station_dist, cost_budget, seed,
+              count):
+    """Utilities, nest spec and error draws of one dataset kind, and its
+    `count` Instances, which differ only in the error draw keyed (seed, index).
+    `label` is the dataset kind recorded in the metadata."""
+    _, _, _, _, beta_val, beta_home = _KIND_TABLE[kind]
+    T = skeleton.horizon
+    m_j = max(s.max_outlets for s in stations)
     kappa, beta = [], []
-    for ci, uc in enumerate(classes):
-        alts = choice_sets.alternatives[ci]
+    for ci, uc in enumerate(skeleton.user_classes):
+        alts = skeleton.choice_sets.alternatives[ci]
         ni = net.index_of[uc.home_node]
         kap = np.zeros((len(alts), T))
         bet = np.zeros((len(alts), m_j, T))
@@ -170,23 +180,17 @@ def generate_dataset(spec: DatasetSpec) -> list[Instance]:
         kappa.append(kap)
         beta.append(bet)
 
+    station_ids = [s.id for s in stations]
     nest = (three_nest_spec(station_ids) if kind == "HomeCharging"
             else two_nest_spec(station_ids))
-    skeleton = _Skeleton(tuple(classes), choice_sets, T)
-    cost_budget = CostBudget.uniform(n_stations, m_j, T, COST_FIRST_OUTLET,
-                                     COST_LATER_OUTLET, BUDGET_PER_PERIOD)
     params = UtilityParams(kappa, beta)
-
-    instances = []
-    for idx in range(spec.instance_count):
-        eps = draw_errors(skeleton, nest, (spec.base_seed, idx))
-        instances.append(Instance(
-            network=net, stations=stations, user_classes=classes, horizon=T,
-            cost_budget=cost_budget, utility_params=params, choice_sets=choice_sets,
-            error_tensor=eps,
-            metadata={"dataset_kind": kind, "seed": spec.base_seed, "instance_index": idx},
-        ))
-    return instances
+    return [Instance(network=net, stations=stations, user_classes=skeleton.user_classes,
+                     horizon=T, cost_budget=cost_budget, utility_params=params,
+                     choice_sets=skeleton.choice_sets,
+                     error_tensor=draw_errors(skeleton, nest, (seed, idx)),
+                     metadata={"dataset_kind": label, "seed": seed,
+                               "instance_index": idx})
+            for idx in range(count)]
 
 
 def generate_small_instance(seed, n_nodes=8, n_stations=3, horizon=2, max_outlets=2,
@@ -204,14 +208,12 @@ def generate_small_instance(seed, n_nodes=8, n_stations=3, horizon=2, max_outlet
 def generate_small_dataset(seed, count, n_nodes=8, n_stations=3, horizon=2,
                            max_outlets=2, max_scenarios=12, budget=None) -> list[Instance]:
     """Desk-scale instances sharing one network and skeleton, differing only
-    in the error-tensor draw (like the benchmark datasets)."""
+    in the error-tensor draw (like the benchmark datasets). Utilities, nests
+    and errors are those of kind Simple; every class considers every station."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7171]))
     net = generate_network(n_nodes, seed=int(seed) + 991, width_km=9.0, height_km=7.0)
-    station_nodes = _farthest_point_stations(net, n_stations, seed)
-    stations = [Station(id=si + 1, node_id=nid, max_outlets=max_outlets)
-                for si, nid in enumerate(station_nodes)]
+    stations, station_dist = _place_stations(net, n_stations, max_outlets, seed)
     station_ids = [s.id for s in stations]
-    station_dist = net.distance_matrix(station_nodes)
 
     if budget is None:
         budget = float(rng.choice([200.0, 250.0, 300.0, 400.0]))
@@ -226,37 +228,9 @@ def generate_small_dataset(seed, count, n_nodes=8, n_stations=3, horizon=2,
                                  scenario_count=R, consideration_radius=None))
         c0.append([[OPT_OUT]] * horizon)
         c1.append([list(station_ids)] * horizon)
-    choice_sets = ChoiceSets(c0, c1)
-
-    kappa, beta = [], []
-    for ci, uc in enumerate(classes):
-        alts = choice_sets.alternatives[ci]
-        ni = net.index_of[uc.home_node]
-        kap = np.zeros((len(alts), horizon))
-        bet = np.zeros((len(alts), max_outlets, horizon))
-        for pos, alt in enumerate(alts):
-            if alt == OPT_OUT:
-                kap[pos, :] = OPT_OUT_ASC
-            else:
-                st = stations[alt - 1]
-                center = net.node(st.node_id).city_center
-                kap[pos, :] = compute_asc("Simple", st, uc, 1, station_dist[alt - 1, ni],
-                                          city_center=center)
-                bet[pos, :, :] = 0.281
-        kappa.append(kap)
-        beta.append(bet)
-
-    skeleton = _Skeleton(tuple(classes), choice_sets, horizon)
-    params = UtilityParams(kappa, beta)
-    out = []
-    for idx in range(count):
-        eps = draw_errors(skeleton, two_nest_spec(station_ids), (int(seed), idx))
-        out.append(Instance(
-            network=net, stations=stations, user_classes=classes, horizon=horizon,
-            cost_budget=cost_budget, utility_params=params,
-            choice_sets=choice_sets, error_tensor=eps,
-            metadata={"dataset_kind": "small", "seed": int(seed), "instance_index": idx}))
-    return out
+    skeleton = _Skeleton(tuple(classes), ChoiceSets(c0, c1), horizon)
+    return _assemble("Simple", "small", skeleton, net, stations, station_dist, cost_budget,
+                     int(seed), count)
 
 
 # -- manifests ------------------------------------------------------------
@@ -276,8 +250,17 @@ def write_manifest(out_dir, kind, base_seed, entries):
 
 
 def read_manifest(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != MANIFEST_SCHEMA:
+    """The manifest document; InstanceError when it cannot be read, is not
+    JSON, or is not a manifest whose instances all name a path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InstanceError(f"cannot read manifest {path}: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("schema") != MANIFEST_SCHEMA:
         raise InstanceError(f"not a {MANIFEST_SCHEMA} document: {path}")
+    entries = doc.get("instances")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries):
+        raise InstanceError(f"{path}: instances must be a list of entries with a path")
     return doc

@@ -6,7 +6,9 @@ drawn per nest and one Gumbel term per alternative; the error of alternative j
 is factor_sd[nest(j)] * xi[nest(j)] + zeta[j], so alternatives sharing a nest
 get correlated errors. Draws are keyed by (seed, instance, class, period)
 blocks and are therefore deterministic and order independent: any (class,
-period) block can be regenerated in isolation, bit for bit.
+period) block can be regenerated in isolation, bit for bit. The factors are
+drawn with standard deviation NORMAL_SCALE (times the nest's factor_sd) and
+the Gumbel terms with location GUMBEL_LOCATION and scale GUMBEL_SCALE.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import numpy as np
 from .instance import DELTA4_BY_BRACKET, HOME, OPT_OUT, Station, UserClass
 
 OPT_OUT_ASC = 4.5
+
+NORMAL_SCALE = 1.0      # sd of the per-nest normal factor before factor_sd
+GUMBEL_LOCATION = 0.0
+GUMBEL_SCALE = 3.0
 
 DATASET_KINDS = ("Simple", "Distance", "HomeCharging", "LongSpan", "Price")
 
@@ -44,13 +50,8 @@ class NestSpec:
 
     nest_of_alternative: dict[int, int]
     factor_sd: dict[int, float]
-    gumbel_scale: float = 3.0
-    gumbel_location: float = 0.0
-    normal_scale: float = 1.0
 
     def __post_init__(self):
-        if self.gumbel_scale < 0 or self.normal_scale <= 0:
-            raise ErrorSimError("scales must be positive")
         for nest, sd in self.factor_sd.items():
             if sd <= 0:
                 raise ErrorSimError(f"nest {nest}: factor sd must be > 0")
@@ -59,18 +60,18 @@ class NestSpec:
                 raise ErrorSimError(f"alternative {alt}: nest {nest} has no factor sd")
 
 
-def two_nest_spec(station_ids, gumbel_scale=3.0):
+def two_nest_spec(station_ids):
     """Opt-out alone in one nest, all stations in the other."""
     nests = {OPT_OUT: 0}
     nests.update({sid: 1 for sid in station_ids})
-    return NestSpec(nests, {0: 1.0, 1: 1.0}, gumbel_scale=gumbel_scale)
+    return NestSpec(nests, {0: 1.0, 1: 1.0})
 
 
-def three_nest_spec(station_ids, gumbel_scale=3.0):
+def three_nest_spec(station_ids):
     """Opt-out, home charging, and stations in three separate nests."""
     nests = {OPT_OUT: 0, HOME: 1}
     nests.update({sid: 2 for sid in station_ids})
-    return NestSpec(nests, {0: 1.0, 1: 1.0, 2: 1.0}, gumbel_scale=gumbel_scale)
+    return NestSpec(nests, {0: 1.0, 1: 1.0, 2: 1.0})
 
 
 def gumbel_draw(rng, location, scale, size=None):
@@ -94,14 +95,8 @@ def _block_rng(seed_key, class_index, t_index):
 
 def _draw_block(rng, nest_spec, nests_in_class, nest_of_pos, n_alts, n_scenarios):
     """One (class, period) block; returns the factor part and the Gumbel part."""
-    xi = rng.normal(0.0, nest_spec.normal_scale, size=(n_scenarios, len(nests_in_class)))
-    if nest_spec.gumbel_scale > 0:
-        zeta = gumbel_draw(rng, nest_spec.gumbel_location, nest_spec.gumbel_scale,
-                           size=(n_scenarios, n_alts))
-    else:
-        # diagnostic mode: isolate the shared factor component
-        rng.random((n_scenarios, n_alts))
-        zeta = np.full((n_scenarios, n_alts), nest_spec.gumbel_location)
+    xi = rng.normal(0.0, NORMAL_SCALE, size=(n_scenarios, len(nests_in_class)))
+    zeta = gumbel_draw(rng, GUMBEL_LOCATION, GUMBEL_SCALE, size=(n_scenarios, n_alts))
     sds = np.array([nest_spec.factor_sd[n] for n in nests_in_class])
     factor_part = (xi * sds)[:, nest_of_pos]  # (R, n_alts)
     return factor_part, zeta

@@ -46,6 +46,8 @@ class GrowthFunction:
         q, m, o = self.breakpoints, self.slopes, self.intercepts
         if len(q) != len(m) + 1 or len(m) != len(o):
             raise GrowthError("segment arrays have inconsistent lengths")
+        if not np.isfinite(q + m + o).all():
+            raise GrowthError("breakpoints, slopes and intercepts must be finite")
         if any(b - a <= 0 for a, b in zip(q, q[1:])):
             raise GrowthError("breakpoints must be strictly increasing")
         if abs(q[0]) > 1e-9 or abs(q[-1] - 1.0) > 1e-9:
@@ -196,6 +198,9 @@ def growth_from_csv(text: str) -> GrowthFunction:
             segments.append([float(v) for v in row])
         except ValueError as exc:
             raise GrowthError(f"line {line}: {exc}") from None
+        if len(segments) > 1 and segments[-1][0] != segments[-2][1]:
+            raise GrowthError(f"line {line}: q_lo {segments[-1][0]!r} is not the previous "
+                              f"segment's q_hi {segments[-2][1]!r}")
     q = [segments[0][0]] + [seg[1] for seg in segments]
     return GrowthFunction(q, [seg[2] for seg in segments], [seg[3] for seg in segments])
 

@@ -25,7 +25,7 @@ from .covering import CoverageTensor, evaluate
 from .exact import EnumerationBudget, _instance_extensions
 from .instance import Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
-from .solver import STATUS_NOT_CONFIGURED, resolve_solver_command, solve_external
+from .solver import resolve_solver_command, solve_external
 
 MYOPIC = "myopic"
 HYPEROPTIC = "hyperoptic"
@@ -295,6 +295,9 @@ def _candidate_moves(instance, levels, t_idx, j):
 
 
 def _local_search(instance, coverage, levels, deadline=None, trace=None):
+    """Add / Transfer / Split moves, period by period, taking the first
+    improving move; never worsens f and never leaves the feasible set
+    (infeasible moves are discarded). Returns the searched levels and f."""
     levels = levels.copy()
     values = coverage.period_values(levels)  # per period, refreshed on every accepted move
     f_cur = float(values.sum())
@@ -322,15 +325,6 @@ def _local_search(instance, coverage, levels, deadline=None, trace=None):
             if rel < LOCAL_SEARCH_MIN_REL_GAIN:
                 break
     return levels, f_cur
-
-
-def local_search(instance: Instance, coverage: CoverageTensor, x: SolutionX) -> SolutionX:
-    """Add / Transfer / Split moves, period by period, taking the first
-    improving move; never worsens f and never leaves the feasible set
-    (infeasible moves are discarded)."""
-    levels, _ = _local_search(instance, coverage, x.levels)
-    max_k = int(instance.max_outlets.max())
-    return SolutionX.from_levels(levels, max_k)
 
 
 # -- GRASP -------------------------------------------------------------------------
@@ -429,7 +423,7 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
         if command is not None:
             model = build_mc_period(instance, coverage, t, base)
             result = solve_external(model, command, time_limit_s=limits[t - 1])
-            if result.status == STATUS_NOT_CONFIGURED or not result.ok:
+            if not result.ok:
                 raise HeuristicError(
                     f"period {t}: solver failed with status {result.status} ({result.detail})")
             x_t = extract_solution_x(instance, result.values)

@@ -269,7 +269,8 @@ class SolutionX:
 
 
 def period_costs(instance: Instance, levels) -> np.ndarray:
-    """Investment per period implied by an outlet-count schedule (n_stations, T)."""
+    """Investment per period implied by an outlet-count schedule (n_stations, T):
+    entry t is sum_j sum_k c[j][k][t] (x^t - x^{t-1})."""
     levels = np.asarray(levels, dtype=int)
     prev = np.concatenate([instance.initial_levels[:, None], levels[:, :-1]], axis=1)
     cost = instance.cost_budget.outlet_cost
@@ -277,15 +278,6 @@ def period_costs(instance: Instance, levels) -> np.ndarray:
     ks = np.arange(1, max_k + 1)
     bought = (levels[:, None, :] >= ks[None, :, None]) & (prev[:, None, :] < ks[None, :, None])
     return np.where(bought, cost, 0.0).sum(axis=(0, 1))
-
-
-def solution_cost(instance: Instance, x: SolutionX, t: int) -> float:
-    """Investment in period t (1-based): sum_j sum_k c[j][k][t] (x^t - x^{t-1})."""
-    if not 1 <= t <= instance.horizon:
-        raise InstanceError(f"period {t} outside 1..{instance.horizon}")
-    if not x.ladder_ok():
-        raise InstanceError("malformed solution: ladder violated")
-    return float(period_costs(instance, x.levels)[t - 1])
 
 
 @dataclass

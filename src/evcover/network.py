@@ -1,9 +1,12 @@
-"""City network: zone centroids, Euclidean edges, shortest-path distances.
+"""City network: zone centroids, Euclidean edges, a shortest-path distance matrix.
 
 Nodes carry population and a housing mix (fractions of single / attached /
 apartment dwellings); edges are undirected with lengths equal to the
 Euclidean distance between their endpoints. All station-to-user distances
-are graph shortest paths over these edge lengths, never straight lines.
+are graph shortest paths over these edge lengths, never straight lines
+(`Network.distance_matrix`). Generated cities have lognormal node
+populations with mean MEAN_POPULATION, and the CENTER_FRACTION of nodes
+closest to the population-weighted centroid form the city centre.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 NETWORK_SCHEMA = "evcover-network-v1"
+
+MEAN_POPULATION = 570.0
+CENTER_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class Network:
     threads.
     """
 
-    def __init__(self, nodes, edges, require_connected=True):
+    def __init__(self, nodes, edges):
         self.nodes = tuple(nodes)
         self.node_ids = tuple(n.id for n in self.nodes)
         self.index_of = {nid: i for i, nid in enumerate(self.node_ids)}
@@ -84,8 +90,7 @@ class Network:
         self._adjacency = csr_matrix((vals, (rows, cols)), shape=(n, n))
 
         ncomp, labels = connected_components(self._adjacency, directed=False)
-        self._component_labels = labels
-        if require_connected and n > 1 and ncomp != 1:
+        if n > 1 and ncomp != 1:
             sizes = np.bincount(labels)
             small = int(np.argmin(sizes))
             members = [self.node_ids[i] for i in np.flatnonzero(labels == small)]
@@ -107,24 +112,6 @@ class Network:
         """Shortest-path km from each source node to every node, shape (len(sources), n)."""
         idx = np.asarray([self.index_of[s] for s in source_ids], dtype=int)
         return dijkstra(self._adjacency, directed=False, indices=idx)
-
-
-def shortest_path_distances(network: Network, source_node: str) -> dict[str, float]:
-    """Exact single-source shortest-path lengths (km) over edge lengths.
-
-    Raises NetworkError naming the unreachable nodes if the graph is
-    disconnected from the source.
-    """
-    if source_node not in network.index_of:
-        raise NetworkError(f"unknown source node {source_node!r}")
-    dist = network.distance_matrix([source_node])[0]
-    unreachable = np.isinf(dist)
-    if unreachable.any():
-        members = [network.node_ids[i] for i in np.flatnonzero(unreachable)]
-        raise NetworkError(
-            f"nodes unreachable from {source_node!r} (disconnected component): {members}"
-        )
-    return {nid: float(d) for nid, d in zip(network.node_ids, dist)}
 
 
 def euclidean(n1: Node, n2: Node) -> float:
@@ -155,18 +142,11 @@ def _gabriel_edges(points):
     return edges
 
 
-def generate_network(
-    n_nodes,
-    seed,
-    width_km=30.0,
-    height_km=22.0,
-    mean_population=570.0,
-    center_fraction=0.10,
-):
+def generate_network(n_nodes, seed, width_km=30.0, height_km=22.0):
     """Seeded synthetic city: uniform nodes, Gabriel-graph edges, lognormal populations.
 
     The Gabriel graph contains the Euclidean minimum spanning tree, so the
-    result is connected. Roughly ``center_fraction`` of the nodes closest to
+    result is connected. Roughly CENTER_FRACTION of the nodes closest to
     the population-weighted centroid are flagged as city centre.
     """
     if n_nodes < 2:
@@ -174,12 +154,12 @@ def generate_network(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA17]))
     pts = rng.random((n_nodes, 2)) * [width_km, height_km]
     sigma = 0.8
-    pops = rng.lognormal(mean=math.log(mean_population) - sigma**2 / 2, sigma=sigma, size=n_nodes)
+    pops = rng.lognormal(mean=math.log(MEAN_POPULATION) - sigma**2 / 2, sigma=sigma, size=n_nodes)
     mixes = rng.dirichlet([4.0, 2.0, 2.0], size=n_nodes)
 
     centroid = np.average(pts, axis=0, weights=pops)
     order = np.argsort(np.sum((pts - centroid) ** 2, axis=1))
-    n_center = max(1, int(round(center_fraction * n_nodes)))
+    n_center = max(1, int(round(CENTER_FRACTION * n_nodes)))
     center = np.zeros(n_nodes, dtype=bool)
     center[order[:n_center]] = True
 

@@ -76,8 +76,7 @@ def resolve_solver_command(solver_command=None):
     return cmd
 
 
-def solve_external(model: MilpModel, solver_command=None, time_limit_s=None,
-                   workdir=None) -> SolveResult:
+def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> SolveResult:
     """Write the model as LP, solve the LP file, parse the solution file.
 
     The bundled solver runs in the calling process; it has no grace timeout
@@ -92,7 +91,7 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None,
         return SolveResult(STATUS_NOT_CONFIGURED, detail="external solver not configured")
     limit = float(time_limit_s) if time_limit_s is not None else 1e7
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         lp_path = os.path.join(tmp, f"{model.name}.lp")
         sol_path = os.path.join(tmp, f"{model.name}.sol")
         export_lp(model, lp_path)

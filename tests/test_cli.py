@@ -9,7 +9,7 @@ import pytest
 from evcover.cli import (RunReport, main, nearest_rank_percentile, read_rows_csv,
                          write_rows_csv)
 from evcover.covering import build_coverage, evaluate
-from evcover.datasets import generate_small_dataset, write_manifest
+from evcover.datasets import MANIFEST_SCHEMA, generate_small_dataset, write_manifest
 from evcover.exact import brute_force_optimum
 from evcover.growth import GrowthError, growth_from_csv
 from evcover.instance import SolutionX, load_instance, save_instance
@@ -210,6 +210,10 @@ def test_export_gf_requires_growth(tmp_path, tiny_manifest):
     "q_lo,q_hi,slope,intercept\n",                  # header only
     "q_lo,q_hi,slope,intercept\n0.0,1.0,1.0\n",     # short row
     "q_lo,q_hi,slope,intercept\n0.0,1.0,one,0.0\n",  # not a number
+    "q_lo,q_hi,slope,intercept\n0.0,0.5,1.0,0.0\n0.7,1.0,1.0,0.0\n",  # segments do not chain
+    "q_lo,q_hi,slope,intercept\n0.0,nan,1.0,0.0\nnan,1.0,1.0,0.0\n",  # nan breakpoint
+    "q_lo,q_hi,slope,intercept\n0.0,1.0,nan,0.0\n",  # nan slope
+    "q_lo,q_hi,slope,intercept\n0.0,1.0,inf,0.0\n",  # inf slope
 ])
 def test_malformed_growth_csv_is_one_error_line(tmp_path, tiny_manifest, capsys, text):
     with pytest.raises(GrowthError):
@@ -223,6 +227,42 @@ def test_malformed_growth_csv_is_one_error_line(tmp_path, tiny_manifest, capsys,
                "--out", str(out)])
     assert rc == 1
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+MANIFESTS = {
+    "not JSON": "{not json",
+    "wrong schema": json.dumps({"schema": "other", "instances": []}),
+    "entry without a path": json.dumps({"schema": MANIFEST_SCHEMA, "instances": [{"seed": 1}]}),
+    "no instances": json.dumps({"schema": MANIFEST_SCHEMA, "instances": []}),
+}
+
+
+@pytest.mark.parametrize("command, manifest", [
+    ("generate", None),
+    ("solve", "missing"),
+    ("solve", "not JSON"),
+    ("solve", "wrong schema"),
+    ("solve", "entry without a path"),
+    ("compare-gf", "missing"),
+    ("compare-gf", "not JSON"),
+    ("compare-gf", "wrong schema"),
+    ("compare-gf", "no instances"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, command, manifest):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "Simple", "--nodes", "10", "--count", "-1", "--out", str(out)]
+    else:
+        path = tmp_path / "manifest.json"
+        if manifest != "missing":
+            path.write_text(MANIFESTS[manifest])
+        argv = [command, str(path), "--out", str(out)]
+        if command == "solve":
+            argv += ["--method", "greedy-m"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"evcover {command}: ")
     assert not out.exists()
 
 

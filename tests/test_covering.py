@@ -3,9 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evcover.covering import (CoverageError, CoverageTensor, TripletIndex, UtilityLadder,
-                              build_coverage, compute_abar, evaluate, evaluate_per_period,
-                              gap, optout_utility, preprocess_home_charging,
+from evcover.covering import (CoverageError, CoverageTensor, TripletIndex, build_coverage,
+                              compute_abar, evaluate, evaluate_per_period, gap,
+                              optout_utility, preprocess_home_charging,
                               score_hyperoptic, score_myopic, station_utility_at_k)
 from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
@@ -52,13 +52,15 @@ def test_optout_utility_additive_in_error():
 
 
 def test_optout_matches_utility_ladder_row():
+    # the opt-out row of the utility ladder: kappa + eps, the same for every k
     inst = generate_small_instance(23)
-    ladder = UtilityLadder(inst, 0)
-    pos = inst.choice_sets.alt_index[0][OPT_OUT]
-    for r in range(3):
-        for t in range(1, inst.horizon + 1):
-            assert optout_utility(inst, t, 0, r) == pytest.approx(
-                float(ladder.u[pos, r, t - 1, 0]))
+    for ci in range(inst.n_classes):
+        pos = inst.choice_sets.alternatives[ci].index(OPT_OUT)
+        kap, eps = inst.utility_params.kappa[ci], inst.error_tensor[ci]
+        for r in range(3):
+            for t in range(1, inst.horizon + 1):
+                assert optout_utility(inst, t, ci, r) == pytest.approx(
+                    kap[pos, t - 1] + eps[pos, r, t - 1])
 
 
 def test_station_utility_linear_ladder():
@@ -101,9 +103,17 @@ def test_station_that_never_covers_has_zero_row():
 
 
 def test_ladder_nondecreasing_in_k():
+    # k = 0 is the closed-station level abar, below every open utility
     inst = generate_small_instance(31)
-    for ci in range(inst.n_classes):
-        assert UtilityLadder(inst, ci).nondecreasing_in_k()
+    abar = compute_abar(inst)
+    for ci, uc in enumerate(inst.user_classes):
+        for t in range(1, inst.horizon + 1):
+            for j in inst.choice_sets.c1[ci][t - 1]:
+                m_j = inst.stations[inst.station_index[j]].max_outlets
+                for r in range(uc.scenario_count):
+                    ladder = [station_utility_at_k(inst, t, ci, r, j, k, abar)
+                              for k in range(m_j + 1)]
+                    assert all(b >= a - 1e-12 for a, b in zip(ladder, ladder[1:]))
 
 
 # -- coverage tensor against the naive oracle --------------------------------
@@ -149,7 +159,6 @@ def test_home_dominates_forces_coverage():
     pre = preprocess_home_charging(inst)
     assert pre.forced[0].all()
     assert pre.forced_mass == pytest.approx(100.0)
-    assert pre.reduced_c0[0][0] == (OPT_OUT,)
 
 
 def test_home_dominated_is_dropped():
@@ -163,7 +172,8 @@ def test_class_without_home_unchanged():
     inst = manual_instance()
     pre = preprocess_home_charging(inst)
     assert pre.forced[0] is None
-    assert pre.reduced_c0[0] == inst.choice_sets.c0[0]
+    assert pre.forced_mass == 0.0
+    assert not pre.forced_bits.any()
 
 
 # -- evaluation ----------------------------------------------------------------

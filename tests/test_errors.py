@@ -46,15 +46,6 @@ def _skeleton(n_stations=2, R=10, T=1, home=False):
     return _Skeleton((uc,), cs, T), sids
 
 
-def test_shared_nest_equal_when_gumbel_zeroed():
-    skeleton, sids = _skeleton(n_stations=3, R=50)
-    spec = NestSpec({OPT_OUT: 0, 1: 1, 2: 1, 3: 1}, {0: 1.0, 1: 1.0}, gumbel_scale=0.0)
-    eps = draw_errors(skeleton, spec, 0)[0]
-    # all station rows share the nest factor, so they are identical
-    np.testing.assert_allclose(eps[1], eps[2])
-    np.testing.assert_allclose(eps[1], eps[3])
-
-
 def test_same_nest_correlation_matches_component_variances():
     skeleton, sids = _skeleton(n_stations=2, R=100_000)
     eps = draw_errors(skeleton, two_nest_spec(sids), 42)[0]

@@ -6,8 +6,7 @@ from evcover.datasets import generate_small_instance
 from evcover.exact import brute_force_optimum
 from evcover.heuristics import (GraspConfig, GreedyConfig, HeuristicResult,
                                 RollingHorizonConfig, grasp, grasp_construct,
-                                grasp_filter, greedy, local_search, rolling_horizon,
-                                _local_search)
+                                grasp_filter, greedy, rolling_horizon, _local_search)
 from evcover.instance import SolutionX, validate_solution
 from evcover.milp import build_mc, extract_solution_x
 from evcover.solver import solve_external
@@ -107,8 +106,9 @@ def test_filter_formula():
 def test_local_search_leaves_optimum_alone():
     inst, cov = tiny(311, n_stations=2, horizon=1)
     x_star, f_star = brute_force_optimum(inst, cov)
-    out = local_search(inst, cov, x_star)
-    assert evaluate(inst, cov, out) == pytest.approx(f_star)
+    levels, f = _local_search(inst, cov, x_star.levels)
+    np.testing.assert_array_equal(levels, x_star.levels)
+    assert f == pytest.approx(f_star)
 
 
 def test_transfer_moves_budget_off_dead_station():
@@ -120,9 +120,10 @@ def test_transfer_moves_budget_off_dead_station():
     cov = build_coverage(inst)
     start = SolutionX.from_levels(np.array([[2], [0]]), 2)
     f_start = evaluate(inst, cov, start)
-    out = local_search(inst, cov, start)
-    assert evaluate(inst, cov, out) > f_start
-    assert out.levels[1, 0] >= 1
+    levels, f = _local_search(inst, cov, start.levels)
+    assert f > f_start
+    assert f == pytest.approx(evaluate(inst, cov, SolutionX.from_levels(levels, 2)))
+    assert levels[1, 0] >= 1
 
 
 def test_local_search_never_decreases_and_stays_feasible():
@@ -151,7 +152,8 @@ def test_grasp_degenerate_config_is_greedy_plus_search():
     inst, cov = tiny(321)
     res = grasp(inst, cov, GraspConfig(alpha=1.0, max_solutions=1, seed=0))
     g = greedy(inst, cov).x
-    searched = local_search(inst, cov, g)
+    levels, _ = _local_search(inst, cov, g.levels)
+    searched = SolutionX.from_levels(levels, int(inst.max_outlets.max()))
     assert res.f == pytest.approx(evaluate(inst, cov, searched))
     assert res.termination == "max_solutions"
     assert len(res.trace) == 1

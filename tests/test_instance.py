@@ -6,22 +6,22 @@ import pytest
 from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
 from evcover.instance import (Instance, InstanceError, SolutionX, instance_from_json,
-                              instance_to_json, load_instance, save_instance,
-                              solution_cost, validate_solution)
+                              instance_to_json, load_instance, period_costs, save_instance,
+                              validate_solution)
 
 from conftest import manual_instance
 
 
 def test_solution_cost_zero_solution():
     inst = manual_instance()
-    assert solution_cost(inst, SolutionX.zeros(inst), 1) == 0.0
+    assert period_costs(inst, SolutionX.zeros(inst).levels).tolist() == [0.0]
 
 
 def test_solution_cost_open_to_six_outlets():
     # first outlet 150, each further 50: 150 + 5*50 = 400
     inst = manual_instance(max_outlets=6, budget=400.0)
     x = SolutionX.from_levels(np.array([[6]]), 6)
-    assert solution_cost(inst, x, 1) == pytest.approx(400.0)
+    assert period_costs(inst, x.levels)[0] == pytest.approx(400.0)
 
 
 def test_solution_cost_matches_term_by_term_oracle():
@@ -30,20 +30,21 @@ def test_solution_cost_matches_term_by_term_oracle():
     for _ in range(25):
         x = random_feasible_solution(inst, rng)
         levels = x.levels
+        costs = period_costs(inst, levels)
         for t in range(1, inst.horizon + 1):
             total = 0.0
             for j in range(inst.n_stations):
                 prev = inst.initial_levels[j] if t == 1 else levels[j, t - 2]
                 for k in range(prev + 1, levels[j, t - 1] + 1):
                     total += inst.cost_budget.outlet_cost[j, k - 1, t - 1]
-            assert solution_cost(inst, x, t) == pytest.approx(total)
+            assert costs[t - 1] == pytest.approx(total)
 
 
 def test_solution_cost_rejects_ladder_violation():
     inst = manual_instance(max_outlets=2)
     bad = SolutionX(np.array([[[0], [1]]], dtype=np.int8))  # k=2 without k=1
     with pytest.raises(InstanceError, match="ladder"):
-        solution_cost(inst, bad, 1)
+        period_costs(inst, bad.levels)
 
 
 def test_validate_zero_solution_feasible():
@@ -118,8 +119,7 @@ def test_feasible_solution_cost_within_budget():
     inst = generate_small_instance(19, horizon=2)
     for _ in range(20):
         x = random_feasible_solution(inst, rng)
-        for t in range(1, inst.horizon + 1):
-            assert solution_cost(inst, x, t) <= inst.cost_budget.budgets[t - 1] + 1e-9
+        assert (period_costs(inst, x.levels) <= inst.cost_budget.budgets + 1e-9).all()
 
 
 def test_simple_kind_instance_round_trip(tmp_path):

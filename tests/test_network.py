@@ -6,7 +6,7 @@ import pytest
 from evcover.datasets import generate_small_instance
 from evcover.network import (Edge, Network, NetworkError, Node, generate_network,
                              load_network, network_from_text, network_to_text,
-                             save_network, shortest_path_distances)
+                             save_network)
 
 from conftest import line_network
 
@@ -27,43 +27,45 @@ def bellman_ford(network, source):
     return dist
 
 
+def distances_from(net, source):
+    """One row of the distance matrix, keyed by node id."""
+    return dict(zip(net.node_ids, net.distance_matrix([source])[0].tolist()))
+
+
 def test_two_node_distance():
     net = line_network([3.0])
-    assert shortest_path_distances(net, "n0") == {"n0": 0.0, "n1": 3.0}
+    assert distances_from(net, "n0") == {"n0": 0.0, "n1": 3.0}
 
 
 def test_triangle_shortcut():
     nodes = [Node("n0", 0, 0, 1), Node("n1", 1, 0, 1), Node("n2", 2, 0, 1)]
     edges = [Edge("n0", "n1", 1.0), Edge("n1", "n2", 1.0), Edge("n0", "n2", 3.0)]
     net = Network(nodes, edges)
-    assert shortest_path_distances(net, "n0")["n2"] == pytest.approx(2.0)
+    assert distances_from(net, "n0")["n2"] == pytest.approx(2.0)
 
 
 def test_matches_bellman_ford_on_random_geometric_graph():
     net = generate_network(50, seed=5)
-    for source in ("n0", "n17", "n49"):
-        got = shortest_path_distances(net, source)
+    sources = ("n0", "n17", "n49")
+    matrix = net.distance_matrix(sources)
+    for row, source in zip(matrix, sources):
         want = bellman_ford(net, source)
-        for nid in net.node_ids:
-            assert got[nid] == pytest.approx(want[nid], abs=1e-9)
+        for nid, got in zip(net.node_ids, row):
+            assert got == pytest.approx(want[nid], abs=1e-9)
 
 
 def test_triangle_inequality_over_graph_metric():
     net = generate_network(30, seed=9)
-    dist = {s: shortest_path_distances(net, s) for s in net.node_ids}
+    dist = net.distance_matrix(net.node_ids)
     rng = np.random.default_rng(0)
-    ids = list(net.node_ids)
     for _ in range(200):
-        a, b, c = rng.choice(ids, size=3)
-        assert dist[a][c] <= dist[a][b] + dist[b][c] + 1e-9
+        a, b, c = rng.choice(len(net), size=3)
+        assert dist[a, c] <= dist[a, b] + dist[b, c] + 1e-9
 
 
 def test_disconnected_error_names_component():
     nodes = [Node("a", 0, 0, 1), Node("b", 1, 0, 1), Node("c", 9, 9, 1)]
-    net = Network(nodes, [Edge("a", "b", 1.0)], require_connected=False)
-    with pytest.raises(NetworkError, match="c"):
-        shortest_path_distances(net, "a")
-    with pytest.raises(NetworkError, match="disconnected"):
+    with pytest.raises(NetworkError, match=r"disconnected .*\['c'\]"):
         Network(nodes, [Edge("a", "b", 1.0)])
 
 
@@ -104,6 +106,6 @@ def test_network_file_round_trip(tmp_path):
 def test_two_node_network_has_one_edge():
     net = generate_network(2, seed=4)
     assert [(e.node_a, e.node_b) for e in net.edges] == [("n0", "n1")]
-    assert shortest_path_distances(net, "n0")["n1"] == pytest.approx(net.edges[0].length)
+    assert distances_from(net, "n0")["n1"] == pytest.approx(net.edges[0].length)
     inst = generate_small_instance(1, n_nodes=2, n_stations=2)
     assert inst.n_stations == 2

@@ -330,11 +330,16 @@ def cmd_compare_gf(args):
         paths = _manifest_paths(args.manifest)
         if not paths:
             raise InstanceError(f"{args.manifest}: manifest lists no instances")
-    except InstanceError as exc:
+        instances = []
+        for path in paths:
+            try:
+                instances.append(load_instance(path))
+            except InstanceError as exc:
+                raise InstanceError(f"{path}: {exc}") from None
+    except (OSError, InstanceError) as exc:
         print(f"evcover compare-gf: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    instances = [load_instance(p) for p in paths]
     coverages = [build_coverage(inst) for inst in instances]
 
     # reference covering solution drives the growth function

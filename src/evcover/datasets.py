@@ -64,6 +64,8 @@ class _Skeleton:
 def _place_stations(network, n_stations, max_outlets, seed):
     """Candidate stations spread by farthest-point sampling (seeded start, then
     greedy max-min graph distance), and their distances to every node."""
+    if n_stations < 1:
+        raise InstanceError(f"need at least one station, got n_stations={n_stations}")
     if n_stations > len(network):
         raise InstanceError(f"need {n_stations} station nodes, network has {len(network)}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x57A7]))

@@ -12,6 +12,7 @@ read-only so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .network import Network, network_from_text, network_to_text
 OPT_OUT = 0
 HOME = -1
 
-INSTANCE_SCHEMA = "evcover-instance-v1"
+INSTANCE_SCHEMA = "evcover-instance-v2"
 
 INCOME_BRACKETS = 5
 # delta4 by income bracket, lowest to highest
@@ -341,15 +342,21 @@ def validate_solution(instance: Instance, x: SolutionX) -> FeasibilityReport:
 
 # -- serialization -------------------------------------------------------
 #
-# A single self-describing JSON document. The error tensor is stored as one
-# flat list per class; the header block records the index order:
-# value[(alt_pos * R + r) * T + t] = eps[class][alt_pos][r][t], i.e. nested
-# (class, alternative, scenario, period) with alternative order given by
-# "alternatives".
+# A single self-describing JSON document. Each class's error tensor is one
+# base64 string of its little-endian float64 bytes, in the row-major order
+# the header block records: value[(alt_pos * R + r) * T + t] =
+# eps[class][alt_pos][r][t], i.e. nested (class, alternative, scenario,
+# period) with alternative order given by "alternatives". The v1 schema,
+# which stored the same values as one flat JSON number list per class, is
+# still read. save_instance streams the same bytes instance_to_json returns,
+# so round trips are byte-identical.
+
+_V1_SCHEMA = "evcover-instance-v1"
+_JSON_FORMAT = {"separators": (",", ":"), "sort_keys": True}
 
 
-def instance_to_json(instance: Instance) -> str:
-    doc = {
+def _instance_doc(instance: Instance) -> dict:
+    return {
         "schema": INSTANCE_SCHEMA,
         "error_tensor_order": "(class, alternative, scenario, period); row-major",
         "metadata": instance.metadata,
@@ -376,22 +383,54 @@ def instance_to_json(instance: Instance) -> str:
                 "alternatives": list(instance.choice_sets.alternatives[ci]),
                 "kappa": instance.utility_params.kappa[ci].tolist(),
                 "beta": instance.utility_params.beta[ci].tolist(),
-                "errors": instance.error_tensor[ci].ravel().tolist(),
+                "errors": base64.b64encode(
+                    np.ascontiguousarray(instance.error_tensor[ci], dtype="<f8")
+                ).decode("ascii"),
             }
             for ci, uc in enumerate(instance.user_classes)
         ],
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def instance_to_json(instance: Instance) -> str:
+    return json.dumps(_instance_doc(instance), **_JSON_FORMAT)
+
+
+def _errors_from_doc(value, schema, class_id, shape) -> np.ndarray:
+    """One class's error tensor from its "errors" field, refused with
+    InstanceError unless it holds exactly n_alts * R * T values."""
+    if schema == _V1_SCHEMA:
+        flat = np.asarray(value, dtype=float)
+    else:
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"class {class_id}: errors are not valid base64: {exc}") from None
+        if len(raw) % 8:
+            raise InstanceError(
+                f"class {class_id}: errors hold {len(raw)} bytes, not a multiple of 8"
+            )
+        flat = np.frombuffer(raw, dtype="<f8")
+    expected = shape[0] * shape[1] * shape[2]
+    if flat.size != expected:
+        raise InstanceError(
+            f"class {class_id}: errors hold {flat.size} values, expected "
+            f"{shape[0]}x{shape[1]}x{shape[2]} = {expected}"
+        )
+    return flat.reshape(shape)
 
 
 def instance_from_json(text: str) -> Instance:
+    """An Instance from a v2 or v1 document; the schemas differ only in how
+    the error tensor is encoded."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed instance file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != INSTANCE_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema not in (INSTANCE_SCHEMA, _V1_SCHEMA):
         raise InstanceError(
-            f"schema mismatch: expected {INSTANCE_SCHEMA}, got {doc.get('schema')!r}"
+            f"schema mismatch: expected {INSTANCE_SCHEMA} or {_V1_SCHEMA}, got {schema!r}"
         )
     try:
         network = network_from_text(doc["network"])
@@ -411,10 +450,8 @@ def instance_from_json(text: str) -> Instance:
             kap = np.asarray(c["kappa"], dtype=float)
             kappa.append(kap)
             beta.append(np.asarray(c["beta"], dtype=float))
-            n_alts = kap.shape[0]
-            errors.append(
-                np.asarray(c["errors"], dtype=float).reshape(n_alts, uc.scenario_count, T)
-            )
+            errors.append(_errors_from_doc(c["errors"], schema, uc.id,
+                                           (kap.shape[0], uc.scenario_count, T)))
         return Instance(
             network=network,
             stations=stations,
@@ -431,8 +468,9 @@ def instance_from_json(text: str) -> Instance:
 
 
 def save_instance(instance: Instance, path):
+    """Write the document instance_to_json returns, streamed to the file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(instance))
+        json.dump(_instance_doc(instance), fh, **_JSON_FORMAT)
 
 
 def load_instance(path) -> Instance:

@@ -235,6 +235,10 @@ MANIFESTS = {
     "wrong schema": json.dumps({"schema": "other", "instances": []}),
     "entry without a path": json.dumps({"schema": MANIFEST_SCHEMA, "instances": [{"seed": 1}]}),
     "no instances": json.dumps({"schema": MANIFEST_SCHEMA, "instances": []}),
+    "missing instance": json.dumps({"schema": MANIFEST_SCHEMA,
+                                    "instances": [{"path": "nope.json"}]}),
+    "unreadable instance": json.dumps({"schema": MANIFEST_SCHEMA,
+                                       "instances": [{"path": "bad.json"}]}),
 }
 
 
@@ -248,9 +252,12 @@ MANIFESTS = {
     ("compare-gf", "not JSON"),
     ("compare-gf", "wrong schema"),
     ("compare-gf", "no instances"),
+    ("compare-gf", "missing instance"),
+    ("compare-gf", "unreadable instance"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, command, manifest):
     out = tmp_path / "out"
+    (tmp_path / "bad.json").write_text('{"schema": "evcover-instance-v2"}')
     if command == "generate":
         argv = ["generate", "Simple", "--nodes", "10", "--count", "-1", "--out", str(out)]
     else:

@@ -3,7 +3,7 @@ import pytest
 
 from evcover.datasets import (DatasetSpec, generate_dataset, generate_small_dataset,
                               read_manifest, write_manifest)
-from evcover.instance import HOME, OPT_OUT, instance_to_json
+from evcover.instance import HOME, OPT_OUT, InstanceError, instance_to_json
 from evcover.network import Network, Edge, Node, generate_network
 
 
@@ -110,6 +110,12 @@ def test_small_dataset_shares_skeleton():
     insts = generate_small_dataset(5, 3)
     assert len({i.network.total_population for i in insts}) == 1
     assert not np.array_equal(insts[0].error_tensor[0], insts[1].error_tensor[0])
+
+
+@pytest.mark.parametrize("n_stations", [0, -2])
+def test_small_dataset_refuses_fewer_than_one_station(n_stations):
+    with pytest.raises(InstanceError, match=f"n_stations={n_stations}"):
+        generate_small_dataset(1, 1, n_stations=n_stations)
 
 
 def test_manifest_round_trip(tmp_path):

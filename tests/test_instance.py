@@ -1,7 +1,13 @@
+import base64
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
@@ -83,6 +89,81 @@ def test_round_trip_is_byte_identical(tmp_path):
     # structural equality of the error tensor survives
     for a, b in zip(inst.error_tensor, loaded.error_tensor):
         np.testing.assert_array_equal(a, b)
+
+
+# edge values every bit of which must survive: signed zero, the smallest and
+# largest subnormals, the smallest normal and the largest finite magnitudes
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                np.finfo(float).max, -np.finfo(float).max)
+
+
+@st.composite
+def _error_tensors(draw):
+    shape = (1 + draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    elements = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_error_tensors())
+def test_v2_round_trip_keeps_every_error_bit(eps):
+    inst = manual_instance(n_stations=eps.shape[0] - 1, scenarios=eps.shape[1],
+                           horizon=eps.shape[2], eps=eps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        save_instance(inst, path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        loaded = load_instance(path)
+    assert text == instance_to_json(inst)
+    assert json.loads(text)["schema"] == "evcover-instance-v2"
+    (got,) = loaded.error_tensor
+    assert got.shape == eps.shape
+    assert np.array_equal(got.view(np.uint64), eps.view(np.uint64))
+
+
+def _doc_with_errors(payload):
+    """A v2 document of a one-class instance whose errors field is `payload`."""
+    doc = json.loads(instance_to_json(manual_instance(n_stations=2, scenarios=3, horizon=2)))
+    doc["classes"][0]["errors"] = payload
+    return json.dumps(doc)
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_v2_refuses_non_finite_errors(bad):
+    values = np.zeros(3 * 3 * 2)
+    values[7] = bad
+    with pytest.raises(InstanceError, match="non-finite"):
+        instance_from_json(_doc_with_errors(_b64(values)))
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_b64(np.zeros(9)) + "*" + _b64(np.zeros(9)), "base64"),  # a character outside the alphabet
+    ("AAAAAAAAAAA", "base64"),                        # bad padding
+    (np.zeros(18).tolist(), "base64"),                # a v1 list under the v2 schema
+    (base64.b64encode(bytes(12)).decode(), "multiple of 8"),
+    (_b64(np.zeros(17)), "17 values, expected 3x3x2 = 18"),
+    (_b64(np.zeros(19)), "19 values"),
+])
+def test_v2_refuses_malformed_errors(payload, message):
+    with pytest.raises(InstanceError, match=message):
+        instance_from_json(_doc_with_errors(payload))
+
+
+def test_v1_file_loads_to_the_same_instance():
+    # written by the v1 writer from generate_small_instance(3)
+    path = os.path.join(os.path.dirname(__file__), "data", "instance_v1.json")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["schema"] == "evcover-instance-v1"
+    loaded, fresh = load_instance(path), generate_small_instance(3)
+    for a, b in zip(loaded.error_tensor, fresh.error_tensor, strict=True):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert instance_to_json(loaded) == instance_to_json(fresh)
 
 
 def test_load_rejects_negative_beta(tmp_path):

@@ -211,17 +211,13 @@ def _solve_one(args):
 def cmd_generate(args):
     # the whole dataset is built before the first file is written, so a
     # network that cannot hold the kind's stations leaves nothing behind
-    try:
-        if args.network:
-            net = load_network(args.network)
-        else:
-            net = generate_network(args.nodes, seed=args.seed)
-        spec = DatasetSpec(kind=args.kind, network=net, instance_count=args.count,
-                           base_seed=args.seed)
-        instances = generate_dataset(spec)
-    except (InstanceError, NetworkError, ErrorSimError) as exc:
-        print(f"evcover generate: {exc}", file=sys.stderr)
-        return 1
+    if args.network:
+        net = load_network(args.network)
+    else:
+        net = generate_network(args.nodes, seed=args.seed)
+    spec = DatasetSpec(kind=args.kind, network=net, instance_count=args.count,
+                       base_seed=args.seed)
+    instances = generate_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
     save_network(net, os.path.join(args.out, "network.csv"))
     entries = []
@@ -242,11 +238,7 @@ def _manifest_paths(manifest_path):
 
 
 def cmd_solve(args):
-    try:
-        paths = _manifest_paths(args.manifest)
-    except InstanceError as exc:
-        print(f"evcover solve: {exc}", file=sys.stderr)
-        return 1
+    paths = _manifest_paths(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     options = {"time_limit": args.time_limit, "solver_cmd": args.solver_cmd,
                "alpha": args.alpha, "seed": args.seed}
@@ -292,7 +284,7 @@ def cmd_report(args):
     for path in args.rows:
         rows.extend(read_rows_csv(path))
     if not rows:
-        print("no rows", file=sys.stderr)
+        print("evcover report: no rows", file=sys.stderr)
         return 1
     report = RunReport(rows)
     agg = report.aggregates()
@@ -326,19 +318,11 @@ def write_node_geojson(instance, node_ev, path):
 
 
 def cmd_compare_gf(args):
-    try:
-        paths = _manifest_paths(args.manifest)
-        if not paths:
-            raise InstanceError(f"{args.manifest}: manifest lists no instances")
-        instances = []
-        for path in paths:
-            try:
-                instances.append(load_instance(path))
-            except InstanceError as exc:
-                raise InstanceError(f"{path}: {exc}") from None
-    except (OSError, InstanceError) as exc:
-        print(f"evcover compare-gf: {exc}", file=sys.stderr)
-        return 1
+    # every instance is loaded before --out is created
+    paths = _manifest_paths(args.manifest)
+    if not paths:
+        raise InstanceError(f"{args.manifest}: manifest lists no instances")
+    instances = [load_instance(path) for path in paths]
     os.makedirs(args.out, exist_ok=True)
     coverages = [build_coverage(inst) for inst in instances]
 
@@ -397,13 +381,9 @@ def cmd_export(args):
         model = build_sl(inst, compute_bounds(inst))
     else:
         if not args.growth:
-            print("gf export needs --growth FILE", file=sys.stderr)
+            print("evcover export: gf export needs --growth FILE", file=sys.stderr)
             return 1
-        try:
-            growth = load_growth(args.growth)
-        except GrowthError as exc:
-            print(f"evcover export: {args.growth}: {exc}", file=sys.stderr)
-            return 1
+        growth = load_growth(args.growth)
         gf_inst = build_gf_instance(inst, growth, radius_km=args.radius)
         model = build_gf(gf_inst)
     export_lp(model, args.out)
@@ -468,8 +448,13 @@ def make_parser():
 
 
 def main(argv=None):
+    """Run one command; bad input to any command is one error line and exit 1."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError) as exc:
+        print(f"evcover {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

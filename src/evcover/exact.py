@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .covering import CoverageTensor, evaluate
-from .instance import Instance, SolutionX, period_costs
+from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def period_extensions(base, step_cost, max_outlets, budget):
     lexicographic order. step_cost[j, k - 1] is the price of station j's k-th
     outlet and max_outlets[j] its ceiling."""
     prices = np.asarray(step_cost).tolist()
-    limit = float(budget) + 1e-9
+    limit = float(budget) + BUDGET_TOL
     out = [((), 0.0)]  # (prefix over stations 0..j-1, its spend), in lexicographic order
     for j, lv0 in enumerate(base):
         m_j, row = int(max_outlets[j]), prices[j]
@@ -163,13 +163,13 @@ def random_feasible_solution(instance: Instance, rng) -> SolutionX:
             cands = [
                 j for j in range(J)
                 if levels[j, t] < instance.stations[j].max_outlets
-                and spent + cost[j, levels[j, t], t] <= budget + 1e-9
+                and spent + cost[j, levels[j, t], t] <= budget + BUDGET_TOL
             ]
             if not cands or rng.random() < 0.25:
                 break
             j = int(rng.choice(cands))
             spent += cost[j, levels[j, t], t]
             levels[j, t] += 1
-    assert (period_costs(instance, levels) <= instance.cost_budget.budgets + 1e-9).all()
+    assert (period_costs(instance, levels) <= instance.cost_budget.budgets + BUDGET_TOL).all()
     max_k = int(instance.max_outlets.max()) if J else 0
     return SolutionX.from_levels(levels, max_k)

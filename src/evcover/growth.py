@@ -170,13 +170,19 @@ def growth_from_points(points) -> GrowthFunction:
 
 
 # -- growth-function file: ordered segment list ---------------------------------
+#
+# An optional leading `# data_range,<lo>,<hi>` line records the generated data
+# range; without it the range is the whole of the segments.
 
 _GF_HEADER = ["q_lo", "q_hi", "slope", "intercept"]
+_GF_RANGE = "# data_range"
 
 
 def growth_to_csv(gf: GrowthFunction) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
+    if gf.data_range is not None:
+        w.writerow([_GF_RANGE, *(repr(float(v)) for v in gf.data_range)])
     w.writerow(_GF_HEADER)
     for s in range(len(gf.slopes)):
         w.writerow([repr(gf.breakpoints[s]), repr(gf.breakpoints[s + 1]),
@@ -184,25 +190,39 @@ def growth_to_csv(gf: GrowthFunction) -> str:
     return buf.getvalue()
 
 
+def _csv_floats(line, row):
+    try:
+        return [float(v) for v in row]
+    except ValueError as exc:
+        raise GrowthError(f"line {line}: {exc}") from None
+
+
 def growth_from_csv(text: str) -> GrowthFunction:
     rows = list(csv.reader(text.strip().splitlines()))
+    first = 1
+    data_range = None
+    if rows and rows[0][:1] == [_GF_RANGE]:
+        if len(rows[0]) != 3:
+            raise GrowthError(f"line 1: expected {_GF_RANGE},<lo>,<hi>")
+        data_range = tuple(_csv_floats(1, rows[0][1:]))
+        if not np.isfinite(data_range).all():
+            raise GrowthError("line 1: the data range must be finite")
+        rows, first = rows[1:], 2
     if not rows or rows[0] != _GF_HEADER:
         raise GrowthError(f"bad growth-function header: {rows[:1]!r}")
     if len(rows) < 2:
         raise GrowthError("growth-function file has no segments")
     segments = []
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in enumerate(rows[1:], start=first + 1):
         if len(row) != len(_GF_HEADER):
             raise GrowthError(f"line {line}: expected {len(_GF_HEADER)} values, got {len(row)}")
-        try:
-            segments.append([float(v) for v in row])
-        except ValueError as exc:
-            raise GrowthError(f"line {line}: {exc}") from None
+        segments.append(_csv_floats(line, row))
         if len(segments) > 1 and segments[-1][0] != segments[-2][1]:
             raise GrowthError(f"line {line}: q_lo {segments[-1][0]!r} is not the previous "
                               f"segment's q_hi {segments[-2][1]!r}")
     q = [segments[0][0]] + [seg[1] for seg in segments]
-    return GrowthFunction(q, [seg[2] for seg in segments], [seg[3] for seg in segments])
+    return GrowthFunction(q, [seg[2] for seg in segments], [seg[3] for seg in segments],
+                          data_range=data_range)
 
 
 def save_growth(gf: GrowthFunction, path):
@@ -212,7 +232,11 @@ def save_growth(gf: GrowthFunction, path):
 
 def load_growth(path) -> GrowthFunction:
     with open(path, "r", encoding="utf-8") as fh:
-        return growth_from_csv(fh.read())
+        text = fh.read()
+    try:
+        return growth_from_csv(text)
+    except GrowthError as exc:
+        raise GrowthError(f"{path}: {exc}") from None
 
 
 # -- GF instance and evaluation ---------------------------------------------------

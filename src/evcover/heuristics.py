@@ -23,7 +23,7 @@ import numpy as np
 
 from .covering import CoverageTensor, evaluate
 from .exact import EnumerationBudget, _instance_extensions
-from .instance import Instance, SolutionX, period_costs
+from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
 from .solver import resolve_solver_command, solve_external
 
@@ -85,7 +85,6 @@ class HeuristicResult:
     f: float
     wall_time: float
     trace: list = field(default_factory=list)
-    seed: int | None = None
     termination: str = "completed"
 
 
@@ -115,7 +114,7 @@ def _construct(instance, coverage, mode, select, trace=None, clock=None):
             for j in range(J):
                 lv = int(levels[j, t - 1])
                 if lv < instance.stations[j].max_outlets \
-                        and spent + cost[j, lv, t - 1] <= budgets[t - 1] + 1e-9:
+                        and spent + cost[j, lv, t - 1] <= budgets[t - 1] + BUDGET_TOL:
                     cand_j.append(j)
                     cand_rows.append(coverage.slot(j, lv + 1))
             if not cand_j:
@@ -192,106 +191,72 @@ def grasp_filter(candidate_f, incumbent_f, max_observed_rel_increase) -> bool:
 
 
 def _schedule_feasible(instance, levels):
-    return bool((period_costs(instance, levels) <= instance.cost_budget.budgets + 1e-9).all())
-
-
-def _freed_per_period(instance, levels, j, t_idx, base):
-    """Cost of station j's increments in periods t_idx.. under `levels`, with
-    everything above `base` counted in the period it was bought."""
-    cost = instance.cost_budget.outlet_cost
-    T = levels.shape[1]
-    freed = np.zeros(T - t_idx)
-    prev = base
-    for tau in range(t_idx, T):
-        cur = int(levels[j, tau])
-        for k in range(prev + 1, cur + 1):
-            freed[tau - t_idx] += cost[j, k - 1, tau]
-        prev = max(prev, cur)
-    return freed
+    return bool((period_costs(instance, levels) <= instance.cost_budget.budgets + BUDGET_TOL).all())
 
 
 def _buy_up(instance, j, start_level, pool, tau):
     cost = instance.cost_budget.outlet_cost
     m_j = instance.stations[j].max_outlets
     lv = start_level
-    while lv < m_j and pool >= cost[j, lv, tau] - 1e-9:
+    while lv < m_j and pool >= cost[j, lv, tau] - BUDGET_TOL:
         pool -= cost[j, lv, tau]
         lv += 1
     return lv, pool
 
 
-def _move_add(instance, levels, j, t_idx):
-    m_j = instance.stations[j].max_outlets
-    lv = int(levels[j, t_idx])
-    if lv >= m_j:
-        return None
+def _rebuy(instance, levels, t_idx, freed_from, groups, share):
+    """Put the stations in `freed_from` back to their period-(t-1) level from
+    t on and spend what they had bought, period by period: each group gets
+    `share` of a period's amount, and its stations buy up in order, each
+    passing its leftover to the next. None when nothing was freed."""
+    cost = instance.cost_budget.outlet_cost
+    T = levels.shape[1]
+    before = levels[:, t_idx - 1] if t_idx > 0 else instance.initial_levels
     new = levels.copy()
-    new[j, t_idx:] = np.maximum(new[j, t_idx:], lv + 1)
-    return new if _schedule_feasible(instance, new) else None
-
-
-def _move_transfer(instance, levels, j, jp, t_idx):
-    """Revert j to its period-(t-1) level from t on and spend the freed
-    resources on jp, overflowing back to j when jp is full."""
-    base_j = int(levels[j, t_idx - 1]) if t_idx > 0 else int(instance.initial_levels[j])
-    if int(levels[j, t_idx]) < 1:
-        return None
-    freed = _freed_per_period(instance, levels, j, t_idx, base_j)
+    freed = 0.0
+    for j in freed_from:
+        # station j's increments from t on, each in the period it was bought
+        bought = np.zeros(T - t_idx)
+        prev = int(before[j])
+        for tau in range(t_idx, T):
+            cur = int(levels[j, tau])
+            for k in range(prev + 1, cur + 1):
+                bought[tau - t_idx] += cost[j, k - 1, tau]
+            prev = max(prev, cur)
+        freed = freed + bought
+        new[j, t_idx:] = before[j]
     if freed.sum() <= 0:
         return None
-    new = levels.copy()
-    new[j, t_idx:] = base_j
-    carry_jp = int(new[jp, t_idx - 1]) if t_idx > 0 else int(instance.initial_levels[jp])
-    carry_j = base_j
-    T = levels.shape[1]
+    carry = {j: int(before[j]) for group in groups for j in group}
     for tau in range(t_idx, T):
-        pool = freed[tau - t_idx]
-        start = max(int(new[jp, tau]), carry_jp)
-        lv_jp, pool = _buy_up(instance, jp, start, pool, tau)
-        new[jp, tau] = lv_jp
-        carry_jp = lv_jp
-        start_j = max(int(new[j, tau]), carry_j)
-        lv_j, _ = _buy_up(instance, j, start_j, pool, tau)
-        new[j, tau] = lv_j
-        carry_j = lv_j
-    return new if _schedule_feasible(instance, new) else None
-
-
-def _move_split(instance, levels, j, jp, t_idx):
-    """Evenly split the resources spent on j and jp over t..T; only legal when
-    both stations end up open with at least one outlet in period t."""
-    if int(levels[j, t_idx]) < 1:
-        return None
-    base_j = int(levels[j, t_idx - 1]) if t_idx > 0 else int(instance.initial_levels[j])
-    base_jp = int(levels[jp, t_idx - 1]) if t_idx > 0 else int(instance.initial_levels[jp])
-    freed = (_freed_per_period(instance, levels, j, t_idx, base_j)
-             + _freed_per_period(instance, levels, jp, t_idx, base_jp))
-    if freed.sum() <= 0:
-        return None
-    new = levels.copy()
-    new[j, t_idx:] = base_j
-    new[jp, t_idx:] = base_jp
-    carry_j, carry_jp = base_j, base_jp
-    T = levels.shape[1]
-    for tau in range(t_idx, T):
-        half = freed[tau - t_idx] / 2.0
-        lv_j, _ = _buy_up(instance, j, max(int(new[j, tau]), carry_j), half, tau)
-        lv_jp, _ = _buy_up(instance, jp, max(int(new[jp, tau]), carry_jp), half, tau)
-        new[j, tau], new[jp, tau] = lv_j, lv_jp
-        carry_j, carry_jp = lv_j, lv_jp
-    if new[j, t_idx] < 1 or new[jp, t_idx] < 1:
-        return None
-    return new if _schedule_feasible(instance, new) else None
+        for group in groups:
+            pool = share * freed[tau - t_idx]
+            for j in group:
+                lv, pool = _buy_up(instance, j, max(int(new[j, tau]), carry[j]), pool, tau)
+                new[j, tau] = carry[j] = lv
+    return new
 
 
 def _candidate_moves(instance, levels, t_idx, j):
+    """Add, then Transfer to every other station, then Split with every later
+    one, all built from `levels` as passed in, even after the caller accepts
+    one; None is a move that does not apply. Transfer and Split need j open
+    in period t, and a Split must leave both stations open there."""
     J = instance.n_stations
-    yield ("add", j, None), _move_add(instance, levels, j, t_idx)
+    lv = int(levels[j, t_idx])
+    if lv < instance.stations[j].max_outlets:
+        add = levels.copy()
+        add[j, t_idx:] = np.maximum(add[j, t_idx:], lv + 1)
+        yield ("add", j, None), add
+    if lv < 1:
+        return
     for jp in range(J):
         if jp != j:
-            yield ("transfer", j, jp), _move_transfer(instance, levels, j, jp, t_idx)
+            yield ("transfer", j, jp), _rebuy(instance, levels, t_idx, (j,), ((jp, j),), 1.0)
     for jp in range(j + 1, J):
-        yield ("split", j, jp), _move_split(instance, levels, j, jp, t_idx)
+        new = _rebuy(instance, levels, t_idx, (j, jp), ((j,), (jp,)), 0.5)
+        both_open = new is not None and new[j, t_idx] >= 1 and new[jp, t_idx] >= 1
+        yield ("split", j, jp), new if both_open else None
 
 
 def _local_search(instance, coverage, levels, deadline=None, trace=None):
@@ -311,7 +276,7 @@ def _local_search(instance, coverage, levels, deadline=None, trace=None):
             pass_start = f_cur
             for j in range(instance.n_stations):
                 for move, cand in _candidate_moves(instance, levels, t_idx, j):
-                    if cand is None:
+                    if cand is None or not _schedule_feasible(instance, cand):
                         continue
                     tail = coverage.period_values(cand, t)
                     d = float(tail.sum() - values[t_idx:].sum())
@@ -384,7 +349,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
     # can drift from it in the last bits
     x = SolutionX.zeros(instance) if incumbent is None else SolutionX.from_levels(incumbent, max_k)
     return HeuristicResult(x, evaluate(instance, coverage, x), time.perf_counter() - start,
-                           trace, seed=config.seed, termination=termination)
+                           trace, termination=termination)
 
 
 # -- rolling horizon ------------------------------------------------------------------

@@ -25,6 +25,8 @@ HOME = -1
 
 INSTANCE_SCHEMA = "evcover-instance-v2"
 
+BUDGET_TOL = 1e-9  # slack allowed on every budget comparison
+
 INCOME_BRACKETS = 5
 # delta4 by income bracket, lowest to highest
 DELTA4_BY_BRACKET = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -333,7 +335,7 @@ def validate_solution(instance: Instance, x: SolutionX) -> FeasibilityReport:
     if not report.ladder_violations:
         spends = period_costs(instance, x.levels)
         for t in range(T):
-            if spends[t] > instance.cost_budget.budgets[t] + 1e-9:
+            if spends[t] > instance.cost_budget.budgets[t] + BUDGET_TOL:
                 report.budget_violations.append(
                     (t + 1, float(spends[t]), float(instance.cost_budget.budgets[t]))
                 )
@@ -463,8 +465,12 @@ def instance_from_json(text: str) -> Instance:
             error_tensor=errors,
             metadata=doc.get("metadata", {}),
         )
+    except InstanceError:
+        raise
     except KeyError as exc:
         raise InstanceError(f"malformed instance file: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"malformed instance file: {exc}") from exc
 
 
 def save_instance(instance: Instance, path):
@@ -475,7 +481,11 @@ def save_instance(instance: Instance, path):
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+        text = fh.read()
+    try:
+        return instance_from_json(text)
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -123,7 +123,8 @@ def test_one_corrupt_instance_does_not_sink_the_batch(tmp_path, tiny_manifest, t
     rows = read_rows_csv(out / "rows.greedy-m.csv")
     assert [r["instance"] for r in rows] == [f"instance_{i:03d}" for i in range(len(insts))]
     assert [r["status"] for r in rows] == ["ok", "error"] + ["ok"] * (len(insts) - 2)
-    assert rows[1]["detail"].startswith("InstanceError: malformed instance file")
+    bad_path = os.path.join(root, "instance_001.json")
+    assert rows[1]["detail"].startswith(f"InstanceError: {bad_path}: malformed instance file")
     assert (out / "instance_000.greedy-m.solution.json").exists()
 
 
@@ -242,8 +243,9 @@ MANIFESTS = {
 }
 
 
-@pytest.mark.parametrize("command, manifest", [
+@pytest.mark.parametrize("command, bad", [
     ("generate", None),
+    ("generate", "missing network"),
     ("solve", "missing"),
     ("solve", "not JSON"),
     ("solve", "wrong schema"),
@@ -254,16 +256,24 @@ MANIFESTS = {
     ("compare-gf", "no instances"),
     ("compare-gf", "missing instance"),
     ("compare-gf", "unreadable instance"),
+    ("export", "missing"),
+    ("report", "missing"),
 ])
-def test_bad_input_is_one_error_line(tmp_path, capsys, command, manifest):
+def test_bad_input_is_one_error_line(tmp_path, capsys, command, bad):
     out = tmp_path / "out"
+    missing = str(tmp_path / "missing")
     (tmp_path / "bad.json").write_text('{"schema": "evcover-instance-v2"}')
     if command == "generate":
-        argv = ["generate", "Simple", "--nodes", "10", "--count", "-1", "--out", str(out)]
+        source = ["--count", "-1"] if bad is None else ["--network", missing]
+        argv = ["generate", "Simple", "--nodes", "10", *source, "--out", str(out)]
+    elif command == "export":
+        argv = ["export", missing, "--formulation", "mc", "--out", str(out)]
+    elif command == "report":
+        argv = ["report", missing, "--out", str(out)]
     else:
         path = tmp_path / "manifest.json"
-        if manifest != "missing":
-            path.write_text(MANIFESTS[manifest])
+        if bad != "missing":
+            path.write_text(MANIFESTS[bad])
         argv = [command, str(path), "--out", str(out)]
         if command == "solve":
             argv += ["--method", "greedy-m"]
@@ -287,7 +297,10 @@ def test_compare_gf_workflow(tmp_path, tiny_manifest):
         mc = float(rows[stat]["MC"])
         assert gf <= adj + 1e-9
         assert adj <= mc + 1e-9
-    assert (out / "growth_function.csv").exists()
+    # the growth function written here feeds the gf export
+    inst_path = os.path.join(os.path.dirname(manifest), "instance_000.json")
+    assert main(["export", inst_path, "--formulation", "gf",
+                 "--growth", str(out / "growth_function.csv"), "--out", str(tmp_path / "gf.lp")]) == 0
     assert (out / "nodes_gf.csv").exists()
     assert (out / "nodes_mc.csv").exists()
     geo = json.loads((out / "nodes_mc.geojson").read_text())

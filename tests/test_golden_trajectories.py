@@ -3,6 +3,11 @@
 `data/golden_trajectories.json` holds what commit a62c578 produced on three
 oracle-desk-style instances: greedy picks, GRASP traces (30 solutions,
 seed 1) and the local search's accepted moves from a seeded random start.
+`data/golden_local_search_m4.json` holds the GRASP traces and local-search
+moves that commit bf8b6c6 produced on three instances with up to 4 outlets
+per station, so buy-up chains of several outlets are pinned too. No split is
+accepted there; split candidates are pinned only by the moves they must not
+displace.
 Moves, picks and filter decisions must match exactly. Values are compared
 to rel 1e-12, because another numpy/BLAS may round the last bit of a sum
 differently.
@@ -19,7 +24,9 @@ from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
 from evcover.heuristics import GraspConfig, GreedyConfig, _local_search, grasp, greedy
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_trajectories.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_trajectories.json").read_text())
+GOLDEN_M4 = json.loads((DATA / "golden_local_search_m4.json").read_text())
 MODES = ("myopic", "hyperoptic")
 
 
@@ -37,6 +44,14 @@ def case(request):
     return seed, inst, build_coverage(inst), GOLDEN[request.param]
 
 
+@pytest.fixture(scope="module", params=sorted(GOLDEN_M4))
+def case_m4(request):
+    seed = int(request.param)
+    inst = generate_small_instance(seed, n_nodes=12, n_stations=5, horizon=4, max_outlets=4,
+                                   budget=400.0)
+    return seed, inst, build_coverage(inst), GOLDEN_M4[request.param]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_greedy_picks(case, mode):
     _, inst, cov, golden = case
@@ -47,8 +62,7 @@ def test_greedy_picks(case, mode):
     assert close(res.f, want["f"])
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_grasp_trace(case, mode):
+def check_grasp_trace(case, mode):
     _, inst, cov, golden = case
     want = golden[f"grasp-{mode}"]
     res = grasp(inst, cov, GraspConfig(mode=mode, max_solutions=30, seed=1))
@@ -63,7 +77,7 @@ def test_grasp_trace(case, mode):
     assert res.termination == want["termination"]
 
 
-def test_local_search_moves(case):
+def check_local_search_moves(case):
     seed, inst, cov, golden = case
     want = golden["local_search"]
     x = random_feasible_solution(inst, np.random.default_rng(seed))
@@ -74,3 +88,21 @@ def test_local_search_moves(case):
     assert all(close(e["f"], w) for e, w in zip(trace, want["f_after_move"]))
     assert levels.tolist() == want["levels"]
     assert close(f, want["f"])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grasp_trace(case, mode):
+    check_grasp_trace(case, mode)
+
+
+def test_local_search_moves(case):
+    check_local_search_moves(case)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grasp_trace_m4(case_m4, mode):
+    check_grasp_trace(case_m4, mode)
+
+
+def test_local_search_moves_m4(case_m4):
+    check_local_search_moves(case_m4)

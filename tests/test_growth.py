@@ -87,6 +87,33 @@ def test_growth_csv_round_trip(tmp_path):
     assert load_growth(path).slopes == gf.slopes
 
 
+def test_growth_csv_round_trip_keeps_the_data_range(tmp_path):
+    # a decelerating curve crosses the identity after its data range, so it
+    # only validates again when the range comes back with it
+    gf = growth_from_points([0.0, 0.1, 0.15, 0.17])
+    path = tmp_path / "gf.csv"
+    save_growth(gf, path)
+    back = load_growth(path)
+    assert back.breakpoints == gf.breakpoints
+    assert back.slopes == gf.slopes
+    assert back.intercepts == gf.intercepts
+    assert back.data_range == gf.data_range == (0.0, 0.17)
+
+
+def test_growth_csv_without_a_data_range_line():
+    text = "q_lo,q_hi,slope,intercept\n0.0,1.0,1.0,0.0\n"
+    gf = growth_from_csv(text)
+    assert gf.data_range is None
+    assert growth_from_csv("# data_range,0.0,0.0\n" + text).data_range == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("first", ["# data_range,0.0", "# data_range,0.0,x",
+                                   "# data_range,0.0,nan"])
+def test_growth_csv_refuses_a_malformed_data_range(first):
+    with pytest.raises(GrowthError, match="line 1"):
+        growth_from_csv(first + "\nq_lo,q_hi,slope,intercept\n0.0,1.0,1.0,0.0\n")
+
+
 # -- closure and comparison workflow ----------------------------------------------
 
 

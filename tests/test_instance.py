@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -179,6 +180,33 @@ def test_load_rejects_truncated_file():
     text = instance_to_json(inst)
     with pytest.raises(InstanceError, match="malformed"):
         instance_from_json(text[: len(text) // 2])
+
+
+def _set_kappa(doc):
+    doc["classes"][0]["kappa"] = "x"
+
+
+def _add_station_key(doc):
+    doc["stations"][0]["colour"] = "red"
+
+
+def _set_classes(doc):
+    doc["classes"] = 5
+
+
+@pytest.mark.parametrize("edit", [_set_kappa, _add_station_key, _set_classes])
+def test_malformed_field_is_an_instance_error(edit):
+    doc = json.loads(instance_to_json(generate_small_instance(3)))
+    edit(doc)
+    with pytest.raises(InstanceError, match="malformed instance file"):
+        instance_from_json(json.dumps(doc))
+
+
+def test_load_names_the_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "something-else"}))
+    with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: schema mismatch"):
+        load_instance(path)
 
 
 def test_load_rejects_schema_mismatch():

@@ -112,9 +112,17 @@ def write_rows_csv(path, rows):
             w.writerow({k: r.get(k, "") for k in ROW_FIELDS})
 
 
+class RowsError(ValueError):
+    pass
+
+
 def read_rows_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in ROW_FIELDS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise RowsError(f"{path}: not a rows file, missing columns {', '.join(missing)}")
+        return list(reader)
 
 
 def write_report_csv(path, aggregates):
@@ -452,7 +460,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError) as exc:
+    except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError, RowsError) as exc:
         print(f"evcover {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -242,6 +242,27 @@ class CoverageTensor:
             out |= np.bitwise_or.reduce(self.a_bits[rows, sl], axis=0)
         return out
 
+    @functools.cached_property
+    def _slot_of(self) -> np.ndarray:
+        """Slot row of station j with k outlets, (n_stations + 1, max outlets
+        + 1); n_slots (no row) where k = 0 and for station index n_stations."""
+        J, K = len(self.max_outlets), int(self.max_outlets.max(initial=0))
+        out = np.full((J + 1, K + 1), len(self.a_bits))
+        k = np.arange(1, K + 1)
+        out[:J, 1:] = np.where(k <= self.max_outlets[:, None], self.slot_base[:, None] + k - 1,
+                               len(self.a_bits))
+        return out
+
+    def _slot_rows(self, j, k, tau, out=None) -> np.ndarray:
+        """Period tau's words (0-based period) of slot (j, k), elementwise over
+        the index arrays; zero where k == 0 or j == n_stations."""
+        slot = self._slot_of[j, k]
+        n, T = len(self.a_bits), self.horizon
+        rows = np.take(self.a_bits.reshape(n * T, -1), np.minimum(slot, n - 1) * T + tau, axis=0,
+                       out=out)
+        rows &= np.where(slot < n, ~np.uint64(0), np.uint64(0))[..., None]
+        return rows
+
     def period_values(self, levels, t_from=1) -> np.ndarray:
         """Weighted covered mass of each period t_from..T of a schedule (n_stations, T)."""
         return np.array([self.value_of_words(self.held_words(levels[:, t - 1], t, t), t, t)
@@ -268,12 +289,90 @@ class CoverageTensor:
         return np.bitwise_count(fresh).astype(np.float64) @ self.trip.word_weights[sl]
 
 
+class SwapBasis:
+    """Cover bits of one schedule from period t_from on, arranged so that the
+    covered bits of a move that changes one or two stations cost a few word
+    operations per period instead of an OR over every station.
+
+    The planes G1 ⊇ G2 ⊇ G3 hold the bits of each period that at least one,
+    two and three open stations cover with their top slots, forced bits left
+    out; they come from running ORs
+    over the stations (a station adds a second cover where an earlier one is
+    set, and a third where two earlier ones are). From them and station j's
+    top row b, the other stations cover at least once X = (b & G2) | (~b &
+    G1) and at least twice Y = (b & G3) | (~b & G2). Leaving out a second
+    station jp with top row b' then keeps X except the bits in b' & (X ^ Y),
+    the ones exactly one other station covered. This is the exclusion rule
+    (b & b' & G3) | ((b ^ b') & G2) | (~(b | b') & G1) with the j-only part
+    computed once per station.
+
+    The arrays are allocated once, for every period, and refilled by
+    `update`, so one basis serves a whole local search.
+    """
+
+    def __init__(self, coverage: CoverageTensor):
+        T = coverage.horizon
+        shape = (T, len(coverage.station_ids) + 1, coverage.trip.n_words // T)
+        self.coverage = coverage
+        self._top = np.zeros(shape, dtype=np.uint64)     # station index n_stations: none
+        self._others = np.empty_like(self._top)          # bits held without station j
+        self._single = np.empty_like(self._top)          # of those, the ones one other station holds
+        self._forced = coverage.forced_bits.reshape(T, -1)
+        self.levels, self.t_from = None, 1
+
+    def update(self, levels, t_from=1):
+        """Refill for the schedule `levels` (n_stations, T), periods t_from..T."""
+        cov = self.coverage
+        T, J1, _ = self._top.shape
+        P = T - t_from + 1
+        self.levels, self.t_from = levels, t_from
+        top, x, y = self._top[:P], self._others[:P], self._single[:P]
+        forced = self._forced[t_from - 1:]
+        k = np.zeros((P, J1), dtype=int)
+        k[:, :-1] = np.asarray(levels)[:, t_from - 1:].T
+        cov._slot_rows(np.arange(J1), k, np.arange(t_from - 1, T)[:, None], out=top)
+
+        # the planes, computed in x and y before they are filled
+        once = np.bitwise_or.accumulate(top, axis=1, out=y)
+        g1 = once[:, -1].copy()
+        twice = np.bitwise_and(top[:, 1:], once[:, :-1], out=x[:, 1:])
+        g2 = np.bitwise_or.reduce(twice, axis=1)
+        np.bitwise_or.accumulate(twice, axis=1, out=twice)
+        g3 = np.bitwise_or.reduce(np.bitwise_and(top[:, 2:], twice[:, :-1], out=y[:, 2:]), axis=1)
+        self.held = g1 | forced                          # bits the schedule holds
+
+        # X = G1 except where b & ~G2, Y = G2 except where b & ~G3 (G3 ⊆ G2 ⊆ G1)
+        np.bitwise_and(top, (g1 ^ g2)[:, None], out=x)
+        x ^= g1[:, None]
+        np.bitwise_and(top, (g2 ^ g3)[:, None], out=y)
+        y ^= g2[:, None]
+        y ^= x
+        y &= ~forced[:, None]
+        x |= forced[:, None]
+
+    def words(self, period, j, jp, new_j, new_jp) -> np.ndarray:
+        """Covered bits, forced included, of period t_from + period[i] when
+        station j[i] moves to new_j[i] outlets and station jp[i] to new_jp[i]
+        and every other station keeps its level. jp[i] == n_stations changes
+        j[i] alone. Uint64 (n, period words)."""
+        cov = self.coverage
+        tau = self.t_from - 1 + period
+        out = self._others[period, j]
+        out ^= self._top[period, jp] & self._single[period, j]
+        out |= cov._slot_rows(j, new_j, tau)
+        out |= cov._slot_rows(jp, new_jp, tau)
+        return out
+
+
 def build_coverage(instance: Instance) -> CoverageTensor:
     """Pack the nested coverage bits of every (station, outlet count) slot.
 
-    Each station's covering thresholds are computed per (class, period) block
-    and only packed, never stored: slot (j, k) holds the triplets with
-    0 < threshold <= k."""
+    Each station's covering thresholds are computed per class for all periods
+    at once and only packed, never stored: slot (j, k) holds the triplets
+    with 0 < threshold <= k. The outlet benefits are non-negative, so the
+    cumulative benefits are sorted and the threshold is at most k exactly
+    when the benefit of the first k outlets reaches the utility gap to
+    opt-out."""
     trip = TripletIndex(instance)
     J, T = instance.n_stations, instance.horizon
     pre = preprocess_home_charging(instance)
@@ -282,6 +381,7 @@ def build_coverage(instance: Instance) -> CoverageTensor:
     np.cumsum(instance.max_outlets[:-1], out=slot_base[1:])
     n_slots = int(instance.max_outlets.sum())
     a_bits = np.zeros((n_slots, trip.n_words), dtype=np.uint64)
+    by_period = a_bits.reshape(n_slots, T, -1)      # class blocks sit at the same offset each period
 
     for ci in range(instance.n_classes):
         alt_index = instance.choice_sets.alt_index[ci]
@@ -292,27 +392,18 @@ def build_coverage(instance: Instance) -> CoverageTensor:
         u0 = kap[o, None, :] + eps[o]  # (R, T)
         R = eps.shape[1]
         considered = instance.choice_sets.c1[ci]
+        words = slice(int(trip.word_start[ci]), int(trip.word_start[ci + 1]))
         for alt, pos in alt_index.items():
             if alt in (OPT_OUT, HOME):
                 continue
             j = instance.station_index[alt]
             m_j = instance.stations[j].max_outlets
             cum = np.cumsum(bet[pos, :m_j, :], axis=0)          # (m_j, T)
-            gap = u0 - kap[pos, None, :] - eps[pos]             # (R, T)
-            mk = np.empty((R, T), dtype=np.int64)
-            for t in range(T):
-                mk[:, t] = np.searchsorted(cum[:, t], gap[:, t], side="left") + 1
-            mk[mk > m_j] = 0
+            gap = (u0 - kap[pos, None, :] - eps[pos]).T         # (T, R)
             member = np.array([alt in considered[t] for t in range(T)])
-            mk[:, ~member] = 0
-            for t in range(T):
-                b = trip.block(ci, t)
-                if mk[:, t].any():
-                    ws, we = trip.word_start[b], trip.word_start[b + 1]
-                    rows_bool = (mk[None, :, t] > 0) & (
-                        mk[None, :, t] <= np.arange(1, m_j + 1)[:, None])
-                    a_bits[slot_base[j] : slot_base[j] + m_j, ws:we] = trip.pack_block_rows(
-                        rows_bool)
+            rows = (cum[:, :, None] >= gap) & member[:, None]   # (m_j, T, R)
+            by_period[slot_base[j]:slot_base[j] + m_j, :, words] = trip.pack_block_rows(
+                rows.reshape(m_j * T, R)).reshape(m_j, T, -1)
 
     return CoverageTensor(instance, trip, a_bits, slot_base, pre.forced_bits,
                           pre.forced_mass)

@@ -17,11 +17,12 @@ period 1 FIRST_PERIOD_SHARE_S seconds and halves it every period.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import CoverageTensor, evaluate
+from .covering import CoverageTensor, SwapBasis, evaluate
 from .exact import EnumerationBudget, _instance_extensions
 from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
@@ -188,85 +189,283 @@ def grasp_filter(candidate_f, incumbent_f, max_observed_rel_increase) -> bool:
 
 
 # -- local search ----------------------------------------------------------------
+#
+# The search is batched. A batch builds, from the same levels, every move of a
+# run of stations j0..j1-1 in search order (per station: Add, Transfer to each
+# other station, Split with each later one) and evaluates them in that order;
+# a run holds as many stations as fit BATCH_SLOTS (move, period) slots, so its
+# arrays stay small. Without an accepted move the next batch takes the next
+# run from the same levels. The first move accepted at station j* ends the
+# batch once j*'s own remaining moves, built from the same levels, have been
+# tried, and the next batch starts at j*+1 from the new levels. Move building,
+# budgets and coverage run over arrays. Batched values only screen the moves:
+# a move is decided with the arithmetic of `CoverageTensor.period_values`
+# unless its screened gain is far from the acceptance threshold, so the
+# accepted moves and f are exact.
+
+ADD, TRANSFER, SPLIT = 0, 1, 2
+MOVE_NAMES = ("add", "transfer", "split")
+MIN_GAIN = 1e-12               # a move is accepted when it gains more than this
+SCREEN_REL_MARGIN = 1e-6       # screened gains decide only this far (times f) from MIN_GAIN
+CHUNK_WORDS = 1 << 13          # (move, period) cover words screened together
+BATCH_SLOTS = 1 << 12          # (move, period) slots built together
+EPS = float(np.finfo(float).eps)
 
 
-def _schedule_feasible(instance, levels):
-    return bool((period_costs(instance, levels) <= instance.cost_budget.budgets + BUDGET_TOL).all())
+class _SearchTables:
+    """Work state of the local search: outlet costs arranged for
+    batched buying and summing (station index n_stations stands for no
+    station), every station's moves in search order, and the cover-bit work
+    arrays."""
+
+    def __init__(self, instance, coverage):
+        self.basis = SwapBasis(coverage)
+        cost = instance.cost_budget.outlet_cost                        # (J, K, T)
+        J, K, T = cost.shape
+        m = instance.max_outlets
+        real = np.arange(K)[None, :, None] < m[:, None, None]
+        own = np.where(real, cost, 0.0)
+        self.n_outlets = K
+        self.price = np.full((T, J + 1, 2 * K), np.inf)                # of the outlet after k
+        self.price[:, :J, :K] = np.where(real, cost, np.inf).transpose(2, 0, 1)
+        self.min_price = self.price.min(axis=(1, 2))
+        self.by_period = own.transpose(0, 2, 1)                        # (J, T, K)
+        self.cum = np.zeros((J + 1, K + 1, T))                         # of the first k outlets
+        np.cumsum(own, axis=1, out=self.cum[:J, 1:])
+        self.limit = instance.cost_budget.budgets + BUDGET_TOL
+        # how far a screened spend can be from period_costs' own sum, per unit
+        # of base spend plus twice the dearest station's full ladder
+        self.rel_err = 2.0 * (J * K + 4 * K + 8) * EPS
+        self.ladder = own.sum(axis=1).max(axis=0) if J else np.zeros(T)
+
+        js = np.arange(J)[:, None]
+        c = np.arange(J - 1)[None, :]
+        others = c + (c >= js)
+        self.kind = np.repeat(np.array([ADD] + [TRANSFER] * (J - 1) + [SPLIT] * (J - 1))[None],
+                              J, axis=0)
+        self.station = np.repeat(js, 2 * J - 1, axis=1)
+        self.partner = np.concatenate([np.full((J, 1), J), others, others], axis=1)
+        self.pair_ok = (self.kind == TRANSFER) | (self.partner > js)   # Split: later jp only
 
 
-def _buy_up(instance, j, start_level, pool, tau):
-    cost = instance.cost_budget.outlet_cost
-    m_j = instance.stations[j].max_outlets
-    lv = start_level
-    while lv < m_j and pool >= cost[j, lv, tau] - BUDGET_TOL:
-        pool -= cost[j, lv, tau]
-        lv += 1
-    return lv, pool
+def _buy_up(tab, t_idx, buyers, floor, carry, pools):
+    """Period by period from t on, each buyer starts at the higher of its
+    floor and the level it reached before (`carry` before period t) and adds
+    outlets while that period's pool covers the next one's price (less
+    BUDGET_TOL), paying them one after another. Returns the levels and the
+    pools left, (n, P) each.
+
+    All periods are solved at once: the starts are raised to the highest
+    level reached before them until they repeat where a pool can buy.
+    Starting higher never ends lower, so the first repeat is the
+    period-by-period result."""
+    K = tab.n_outlets
+    start = np.maximum(np.maximum.accumulate(floor, axis=1), carry[:, None])
+    r, p = np.nonzero(pools >= tab.min_price[t_idx:] - BUDGET_TOL)
+    if not r.size:
+        return start, pools
+    where = (t_idx + p[:, None], buyers[r, None])
+    steps = np.arange(K)
+    chain = np.empty((len(r), K + 1))
+    chain[:, 0] = pools[r, p]
+    can = np.zeros((len(r), K + 1), dtype=bool)
+    while True:
+        price = tab.price[where + (start[r, p, None] + steps,)]
+        chain[:, 1:] = price
+        left = np.subtract.accumulate(chain, axis=1)  # the pool before each purchase
+        np.greater_equal(left[:, :K], price - BUDGET_TOL, out=can[:, :K])
+        bought = can.argmin(axis=1)
+        level = start.copy()
+        level[r, p] += bought
+        raised = start.copy()
+        np.maximum(start[:, 1:], np.maximum.accumulate(level, axis=1)[:, :-1], out=raised[:, 1:])
+        if (raised[r, p] == start[r, p]).all():
+            raised[r, p] = level[r, p]
+            out = pools.copy()
+            out[r, p] = left[np.arange(len(r)), bought]
+            return raised, out
+        start = raised
 
 
-def _rebuy(instance, levels, t_idx, freed_from, groups, share):
-    """Put the stations in `freed_from` back to their period-(t-1) level from
-    t on and spend what they had bought, period by period: each group gets
-    `share` of a period's amount, and its stations buy up in order, each
-    passing its leftover to the next. None when nothing was freed."""
-    cost = instance.cost_budget.outlet_cost
-    T = levels.shape[1]
-    before = levels[:, t_idx - 1] if t_idx > 0 else instance.initial_levels
-    new = levels.copy()
-    freed = 0.0
-    for j in freed_from:
-        # station j's increments from t on, each in the period it was bought
-        bought = np.zeros(T - t_idx)
-        prev = int(before[j])
-        for tau in range(t_idx, T):
-            cur = int(levels[j, tau])
-            for k in range(prev + 1, cur + 1):
-                bought[tau - t_idx] += cost[j, k - 1, tau]
-            prev = max(prev, cur)
-        freed = freed + bought
-        new[j, t_idx:] = before[j]
-    if freed.sum() <= 0:
-        return None
-    carry = {j: int(before[j]) for group in groups for j in group}
-    for tau in range(t_idx, T):
-        for group in groups:
-            pool = share * freed[tau - t_idx]
-            for j in group:
-                lv, pool = _buy_up(instance, j, max(int(new[j, tau]), carry[j]), pool, tau)
-                new[j, tau] = carry[j] = lv
-    return new
+@dataclass
+class _Moves:
+    """One batch's moves in search order. Move i sets stations j[i] and jp[i]
+    to new[i, 0] and new[i, 1] outlets in periods t..T; jp[i] == n_stations
+    for an Add. `differs` marks the periods where a move changes a level."""
+    kind: np.ndarray
+    j: np.ndarray
+    jp: np.ndarray
+    new: np.ndarray
+    ok: np.ndarray
+    differs: np.ndarray
+
+    def levels(self, i, levels, t_idx):
+        out = levels.copy()
+        if self.kind[i] != ADD:
+            out[self.jp[i], t_idx:] = self.new[i, 1]
+        out[self.j[i], t_idx:] = self.new[i, 0]
+        return out
 
 
-def _candidate_moves(instance, levels, t_idx, j):
-    """Add, then Transfer to every other station, then Split with every later
-    one, all built from `levels` as passed in, even after the caller accepts
-    one; None is a move that does not apply. Transfer and Split need j open
-    in period t, and a Split must leave both stations open there."""
-    J = instance.n_stations
-    lv = int(levels[j, t_idx])
-    if lv < instance.stations[j].max_outlets:
-        add = levels.copy()
-        add[j, t_idx:] = np.maximum(add[j, t_idx:], lv + 1)
-        yield ("add", j, None), add
-    if lv < 1:
-        return
-    for jp in range(J):
-        if jp != j:
-            yield ("transfer", j, jp), _rebuy(instance, levels, t_idx, (j,), ((jp, j),), 1.0)
-    for jp in range(j + 1, J):
-        new = _rebuy(instance, levels, t_idx, (j, jp), ((j,), (jp,)), 0.5)
-        both_open = new is not None and new[j, t_idx] >= 1 and new[jp, t_idx] >= 1
-        yield ("split", j, jp), new if both_open else None
+def _batch_moves(instance, tab, levels, spent, t_idx, j0, j1):
+    """Add / Transfer / Split moves of stations j0..j1-1 built from `levels`,
+    whose period_costs are `spent`. Transfer and Split need j open in period
+    t. A Transfer puts j back to its period-(t-1) level from t on and spends
+    what j had bought, period by period, on jp first and on j with the
+    leftover; a Split does the same to both stations and gives each half. A
+    move that frees nothing is dropped; one that leaves a Split station
+    closed in period t or breaks a budget is not ok."""
+    J, T = levels.shape
+    P = T - t_idx
+    before = np.zeros(J + 1, dtype=int)
+    before[:J] = levels[:, t_idx - 1] if t_idx > 0 else instance.initial_levels
+    tail = np.zeros((J + 1, P), dtype=int)
+    tail[:J] = levels[:, t_idx:]
+    lv = tail[:J, 0]
+
+    # what each station bought in each period from t on, summed in outlet order
+    prev = np.maximum.accumulate(np.column_stack([before[:J], tail[:J]]), axis=1)[:, :-1]
+    ks = np.arange(tab.n_outlets)
+    bought = np.zeros((J + 1, P))
+    bought[:J] = np.cumsum(np.where((ks >= prev[..., None]) & (ks < tail[:J, :, None]),
+                                    tab.by_period[:, t_idx:], 0.0), axis=2)[..., -1]
+    frees = bought.any(axis=1)
+
+    kind, j, jp = tab.kind[j0:j1], tab.station[j0:j1], tab.partner[j0:j1]
+    is_split = kind == SPLIT
+    keep = np.where(kind == ADD, (lv < instance.max_outlets)[j0:j1, None],
+                    (lv >= 1)[j0:j1, None] & tab.pair_ok[j0:j1]
+                    & (frees[j] | is_split & frees[jp]))
+    kind, j, jp, is_split = kind[keep], j[keep], jp[keep], is_split[keep]
+    is_tr = kind == TRANSFER
+
+    # Transfer's jp and both Split stations buy first, Transfer's j with what
+    # jp left; an Add's pools are empty
+    freed = bought[j] + bought[np.where(is_split, jp, J)]
+    pool = np.where(is_split, 0.5, np.where(is_tr, 1.0, 0.0))[:, None] * freed
+    pools = np.stack([np.where(is_split[:, None], pool, 0.0), pool], axis=1)
+    floor = np.zeros((len(kind), 2, P), dtype=int)
+    floor[:, 1] = np.where(is_tr[:, None], tail[jp], 0)
+    pairs = np.column_stack([j, jp])
+    got, left = _buy_up(tab, t_idx, pairs.ravel(), floor.reshape(-1, P), before[pairs].ravel(),
+                        pools.reshape(-1, P))
+    new = got.reshape(-1, 2, P)
+    got_j, _ = _buy_up(tab, t_idx, j, floor[:, 0], before[j],
+                       np.where(is_tr[:, None], left.reshape(-1, 2, P)[:, 1], 0.0))
+    new[:, 0] = np.where(is_tr[:, None], got_j,
+                         np.where(is_split[:, None], new[:, 0], np.maximum(tail[j], lv[j, None] + 1)))
+    ok = ~is_split | ((new[:, 0, 0] >= 1) & (new[:, 1, 0] >= 1))
+    differs = (new[:, 0] != tail[j]) | (new[:, 1] != tail[jp])
+    moves = _Moves(kind, j, jp, new, ok, differs)
+
+    # budgets: the base spend, less the two stations' old spend, plus their new
+    # spend; a move too close to a budget to tell is checked with period_costs
+    if not (spent[:t_idx] <= tab.limit[:t_idx]).all():
+        ok[:] = False
+    taus = np.arange(t_idx, T)
+    cum = tab.cum
+
+    def spend(st, lv_, prev_):
+        return cum[st, np.maximum(lv_, prev_), taus] - cum[st, prev_, taus]
+
+    old = spend(np.arange(J + 1)[:, None], tail, np.column_stack([before, tail[:, :-1]]))
+    prev_new = np.concatenate([before[pairs][..., None], new[..., :-1]], axis=2)
+    excess = (spent[t_idx:] - (old[j] + old[jp]) + spend(pairs[..., None], new, prev_new).sum(axis=1)
+              - tab.limit[t_idx:])
+    err = tab.rel_err * (spent[t_idx:] + 2.0 * tab.ladder[t_idx:])
+    ok &= (excess <= err).all(axis=1)
+    for i in np.flatnonzero(ok & (excess >= -err).any(axis=1)):
+        ok[i] = bool((period_costs(instance, moves.levels(i, levels, t_idx)) <= tab.limit).all())
+    return moves
 
 
-def _local_search(instance, coverage, levels, deadline=None, trace=None):
+def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, j1, trace):
+    """Try one batch of moves (see the section comment). Returns the levels, f
+    and the station whose moves were accepted, None when none was. `spent` is
+    period_costs(instance, levels); `values` is updated in place."""
+    mv = _batch_moves(instance, tab, levels, spent, t_idx, j0, j1)
+    cand = np.flatnonzero(mv.ok)
+    if not cand.size:
+        return levels, f_cur, None
+    t, base_levels = t_idx + 1, levels
+    basis = tab.basis
+    if basis.levels is not levels or basis.t_from != t:  # levels are replaced, never edited
+        basis.update(levels, t)
+    held_counts = np.bitwise_count(basis.held)
+    weights = coverage.trip.word_weights.reshape(coverage.horizon, -1)[t_idx:].T
+    base_values = values[t_idx:].copy()
+    base_sum = base_values.sum()
+    margin = SCREEN_REL_MARGIN * max(abs(f_cur), 1.0)
+
+    # (move, period) pairs where a move changes a level, in move order, cut
+    # into chunks at station boundaries
+    differs = mv.differs[cand]
+    row, period = np.nonzero(differs)
+    pair_start = np.searchsorted(row, np.arange(len(cand) + 1))
+    station = mv.j[cand]
+    ends = [len(cand)]
+    if len(row) * held_counts.shape[1] > CHUNK_WORDS:
+        words = np.bincount(station - j0, weights=differs.sum(axis=1) * held_counts.shape[1])
+        chunk = ((np.cumsum(words) - words) // CHUNK_WORDS)[station - j0]
+        ends = np.append(np.flatnonzero(np.diff(chunk)) + 1, len(cand))
+
+    a = 0
+    for b in ends:
+        # screened tails of moves a..b-1; `same` where every changed period
+        # keeps the popcount of every word, so its value is the base value
+        pa, pb = pair_start[a], pair_start[b]
+        rows, per = cand[row[pa:pb]], period[pa:pb]
+        counts = np.bitwise_count(basis.words(per, mv.j[rows], mv.jp[rows],
+                                              mv.new[rows, 0, per], mv.new[rows, 1, per]))
+        unchanged = (counts == held_counts[per]).all(axis=1)
+        screened = (counts.astype(np.float64) @ weights)[np.arange(pb - pa), per]
+        local = row[pa:pb] - a
+        tails = base_sum + np.bincount(local, weights=np.where(unchanged, 0.0,
+                                                               screened - base_values[per]),
+                                       minlength=b - a)
+        same = np.bincount(local, weights=~unchanged, minlength=b - a) == 0
+
+        pos, stop, accepted = a, b, None
+        while pos < stop:
+            d = tails[pos - a:stop - a] - values[t_idx:].sum()
+            hits = np.flatnonzero(np.where(same[pos - a:stop - a], d > MIN_GAIN,
+                                           d >= MIN_GAIN - margin))
+            if not hits.size:
+                break
+            i = pos + int(hits[0])
+            r = cand[i]
+            cand_levels = mv.levels(r, base_levels, t_idx)
+            tail = base_values.copy() if same[i - a] else coverage.period_values(cand_levels, t)
+            d = float(tail.sum() - values[t_idx:].sum())
+            if d > MIN_GAIN:
+                if accepted is None:
+                    accepted = int(station[i])
+                    stop = a + int(np.searchsorted(station[a:b], accepted, side="right"))
+                levels, values[t_idx:] = cand_levels, tail
+                f_cur += d
+                if trace is not None:
+                    jp = None if mv.kind[r] == ADD else int(mv.jp[r])
+                    trace.append({"period": t, "move": (MOVE_NAMES[mv.kind[r]], int(mv.j[r]), jp),
+                                  "f": f_cur})
+            pos = i + 1
+        if accepted is not None:
+            return levels, f_cur, accepted
+        a = b
+    return levels, f_cur, None
+
+
+def _local_search(instance, coverage, levels, deadline=None, trace=None, tables=None):
     """Add / Transfer / Split moves, period by period, taking the first
     improving move; never worsens f and never leaves the feasible set
-    (infeasible moves are discarded). Returns the searched levels and f."""
+    (infeasible moves are discarded). Returns the searched levels and f.
+    `tables` is a _SearchTables of the same instance and coverage, which
+    searches run one at a time may share."""
     levels = levels.copy()
     values = coverage.period_values(levels)  # per period, refreshed on every accepted move
     f_cur = float(values.sum())
-    T = instance.horizon
+    spent = period_costs(instance, levels)
+    tab = tables or _SearchTables(instance, coverage)
+    J, T = instance.n_stations, instance.horizon
 
     for t in range(1, T + 1):
         t_idx = t - 1
@@ -274,17 +473,16 @@ def _local_search(instance, coverage, levels, deadline=None, trace=None):
             if deadline is not None and time.perf_counter() > deadline:
                 return levels, f_cur
             pass_start = f_cur
-            for j in range(instance.n_stations):
-                for move, cand in _candidate_moves(instance, levels, t_idx, j):
-                    if cand is None or not _schedule_feasible(instance, cand):
-                        continue
-                    tail = coverage.period_values(cand, t)
-                    d = float(tail.sum() - values[t_idx:].sum())
-                    if d > 1e-12:
-                        levels, values[t_idx:] = cand, tail
-                        f_cur += d
-                        if trace is not None:
-                            trace.append({"period": t, "move": move, "f": f_cur})
+            j0 = 0
+            while j0 < J:
+                j1 = min(J, j0 + max(1, BATCH_SLOTS // ((2 * J - 1) * (T - t_idx))))
+                levels, f_cur, j_star = _search_batch(instance, coverage, tab, levels, spent,
+                                                      values, f_cur, t_idx, j0, j1, trace)
+                if j_star is None:
+                    j0 = j1
+                    continue
+                spent = period_costs(instance, levels)
+                j0 = j_star + 1
             gained = f_cur - pass_start
             rel = (gained / pass_start) if pass_start > 0 else (np.inf if gained > 0 else 0.0)
             if rel < LOCAL_SEARCH_MIN_REL_GAIN:
@@ -300,7 +498,9 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
     """Construct / filter / locally-improve loop with incumbent tracking.
 
     Terminates when max_solutions candidates have been examined, max_filtered
-    candidates have been filtered out, or the time limit is reached.
+    candidates have been filtered out, or the time limit is reached. The local
+    search is a function of its start, so a constructed schedule that was
+    searched before reuses that search's outcome.
     """
     config = config or GraspConfig()
     rng = np.random.default_rng(config.seed)
@@ -309,41 +509,52 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
     max_k = int(instance.max_outlets.max())
 
     incumbent, incumbent_f = None, -np.inf
+    searched = {}                      # start schedule bytes -> (levels, f)
+    tables = _SearchTables(instance, coverage)
     examined = filtered = 0
     warmup_ratios: list[float] = []
     max_rel = None
     trace = []
     termination = "max_solutions"
-    while True:
-        if examined >= config.max_solutions:
-            termination = "max_solutions"
-            break
-        if filtered >= config.max_filtered:
-            termination = "max_filtered"
-            break
-        if time.perf_counter() >= deadline:
-            termination = "time_limit"
-            break
-        x_c = grasp_construct(instance, coverage, config.alpha, config.mode, rng)
-        examined += 1
-        f_c = evaluate(instance, coverage, x_c)
-        if grasp_filter(f_c, incumbent_f, max_rel):
-            filtered += 1
-            trace.append({"iteration": examined, "constructed_f": f_c, "filtered": True,
-                          "incumbent": incumbent_f,
+    # The local searches run on a worker thread, which glibc serves from its
+    # own malloc arena: their many short-lived arrays then cannot leave small
+    # live blocks at the top of the main heap, which kept freed instance
+    # memory resident and raised the process's peak RSS (BENCH_local_search.json).
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        while True:
+            if examined >= config.max_solutions:
+                termination = "max_solutions"
+                break
+            if filtered >= config.max_filtered:
+                termination = "max_filtered"
+                break
+            if time.perf_counter() >= deadline:
+                termination = "time_limit"
+                break
+            x_c = grasp_construct(instance, coverage, config.alpha, config.mode, rng)
+            examined += 1
+            f_c = evaluate(instance, coverage, x_c)
+            if grasp_filter(f_c, incumbent_f, max_rel):
+                filtered += 1
+                trace.append({"iteration": examined, "constructed_f": f_c, "filtered": True,
+                              "incumbent": incumbent_f,
+                              "elapsed": time.perf_counter() - start})
+                continue
+            key = x_c.levels.tobytes()
+            if key not in searched:
+                searched[key] = worker.submit(_local_search, instance, coverage, x_c.levels,
+                                              deadline=deadline, tables=tables).result()
+            levels, f_ls = searched[key]
+            if max_rel is None:
+                if f_c > 0:
+                    warmup_ratios.append(f_ls / f_c)
+                if len(warmup_ratios) >= FILTER_WARMUP:
+                    max_rel = max(warmup_ratios)
+            if f_ls > incumbent_f:
+                incumbent, incumbent_f = levels, f_ls
+            trace.append({"iteration": examined, "constructed_f": f_c, "filtered": False,
+                          "after_search_f": f_ls, "incumbent": incumbent_f,
                           "elapsed": time.perf_counter() - start})
-            continue
-        levels, f_ls = _local_search(instance, coverage, x_c.levels, deadline=deadline)
-        if max_rel is None:
-            if f_c > 0:
-                warmup_ratios.append(f_ls / f_c)
-            if len(warmup_ratios) >= FILTER_WARMUP:
-                max_rel = max(warmup_ratios)
-        if f_ls > incumbent_f:
-            incumbent, incumbent_f = levels, f_ls
-        trace.append({"iteration": examined, "constructed_f": f_c, "filtered": False,
-                      "after_search_f": f_ls, "incumbent": incumbent_f,
-                      "elapsed": time.perf_counter() - start})
 
     # f of the incumbent, not the local search's running sum of deltas, which
     # can drift from it in the last bits

@@ -224,18 +224,24 @@ def network_from_text(text: str) -> Network:
         if required not in sections or not sections[required]:
             raise NetworkError(f"missing [{required}] table")
 
-    node_rows = list(csv.reader(sections["nodes"]))
-    if node_rows[0] != _NODE_HEADER:
-        raise NetworkError(f"bad node header {node_rows[0]!r}")
-    nodes = [
-        Node(r[0], float(r[1]), float(r[2]), float(r[3]), bool(int(r[4])),
-             (float(r[5]), float(r[6]), float(r[7])))
-        for r in node_rows[1:]
-    ]
-    edge_rows = list(csv.reader(sections["edges"]))
-    if edge_rows[0] != _EDGE_HEADER:
-        raise NetworkError(f"bad edge header {edge_rows[0]!r}")
-    edges = [Edge(r[0], r[1], float(r[2])) for r in edge_rows[1:]]
+    def parse(section, header, make):
+        rows = list(csv.reader(sections[section]))
+        if rows[0] != header:
+            raise NetworkError(f"bad {section[:-1]} header {rows[0]!r}")
+        out = []
+        for n, r in enumerate(rows[1:], start=1):
+            if len(r) != len(header):
+                raise NetworkError(f"[{section}] row {n}: {len(r)} fields, expected {len(header)}")
+            try:
+                out.append(make(r))
+            except ValueError as exc:
+                raise NetworkError(f"[{section}] row {n}: {exc}") from None
+        return out
+
+    nodes = parse("nodes", _NODE_HEADER, lambda r: Node(
+        r[0], float(r[1]), float(r[2]), float(r[3]), bool(int(r[4])),
+        (float(r[5]), float(r[6]), float(r[7]))))
+    edges = parse("edges", _EDGE_HEADER, lambda r: Edge(r[0], r[1], float(r[2])))
     return Network(nodes, edges)
 
 
@@ -246,4 +252,8 @@ def save_network(network: Network, path):
 
 def load_network(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        return network_from_text(fh.read())
+        text = fh.read()
+    try:
+        return network_from_text(text)
+    except NetworkError as exc:
+        raise NetworkError(f"{path}: {exc}") from None

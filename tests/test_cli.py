@@ -14,6 +14,7 @@ from evcover.exact import brute_force_optimum
 from evcover.growth import GrowthError, growth_from_csv
 from evcover.instance import SolutionX, load_instance, save_instance
 from evcover.lp_io import parse_lp
+from evcover.network import generate_network, save_network
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +247,7 @@ MANIFESTS = {
 @pytest.mark.parametrize("command, bad", [
     ("generate", None),
     ("generate", "missing network"),
+    ("generate", "cut network row"),
     ("solve", "missing"),
     ("solve", "not JSON"),
     ("solve", "wrong schema"),
@@ -258,6 +260,7 @@ MANIFESTS = {
     ("compare-gf", "unreadable instance"),
     ("export", "missing"),
     ("report", "missing"),
+    ("report", "not a rows file"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, command, bad):
     out = tmp_path / "out"
@@ -265,11 +268,22 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, command, bad):
     (tmp_path / "bad.json").write_text('{"schema": "evcover-instance-v2"}')
     if command == "generate":
         source = ["--count", "-1"] if bad is None else ["--network", missing]
+        if bad == "cut network row":
+            net = tmp_path / "network.csv"
+            save_network(generate_network(10, seed=1), net)
+            lines = net.read_text().splitlines()
+            lines[lines.index("[nodes]") + 3] = "n1,1"  # the second node row, cut short
+            net.write_text("\n".join(lines) + "\n")
+            source = ["--network", str(net)]
         argv = ["generate", "Simple", "--nodes", "10", *source, "--out", str(out)]
     elif command == "export":
         argv = ["export", missing, "--formulation", "mc", "--out", str(out)]
     elif command == "report":
-        argv = ["report", missing, "--out", str(out)]
+        rows = missing
+        if bad == "not a rows file":
+            rows = tmp_path / "rows.csv"
+            rows.write_text("a,b\n1,2\n")
+        argv = ["report", str(rows), "--out", str(out)]
     else:
         path = tmp_path / "manifest.json"
         if bad != "missing":

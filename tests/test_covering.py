@@ -3,8 +3,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evcover.covering import (CoverageError, CoverageTensor, TripletIndex, build_coverage,
-                              compute_abar, evaluate, evaluate_per_period, gap,
+from evcover.covering import (CoverageError, CoverageTensor, SwapBasis, TripletIndex,
+                              build_coverage, compute_abar, evaluate, evaluate_per_period, gap,
                               optout_utility, preprocess_home_charging,
                               score_hyperoptic, score_myopic, station_utility_at_k)
 from evcover.datasets import generate_small_instance
@@ -387,6 +387,52 @@ def test_held_words_and_period_values_match_naive_reference(inst, schedule_seed)
     # the local search carries its value forward move by move
     found, f = _local_search(inst, cov, levels)
     assert f == pytest.approx(cov.period_values(found).sum(), rel=1e-12, abs=1e-9)
+
+
+@st.composite
+def level_vectors(draw):
+    """An instance (up to six stations, forced bits in some) and an arbitrary
+    outlet schedule within its caps."""
+    inst = draw(st.one_of(tiny_instances(), st.builds(
+        lambda seed, J, T, m: generate_small_instance(seed, n_nodes=max(J, 4), n_stations=J,
+                                                      horizon=T, max_outlets=m,
+                                                      max_scenarios=70),
+        st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    levels = rng.integers(0, inst.max_outlets[:, None] + 1, (inst.n_stations, inst.horizon))
+    return inst, levels, rng
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=level_vectors())
+def test_plane_derived_words_match_held_words(case):
+    inst, levels, rng = case
+    cov = build_coverage(inst)
+    J, T = levels.shape
+    t_from = int(rng.integers(1, T + 1))
+    basis = SwapBasis(cov)
+    basis.update(rng.integers(0, inst.max_outlets[:, None] + 1, levels.shape))  # then reused
+    basis.update(levels, t_from)
+    for p, t in enumerate(range(t_from, T + 1)):
+        np.testing.assert_array_equal(basis.held[p], cov.held_words(levels[:, t - 1], t, t))
+    # moves of one station (jp = J) or of two distinct ones; with six stations
+    # some bits are covered three times
+    n = 12
+    j = rng.integers(0, J, n)
+    jp = np.where(rng.random(n) < 0.3, J, (j + rng.integers(1, max(J, 2), n)) % max(J, 1))
+    jp[jp == j] = J
+    period = rng.integers(0, T - t_from + 1, n)
+    caps = np.append(inst.max_outlets, 0)
+    new_j, new_jp = rng.integers(0, caps[j] + 1), rng.integers(0, caps[jp] + 1)
+    got = basis.words(period, j, jp, new_j, new_jp)
+    for i in range(n):
+        t = t_from + int(period[i])
+        moved = levels[:, t - 1].copy()
+        moved[j[i]] = new_j[i]
+        if jp[i] < J:
+            moved[jp[i]] = new_jp[i]
+        np.testing.assert_array_equal(got[i], cov.held_words(moved, t, t))
 
 
 # -- the stored representation -------------------------------------------------------

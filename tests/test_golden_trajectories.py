@@ -8,6 +8,11 @@ moves that commit bf8b6c6 produced on three instances with up to 4 outlets
 per station, so buy-up chains of several outlets are pinned too. No split is
 accepted there; split candidates are pinned only by the moves they must not
 displace.
+`data/golden_longspan_n30.json` holds what commit 9d7f5ea produced at
+LongSpan scale (`generate_network(30, seed=1)`, instance 0 of the LongSpan
+dataset with base seed 1, 30 stations, 6 outlets, 10 periods): the GRASP-m
+trace (4 solutions, seed 1) and the local-search moves from the random
+starts `random_feasible_solution(inst, default_rng(s))`, s = 0 and 1.
 Moves, picks and filter decisions must match exactly. Values are compared
 to rel 1e-12, because another numpy/BLAS may round the last bit of a sum
 differently.
@@ -20,13 +25,15 @@ import numpy as np
 import pytest
 
 from evcover.covering import build_coverage
-from evcover.datasets import generate_small_instance
+from evcover.datasets import DatasetSpec, generate_dataset, generate_small_instance
 from evcover.exact import random_feasible_solution
 from evcover.heuristics import GraspConfig, GreedyConfig, _local_search, grasp, greedy
+from evcover.network import generate_network
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_trajectories.json").read_text())
 GOLDEN_M4 = json.loads((DATA / "golden_local_search_m4.json").read_text())
+GOLDEN_LONGSPAN = json.loads((DATA / "golden_longspan_n30.json").read_text())
 MODES = ("myopic", "hyperoptic")
 
 
@@ -52,6 +59,13 @@ def case_m4(request):
     return seed, inst, build_coverage(inst), GOLDEN_M4[request.param]
 
 
+@pytest.fixture(scope="module")
+def case_longspan():
+    inst = generate_dataset(DatasetSpec(kind="LongSpan", network=generate_network(30, seed=1),
+                                        instance_count=1, base_seed=1))[0]
+    return None, inst, build_coverage(inst), GOLDEN_LONGSPAN
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_greedy_picks(case, mode):
     _, inst, cov, golden = case
@@ -62,10 +76,10 @@ def test_greedy_picks(case, mode):
     assert close(res.f, want["f"])
 
 
-def check_grasp_trace(case, mode):
+def check_grasp_trace(case, mode, max_solutions=30):
     _, inst, cov, golden = case
     want = golden[f"grasp-{mode}"]
-    res = grasp(inst, cov, GraspConfig(mode=mode, max_solutions=30, seed=1))
+    res = grasp(inst, cov, GraspConfig(mode=mode, max_solutions=max_solutions, seed=1))
     assert [e["filtered"] for e in res.trace] == want["filtered"]
     for e, c, a, i in zip(res.trace, want["constructed_f"], want["after_search_f"],
                           want["incumbent"]):
@@ -77,9 +91,11 @@ def check_grasp_trace(case, mode):
     assert res.termination == want["termination"]
 
 
-def check_local_search_moves(case):
+def check_local_search_moves(case, start_seed=None):
     seed, inst, cov, golden = case
     want = golden["local_search"]
+    if start_seed is not None:
+        seed, want = start_seed, want[str(start_seed)]
     x = random_feasible_solution(inst, np.random.default_rng(seed))
     assert x.levels.tolist() == want["start"]
     trace = []
@@ -106,3 +122,12 @@ def test_grasp_trace_m4(case_m4, mode):
 
 def test_local_search_moves_m4(case_m4):
     check_local_search_moves(case_m4)
+
+
+def test_grasp_trace_longspan(case_longspan):
+    check_grasp_trace(case_longspan, "myopic", max_solutions=4)
+
+
+@pytest.mark.parametrize("start_seed", [0, 1])
+def test_local_search_moves_longspan(case_longspan, start_seed):
+    check_local_search_moves(case_longspan, start_seed)

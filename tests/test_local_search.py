@@ -1,0 +1,117 @@
+"""The batched local search against the per-candidate reference it replaced
+(`local_search_reference.py`): same accepted moves, levels and f, bit for bit."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from evcover.covering import build_coverage
+from evcover.datasets import generate_small_instance
+from evcover.exact import random_feasible_solution
+from evcover.heuristics import MOVE_NAMES, _batch_moves, _local_search, _SearchTables
+from evcover.instance import BUDGET_TOL, CostBudget, Instance, period_costs
+
+from local_search_reference import candidate_moves, reference_local_search, schedule_feasible
+
+
+def reshaped(inst, rng, fractional):
+    """The same instance with per-station outlet caps, some initial outlets
+    and, when `fractional`, random non-integer costs and budgets."""
+    J, K, T = inst.cost_budget.outlet_cost.shape
+    caps = rng.integers(1, K + 1, J)
+    caps[rng.integers(J)] = K
+    stations = [replace(s, max_outlets=int(m), initial_outlets=int(rng.integers(0, m + 1))
+                        if rng.random() < 0.3 else 0) for s, m in zip(inst.stations, caps)]
+    cost_budget = inst.cost_budget
+    if fractional:
+        cost_budget = CostBudget(np.round(rng.uniform(20.0, 160.0, (J, K, T)), 2),
+                                 np.round(rng.uniform(60.0, 420.0, T), 3))
+    return Instance(inst.network, stations, inst.user_classes, inst.horizon, cost_budget,
+                    inst.utility_params, inst.choice_sets, inst.error_tensor, inst.metadata)
+
+
+def concentrated_start(inst, rng):
+    """Each period, one random station buys what the budget allows: starts
+    from which Split moves get accepted."""
+    levels = np.repeat(inst.initial_levels[:, None], inst.horizon, axis=1)
+    cost = inst.cost_budget.outlet_cost
+    for t in range(inst.horizon):
+        if t:
+            levels[:, t] = levels[:, t - 1]
+        spent, j = 0.0, int(rng.integers(inst.n_stations))
+        while (levels[j, t] < inst.stations[j].max_outlets and spent + cost[j, levels[j, t], t]
+               <= inst.cost_budget.budgets[t] + BUDGET_TOL):
+            spent += cost[j, levels[j, t], t]
+            levels[j, t] += 1
+    return levels
+
+
+@st.composite
+def search_cases(draw):
+    J = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 10**6))
+    inst = generate_small_instance(seed, n_nodes=max(J, draw(st.integers(3, 9))), n_stations=J,
+                                   horizon=draw(st.integers(1, 4)),
+                                   max_outlets=draw(st.integers(1, 4)),
+                                   max_scenarios=draw(st.integers(4, 70)),
+                                   budget=draw(st.sampled_from([150.0, 250.0, 400.0, 600.0])))
+    rng = np.random.default_rng(seed)
+    shape = draw(st.sampled_from(["as generated", "caps", "caps and fractional costs"]))
+    if shape != "as generated":
+        inst = reshaped(inst, rng, fractional=shape != "caps")
+    if draw(st.booleans()):
+        start = concentrated_start(inst, rng)
+    else:
+        start = random_feasible_solution(inst, rng).levels
+    return inst, start
+
+
+def assert_same_search(inst, start):
+    cov = build_coverage(inst)
+    want_trace, got_trace = [], []
+    want_levels, want_f = reference_local_search(inst, cov, start, want_trace)
+    got_levels, got_f = _local_search(inst, cov, start, trace=got_trace)
+    assert got_trace == want_trace
+    assert got_levels.tolist() == want_levels.tolist()
+    assert got_f == want_f
+    return got_trace
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=search_cases())
+def test_batched_search_matches_reference(case):
+    assert_same_search(*case)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=search_cases())
+def test_built_moves_match_reference_candidates(case):
+    """Every feasible move a batch builds, in order, with its levels, before
+    any value is looked at: the candidates the reference generator yields."""
+    inst, levels = case
+    tables = _SearchTables(inst, build_coverage(inst))
+    spent = period_costs(inst, levels)
+    for t_idx in range(inst.horizon):
+        want = [(move, cand.tolist()) for j in range(inst.n_stations)
+                for move, cand in candidate_moves(inst, levels, t_idx, j)
+                if cand is not None and schedule_feasible(inst, cand)]
+        mv = _batch_moves(inst, tables, levels, spent, t_idx, 0, inst.n_stations)
+        got = [((MOVE_NAMES[mv.kind[i]], int(mv.j[i]),
+                 None if MOVE_NAMES[mv.kind[i]] == "add" else int(mv.jp[i])),
+                mv.levels(i, levels, t_idx).tolist()) for i in np.flatnonzero(mv.ok)]
+        assert got == want
+
+
+def test_accepted_splits_match_reference():
+    moves = []
+    for seed in range(4):
+        inst = generate_small_instance(seed, n_nodes=6, n_stations=3, horizon=2, max_outlets=4,
+                                       budget=300.0)
+        start = np.zeros((3, 2), dtype=int)
+        start[0] = 4  # 150 + 3 * 50: the whole period-1 budget on station 0
+        moves += [e["move"][0] for e in assert_same_search(inst, start)]
+    assert moves.count("split") >= 4

@@ -103,6 +103,25 @@ def test_network_file_round_trip(tmp_path):
         network_from_text("not a network")
 
 
+@pytest.mark.parametrize("section, row, cut, message", [
+    ("[nodes]", 2, lambda r: r[:2], r"\[nodes\] row 2: 2 fields, expected 8"),
+    ("[nodes]", 1, lambda r: [r[0], "east", *r[2:]], r"\[nodes\] row 1: could not convert"),
+    ("[nodes]", 3, lambda r: [*r[:4], "yes", *r[5:]], r"\[nodes\] row 3: invalid literal"),
+    ("[edges]", 1, lambda r: r + ["9"], r"\[edges\] row 1: 4 fields, expected 3"),
+    ("[edges]", 2, lambda r: [*r[:2], ""], r"\[edges\] row 2: could not convert"),
+])
+def test_malformed_network_row_names_section_and_row(tmp_path, section, row, cut, message):
+    lines = network_to_text(generate_network(6, seed=1)).splitlines()
+    at = lines.index(section) + 1 + row  # after the section line and its header
+    lines[at] = ",".join(cut(lines[at].split(",")))
+    with pytest.raises(NetworkError, match=message):
+        network_from_text("\n".join(lines))
+    path = tmp_path / "net.csv"
+    path.write_text("\n".join(lines))
+    with pytest.raises(NetworkError, match=f"^{path}: "):
+        load_network(path)
+
+
 def test_two_node_network_has_one_edge():
     net = generate_network(2, seed=4)
     assert [(e.node_a, e.node_b) for e in net.edges] == [("n0", "n1")]

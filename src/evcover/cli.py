@@ -34,7 +34,7 @@ from .growth import (GrowthError, _solve_gf_model, adjust_solution_max_outlets,
 from .heuristics import (GraspConfig, GreedyConfig, HeuristicError, RollingHorizonConfig,
                          grasp, greedy, rolling_horizon)
 from .instance import Instance, InstanceError, load_instance, save_instance
-from .milp import build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
+from .milp import ModelError, build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
 from .solver import resolve_solver_command, solve_external
@@ -326,21 +326,20 @@ def write_node_geojson(instance, node_ev, path):
 
 
 def cmd_compare_gf(args):
-    # every instance is loaded before --out is created
+    # every instance is loaded, and the GF model solved, before --out is created
     paths = _manifest_paths(args.manifest)
     if not paths:
         raise InstanceError(f"{args.manifest}: manifest lists no instances")
     instances = [load_instance(path) for path in paths]
-    os.makedirs(args.out, exist_ok=True)
     coverages = [build_coverage(inst) for inst in instances]
 
     # reference covering solution drives the growth function
     ref = greedy(instances[0], coverages[0], GreedyConfig(mode="hyperoptic")).x
     gf_curve = generate_growth_function(instances, ref, coverages)
-    save_growth(gf_curve, os.path.join(args.out, "growth_function.csv"))
-
     gf_inst = build_gf_instance(instances[0], gf_curve, radius_km=args.radius)
     gf_sol = _solve_gf_model(gf_inst, args.solver_cmd, args.time_limit)
+    os.makedirs(args.out, exist_ok=True)
+    save_growth(gf_curve, os.path.join(args.out, "growth_function.csv"))
     x_gf = gf_solution_as_x(gf_inst, gf_sol)
     x_adj = adjust_solution_max_outlets(gf_inst, gf_sol)
 
@@ -460,7 +459,8 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError, RowsError) as exc:
+    except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError, RowsError,
+            ModelError) as exc:
         print(f"evcover {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -89,17 +89,20 @@ def reachable_states(instance: Instance, budget: EnumerationBudget | None = None
     """Forward pass of the DP: per period, the reachable level vectors as
     tuples, in the order first reached from the previous period's states (the
     initial levels for period 1). Raises EnumerationCapExceeded as soon as the
-    states of the periods collected so far exceed the budget."""
+    distinct states collected so far exceed the budget, checked after each
+    previous-period state's extensions are merged into the layer."""
     budget = budget or EnumerationBudget()
     layer = [_initial_state(instance)]
     layers, count = [], 0
     for t_idx in range(instance.horizon):
-        layer = list(dict.fromkeys(e for base in layer
-                                   for e in _instance_extensions(instance, base, t_idx)))
+        reached = {}
+        for base in layer:
+            reached.update(dict.fromkeys(_instance_extensions(instance, base, t_idx)))
+            if count + len(reached) > budget.max_configurations:
+                raise EnumerationCapExceeded(count + len(reached), budget.max_configurations,
+                                             f"reachable states by period {t_idx + 1}")
+        layer = list(reached)
         count += len(layer)
-        if count > budget.max_configurations:
-            raise EnumerationCapExceeded(count, budget.max_configurations,
-                                         f"reachable states by period {t_idx + 1}")
         layers.append(layer)
     return layers
 

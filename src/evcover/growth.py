@@ -26,6 +26,8 @@ from .solver import resolve_solver_command, solve_external
 # GF prices: every outlet, and the opening of a station with no outlets yet
 GF_OUTLET_COST = 50.0
 GF_OPENING_COST = 100.0
+# schedule prefixes the solver-less GF enumeration may visit
+GF_ENUMERATION_CAP = 200_000
 
 
 class GrowthError(ValueError):
@@ -80,9 +82,6 @@ class GrowthFunction:
             if z < lo - 1e-12 or z > hi + 1e-12:
                 raw = max(raw, z)
         return min(max(raw, 0.0), 1.0)
-
-    def covers_unit_interval(self):
-        return abs(self.breakpoints[0]) <= 1e-9 and abs(self.breakpoints[-1] - 1.0) <= 1e-9
 
     @classmethod
     def identity(cls):
@@ -357,7 +356,7 @@ def _solve_gf_model(gf_inst, solver_cmd, time_limit):
     return _solve_gf_by_enumeration(gf_inst)
 
 
-def _solve_gf_by_enumeration(gf_inst, cap=200_000):
+def _solve_gf_by_enumeration(gf_inst):
     """Exhaustive search over cumulative outlet schedules with loads resolved
     by the forward recursion; only viable at desk scale."""
     T = gf_inst.horizon
@@ -382,8 +381,9 @@ def _solve_gf_by_enumeration(gf_inst, cap=200_000):
         for opt in period_extensions(base, step_cost, gf_inst.max_outlets,
                                      gf_inst.budgets[t]):
             count += 1
-            if count > cap:
-                raise GrowthError("GF enumeration exceeds the desk-scale cap")
+            if count > GF_ENUMERATION_CAP:
+                raise GrowthError(f"GF enumeration exceeds the desk-scale cap of "
+                                  f"{GF_ENUMERATION_CAP} schedule prefixes")
             levels.append(opt)
             walk(t + 1, levels)
             levels.pop()

@@ -6,32 +6,24 @@ Generals, terminated by End. Output is deterministic: constraints in build
 order, bound/binary/general lines lexicographic by variable name, numbers
 with 12 significant digits. Objective constants are not representable
 portably in LP text, so they are written as a header comment and re-added
-by the solver adapter. A variable or row name that is not one `_NAME` token
-is refused. `parse_lp` reads exactly this dialect, not general LP text; any
-other text raises LpParseError.
+by the solver adapter. Every name is one LP token because `MilpModel`
+refuses any other name when the model is built. `parse_lp` reads exactly
+this dialect, not general LP text; any other text raises LpParseError.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError
 
 _NUM = "%.12g"
 _LINE_WIDTH = 240
-# A name is one token: no space, colon, sign or relational character, and
-# no leading digit.
-_NAME = re.compile(r"[A-Za-z!\"#$%&(),;?@_'`{}|~.][A-Za-z0-9!\"#$%&(),;?@_'`{}|~.]*")
 
 
 def _fmt(value):
     out = _NUM % value
     return out
-
-
-def _first_bad_name(names):
-    return next((name for name in names if not _NAME.fullmatch(name)), None)
 
 
 def _terms(coeffs, var_order, fallback_var):
@@ -65,13 +57,8 @@ def _wrap(line, indent=" "):
 
 
 def model_to_lp(model: MilpModel) -> str:
-    model.validate()
     if not model.variables:
         raise ModelError("cannot export a model without variables")
-    bad = _first_bad_name([v.name for v in model.variables] + [r.name for r in model.rows])
-    if bad is not None:
-        raise ModelError(f"name {bad!r} cannot be written as LP text: a name is one token of "
-                         f"letters, digits and !\"#$%&(),;?@_'`{{}}|~. not starting with a digit")
     fallback = model.variables[0].name
     lines = [f"\\ Problem: {model.name}"]
     if model.objective_constant:
@@ -216,17 +203,13 @@ def parse_lp(text: str) -> MilpModel:
             kind[tokens[0]] = var_kind
     names = set(obj_coeffs).union(*(coeffs for _, coeffs, _, _ in rows), bounds, kind)
 
-    bad = _first_bad_name([*names, *(name for name, _, _, _ in rows)])
-    if bad is not None:
-        raise LpParseError(f"{bad!r} is not a name of the dialect")
     model = MilpModel("parsed", "max" if headers[0] == "Maximize" else "min")
-    for name in sorted(names):
-        model.add_var(name, *bounds.get(name, (0.0, math.inf)), kind.get(name, CONTINUOUS))
-    for name, coeffs, op, rhs in rows:
-        model.add_row(name, coeffs, op, rhs)
-    model.set_objective(obj_coeffs, constant)
     try:
-        model.validate()
+        for name in sorted(names):
+            model.add_var(name, *bounds.get(name, (0.0, math.inf)), kind.get(name, CONTINUOUS))
+        for name, coeffs, op, rhs in rows:
+            model.add_row(name, coeffs, op, rhs)
+        model.set_objective(obj_coeffs, constant)
     except ModelError as exc:
         raise LpParseError(str(exc)) from None
     return model

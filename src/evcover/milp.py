@@ -2,6 +2,11 @@
 Big-M linearised lower level, the maximum-covering (MC) reformulation, and
 the piecewise-linear growth-function (GF) baseline model.
 
+A model is valid by construction: `MilpModel`'s add methods refuse a name
+that is not one LP token (`_NAME`) or is already taken, a discrete variable
+without finite bounds, and a row or objective term on an undeclared
+variable, each naming the offender. Nothing re-checks a model once built.
+
 Variable name scheme (documented, relied on by the solution extractors):
   x_{station}_{k}_{t}          binary outlet-ladder variables
   w_c{ci}_r{r}_t{t}            MC covering variables (continuous in [0, 1])
@@ -16,6 +21,7 @@ Variable name scheme (documented, relied on by the solution extractors):
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,6 +35,9 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 
 _SENSES = ("<=", ">=", "=")
+# A name is one LP token: no space, colon, sign or relational character, and
+# no leading digit.
+_NAME = re.compile(r"[A-Za-z!\"#$%&(),;?@_'`{}|~.][A-Za-z0-9!\"#$%&(),;?@_'`{}|~.]*")
 
 
 class ModelError(ValueError):
@@ -64,12 +73,14 @@ class MilpModel:
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
         self._var_index: dict[str, int] = {}
+        self._row_names: set[str] = set()
 
     def add_var(self, name, lb=0.0, ub=math.inf, kind=CONTINUOUS):
-        if name in self._var_index:
-            raise ModelError(f"duplicate variable name {name!r}")
+        _check_new_name(name, self._var_index, "variable")
         if kind == BINARY:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
+        if kind in (BINARY, INTEGER) and not (math.isfinite(lb) and math.isfinite(ub)):
+            raise ModelError(f"discrete variable {name!r} needs finite bounds")
         self._var_index[name] = len(self.variables)
         self.variables.append(LinVar(name, float(lb), float(ub), kind))
         return name
@@ -77,11 +88,22 @@ class MilpModel:
     def add_row(self, name, coeffs, sense, rhs):
         if sense not in _SENSES:
             raise ModelError(f"bad row sense {sense!r}")
-        self.rows.append(LinRow(name, dict(coeffs), sense, float(rhs)))
+        _check_new_name(name, self._row_names, "row")
+        coeffs = dict(coeffs)
+        self._check_declared(coeffs, f"row {name!r}")
+        self._row_names.add(name)
+        self.rows.append(LinRow(name, coeffs, sense, float(rhs)))
 
     def set_objective(self, coeffs, constant=0.0):
-        self.objective = dict(coeffs)
+        coeffs = dict(coeffs)
+        self._check_declared(coeffs, "objective")
+        self.objective = coeffs
         self.objective_constant = float(constant)
+
+    def _check_declared(self, coeffs, where):
+        if not coeffs.keys() <= self._var_index.keys():
+            missing = sorted(coeffs.keys() - self._var_index.keys())
+            raise ModelError(f"{where} references undeclared variables {missing}")
 
     @property
     def n_variables(self):
@@ -91,24 +113,13 @@ class MilpModel:
     def n_rows(self):
         return len(self.rows)
 
-    def validate(self):
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ModelError("duplicate variable names")
-        row_names = [r.name for r in self.rows]
-        if len(set(row_names)) != len(row_names):
-            raise ModelError("duplicate row names")
-        declared = set(names)
-        for r in self.rows:
-            missing = set(r.coeffs) - declared
-            if missing:
-                raise ModelError(f"row {r.name!r} references undeclared variables {missing}")
-        missing = set(self.objective) - declared
-        if missing:
-            raise ModelError(f"objective references undeclared variables {missing}")
-        for v in self.variables:
-            if v.kind in (BINARY, INTEGER) and not (math.isfinite(v.lb) and math.isfinite(v.ub)):
-                raise ModelError(f"discrete variable {v.name} needs finite bounds")
+
+def _check_new_name(name, taken, what):
+    if not _NAME.fullmatch(name):
+        raise ModelError(f"name {name!r} cannot be written as LP text: a name is one token of "
+                         f"letters, digits and !\"#$%&(),;?@_'`{{}}|~. not starting with a digit")
+    if name in taken:
+        raise ModelError(f"duplicate {what} name {name!r}")
 
 
 # -- x block shared by SL and MC ---------------------------------------------
@@ -311,7 +322,6 @@ def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
                     model.add_row(f"amax_{tag}_a{alt}",
                                   {alpha: 1.0, names_u[alt]: -1.0}, ">=", 0.0)
     model.set_objective(obj)
-    model.validate()
     return model
 
 
@@ -333,7 +343,6 @@ def build_mc(instance: Instance, coverage: CoverageTensor) -> MilpModel:
         for t in range(1, instance.horizon + 1):
             _add_cover_rows(model, instance, coverage, ci, t, obj)
     model.set_objective(obj, constant=coverage.forced_mass)
-    model.validate()
     return model
 
 
@@ -377,7 +386,6 @@ def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
     constant = sum(_add_cover_rows(model, instance, coverage, ci, t, obj)
                    for ci in range(instance.n_classes))
     model.set_objective(obj, constant=constant)
-    model.validate()
     return model
 
 
@@ -390,8 +398,6 @@ def build_gf(gf_instance) -> MilpModel:
     instead, which keeps the model bounded."""
     gf = gf_instance
     growth = gf.growth
-    if not growth.covers_unit_interval():
-        raise ModelError("growth function does not cover [0, 1]")
     model = MilpModel("gf", "max")
     T = gf.horizon
     S = len(growth.slopes)
@@ -492,5 +498,4 @@ def build_gf(gf_instance) -> MilpModel:
         for n, c in h_sum(j, T).items():
             obj[n] = c
     model.set_objective(obj)
-    model.validate()
     return model

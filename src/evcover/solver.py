@@ -83,8 +83,9 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
     beyond HiGHS's own time limit, and an exception inside it becomes an
     'error' result. Any other template runs as a subprocess, killed 60 s
     after the time limit when one is given; `detail` keeps the tail of its
-    output. The reported objective includes the model's objective constant
-    (which is not representable in LP text).
+    output. A solution file that cannot be parsed is an 'error' result too.
+    The reported objective includes the model's objective constant (which is
+    not representable in LP text).
     """
     command = resolve_solver_command(solver_command)
     if command is None:
@@ -121,7 +122,11 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
                 return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
                                    detail=f"no solution file (exit {proc.returncode}): {detail}")
         wall = time.perf_counter() - start
-        status, objective, values = parse_solution_file(sol_path)
+        try:
+            status, objective, values = parse_solution_file(sol_path)
+        except ValueError as exc:
+            return SolveResult(STATUS_ERROR, wall_time=wall,
+                               detail=f"unreadable solution file: {exc}; solver output: {detail}")
     if status in (STATUS_OPTIMAL, STATUS_TIMEOUT):
         if objective is None:
             objective = sum(model.objective.get(n, 0.0) * v for n, v in values.items())
@@ -138,7 +143,6 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
-    model.validate()
     names = [v.name for v in model.variables]
     index = {n: i for i, n in enumerate(names)}
     n = len(names)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,18 @@ MANIFESTS = {
 }
 
 
+def spaced_node_dataset(tmp_path):
+    """A dataset on a network whose node ids `n<k>` are renamed `zone <k>`:
+    the GF model of its instances has names that are not LP tokens."""
+    net = tmp_path / "spaced.csv"
+    save_network(generate_network(10, seed=4), net)
+    net.write_text(re.sub(r"(?m)(?<![^,\n])n(\d+)(?=,)", r"zone \1", net.read_text()))
+    ds = tmp_path / "spaced"
+    assert main(["generate", "Simple", "--network", str(net), "--count", "2",
+                 "--out", str(ds)]) == 0
+    return ds
+
+
 @pytest.mark.parametrize("command, bad", [
     ("generate", None),
     ("generate", "missing network"),
@@ -258,7 +271,9 @@ MANIFESTS = {
     ("compare-gf", "no instances"),
     ("compare-gf", "missing instance"),
     ("compare-gf", "unreadable instance"),
+    ("compare-gf", "spaced node ids"),
     ("export", "missing"),
+    ("export", "spaced node ids"),
     ("report", "missing"),
     ("report", "not a rows file"),
 ])
@@ -276,8 +291,15 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, command, bad):
             net.write_text("\n".join(lines) + "\n")
             source = ["--network", str(net)]
         argv = ["generate", "Simple", "--nodes", "10", *source, "--out", str(out)]
+    elif command == "export" and bad == "spaced node ids":
+        growth = tmp_path / "g.csv"
+        growth.write_text("q_lo,q_hi,slope,intercept\n0.0,0.5,1.2,0.1\n0.5,1.0,1.2,0.1\n")
+        argv = ["export", str(spaced_node_dataset(tmp_path) / "instance_000.json"),
+                "--formulation", "gf", "--growth", str(growth), "--out", str(out)]
     elif command == "export":
         argv = ["export", missing, "--formulation", "mc", "--out", str(out)]
+    elif bad == "spaced node ids":
+        argv = [command, str(spaced_node_dataset(tmp_path) / "manifest.json"), "--out", str(out)]
     elif command == "report":
         rows = missing
         if bad == "not a rows file":

@@ -202,3 +202,29 @@ def test_state_cap_refuses_before_any_valuation(monkeypatch):
     with pytest.raises(EnumerationCapExceeded) as err:
         brute_force_optimum(inst, cov, EnumerationBudget(max_configurations=1))
     assert err.value.count == per_period[0]
+
+
+def test_state_cap_refuses_inside_a_later_layer(monkeypatch):
+    inst = generate_small_instance(45, n_stations=3, horizon=3, budget=250.0)
+    layers = reachable_states(inst)
+    # distinct period-2 states after each period-1 parent, in layer order
+    reached, merged = {}, []
+    for base in layers[0]:
+        reached.update(dict.fromkeys(exact.period_extensions(
+            base, inst.cost_budget.outlet_cost[:, :, 1], inst.max_outlets,
+            inst.cost_budget.budgets[1])))
+        merged.append(len(reached))
+    assert list(reached) == layers[1]
+    crossing = next(k for k, n in enumerate(merged) if n > merged[0])
+    assert merged[crossing] < len(layers[1])
+
+    calls = []
+    extensions = exact._instance_extensions
+    monkeypatch.setattr(exact, "_instance_extensions",
+                        lambda *args: calls.append(args[2]) or extensions(*args))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        reachable_states(inst, EnumerationBudget(len(layers[0]) + merged[0]))
+    assert err.value.count == len(layers[0]) + merged[crossing]
+    assert "by period 2" in str(err.value)
+    # refused at the crossing parent, before the rest of the layer is extended
+    assert calls.count(1) == crossing + 1 < len(layers[0])

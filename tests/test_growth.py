@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evcover import growth
 from evcover.covering import build_coverage, evaluate
 from evcover.datasets import generate_small_dataset
 from evcover.exact import brute_force_optimum
@@ -58,7 +59,7 @@ def test_decreasing_points_rejected():
 
 def test_function_invariants():
     gf = growth_from_points([0.0, 0.05, 0.08, 0.09])
-    assert gf.covers_unit_interval()
+    assert abs(gf.breakpoints[0]) <= 1e-9 and abs(gf.breakpoints[-1] - 1.0) <= 1e-9
     zs = np.linspace(0, 1, 257)
     vals = [gf.value(z) for z in zs]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))  # nondecreasing
@@ -236,3 +237,11 @@ def test_gf_enumeration_reaches_milp_final_total(seed, final_total):
     assert by_enum.yearly_totals[-1] == pytest.approx(by_milp.yearly_totals[-1], abs=1e-6)
     assert by_enum.yearly_totals[-1] == pytest.approx(final_total, abs=0.01)
 
+
+def test_gf_enumeration_over_its_cap_is_refused_naming_it(monkeypatch):
+    insts = generate_small_dataset(21, 1, n_nodes=8, n_stations=3, horizon=2,
+                                   max_outlets=2, max_scenarios=15)
+    gfi = build_gf_instance(insts[0], GrowthFunction((0.0, 0.5, 1.0), (1.2, 1.2), (0.1, 0.1)))
+    monkeypatch.setattr(growth, "GF_ENUMERATION_CAP", 3)
+    with pytest.raises(GrowthError, match="cap of 3 schedule prefixes"):
+        _solve_gf_model(gfi, "none", 60.0)

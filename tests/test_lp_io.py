@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from evcover.covering import build_coverage
 from evcover.datasets import generate_small_dataset, generate_small_instance
-from evcover.growth import GrowthFunction, build_gf_instance
+from evcover.growth import GrowthFunction, _solve_gf_model, build_gf_instance
 from evcover.instance import Instance
 from evcover.lp_io import (LpParseError, model_to_lp, parse_lp, parse_solution_pairs,
                            parse_solution_sections, write_solution_pairs, parse_solution_file)
 from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, build_gf,
                           build_mc, build_sl, compute_bounds)
 from evcover.network import Network
-from evcover.solver import solve_external
 
 
 def toy_model():
@@ -99,10 +98,8 @@ def test_name_collision_rejected_before_writing():
     m = MilpModel("dup", "min")
     m.add_var("a")
     m.add_row("r", {"a": 1.0}, "<=", 1.0)
-    m.add_row("r", {"a": 2.0}, "<=", 2.0)
-    m.set_objective({"a": 1.0})
     with pytest.raises(ModelError, match="duplicate"):
-        model_to_lp(m)
+        m.add_row("r", {"a": 2.0}, "<=", 2.0)
 
 
 def test_parse_rejects_garbage():
@@ -194,24 +191,23 @@ def spaced_network_instance(inst):
 
 def test_names_outside_the_dialect_are_refused():
     m = toy_model()
-    m.add_var("gh_zone 1_3_t1", 0, 5)
     with pytest.raises(ModelError, match=r"name 'gh_zone 1_3_t1' cannot be written"):
-        model_to_lp(m)
+        m.add_var("gh_zone 1_3_t1", 0, 5)
     m = toy_model()
-    m.add_row("cap:2", {"x1": 1.0}, "<=", 1.0)
     with pytest.raises(ModelError, match=r"name 'cap:2' cannot be written"):
-        model_to_lp(m)
+        m.add_row("cap:2", {"x1": 1.0}, "<=", 1.0)
 
 
 def test_gf_model_of_a_network_with_spaced_node_ids_is_refused(monkeypatch):
     monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
     inst = spaced_network_instance(generate_small_dataset(53, 1, horizon=2)[0])
     curve = GrowthFunction((0.0, 0.5, 1.0), (1.2, 1.2), (0.1, 0.1))
-    model = build_gf(build_gf_instance(inst, curve, radius_km=1e9))
+    gf_inst = build_gf_instance(inst, curve, radius_km=1e9)
     with pytest.raises(ModelError, match=r"name 'gh_zone \S+_1_t1' cannot be written"):
-        model_to_lp(model)
+        build_gf(gf_inst)
+    # the solve route builds the same model, so it is refused before any LP text
     with pytest.raises(ModelError, match="cannot be written"):
-        solve_external(model, time_limit_s=30)
+        _solve_gf_model(gf_inst, None, 30)
 
 
 # -- the reader against the writer ------------------------------------------------

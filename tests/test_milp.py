@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,9 +147,18 @@ def test_model_validation_catches_mistakes():
     m.add_var("a", 0, 1, BINARY)
     with pytest.raises(ModelError, match="duplicate"):
         m.add_var("a")
-    m.add_row("r1", {"zzz": 1.0}, "<=", 1.0)
     with pytest.raises(ModelError, match="undeclared"):
-        m.validate()
+        m.add_row("r1", {"zzz": 1.0}, "<=", 1.0)
+
+
+def test_unbounded_integers_and_undeclared_objective_terms_are_refused_when_added():
+    m = MilpModel("bad", "max")
+    with pytest.raises(ModelError, match=r"discrete variable 'g' needs finite bounds"):
+        m.add_var("g", 0, math.inf, INTEGER)
+    m.add_var("a", 0, 1, BINARY)
+    with pytest.raises(ModelError, match=r"objective references undeclared variables \['g'\]"):
+        m.set_objective({"a": 1.0, "g": 2.0})
+    assert [v.name for v in m.variables] == ["a"] and m.objective == {}
 
 
 def test_gf_zero_budget_is_zero():

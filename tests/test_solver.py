@@ -216,3 +216,18 @@ def test_spawned_solver_output_kept_on_success():
     assert res.status == STATUS_OPTIMAL and res.values == {"x": 1.0}
     assert res.detail.endswith("solver chatter\n")
     assert len(res.detail) == 400
+
+
+@pytest.mark.parametrize("line", ["x 1.0e", "# Columns 1.5", "objective n/a"])
+def test_garbled_solution_file_becomes_error_result(line):
+    writer = (f"import sys; open(sys.argv[1], 'w').write('status optimal\\n{line}\\n'); "
+              "print('solver chatter')")
+    python = shlex.quote(sys.executable)
+    res = solve_external(infeasible_toy(),
+                         solver_command=f"{python} -c \"{writer}\" {{sol_path}}",
+                         time_limit_s=5)
+    assert res.status == STATUS_ERROR
+    assert not res.ok and res.values == {} and res.objective is None
+    assert res.detail.startswith("unreadable solution file: ")
+    assert repr(line.split()[-1]) in res.detail
+    assert res.detail.endswith("solver output: solver chatter\n")

@@ -10,6 +10,7 @@ each reachable state once instead of evaluating every feasible schedule, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,6 +18,8 @@ import numpy as np
 
 from .covering import CoverageTensor, evaluate
 from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
+
+GROWN_STATIONS = 5  # period_extensions grows this many trailing stations per run
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,28 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 def period_extensions(base, step_cost, max_outlets, budget):
-    """All level vectors >= base whose added outlets fit the budget, in
-    lexicographic order. step_cost[j, k - 1] is the price of station j's k-th
-    outlet and max_outlets[j] its ceiling."""
+    """Every level vector >= base whose added outlets fit the budget, in
+    lexicographic order, as an iterator. step_cost[j, k - 1] is the price of
+    station j's k-th outlet and max_outlets[j] its ceiling.
+
+    The vectors come in runs: an odometer steps through the affordable
+    levels of all but the last GROWN_STATIONS stations, and each of its
+    vectors is grown over those stations into one list. One run is held at a
+    time, so the extensions can be counted, and refused, as they come."""
     prices = np.asarray(step_cost).tolist()
     limit = float(budget) + BUDGET_TOL
-    out = [((), 0.0)]  # (prefix over stations 0..j-1, its spend), in lexicographic order
-    for j, lv0 in enumerate(base):
-        m_j, row = int(max_outlets[j]), prices[j]
+    head = max(len(base) - GROWN_STATIONS, 0)
+    starts = _odometer(base[:head], prices, max_outlets, limit) if head else (((), 0.0),)
+    return itertools.chain.from_iterable(_grown(start, base, head, prices, max_outlets, limit)
+                                         for start in starts)
+
+
+def _grown(start, base, head, prices, max_outlets, limit):
+    """The extensions of `start`, (levels of stations < head, their spend),
+    over stations head.., in lexicographic order."""
+    out = [start]  # (levels of the stations so far, their spend)
+    for j in range(head, len(base)):
+        lv0, m_j, row = base[j], int(max_outlets[j]), prices[j]
         grown = []
         for prefix, spent in out:
             lv, add = lv0, 0.0
@@ -64,6 +81,30 @@ def period_extensions(base, step_cost, max_outlets, budget):
                 grown.append((prefix + (lv,), spent + add))
         out = grown
     return [levels for levels, _ in out]
+
+
+def _odometer(base, prices, max_outlets, limit):
+    """(levels, spend) of every affordable level vector >= base, in
+    lexicographic order: the last station turns fastest, and when a station
+    cannot go up, the one before it does and every later one restarts from
+    its base level."""
+    J = len(base)
+    levels, added, spent = list(base), [0.0] * J, [0.0] * (J + 1)  # spent[j]: of stations < j
+    while True:
+        yield tuple(levels), spent[J]
+        j = J - 1
+        while j >= 0:
+            lv = levels[j]
+            if lv < max_outlets[j]:
+                add = added[j] + prices[j][lv]
+                if spent[j] + add <= limit:
+                    levels[j], added[j], spent[j + 1] = lv + 1, add, spent[j] + add
+                    for k in range(j + 1, J):
+                        levels[k], added[k], spent[k + 1] = base[k], 0.0, spent[k]
+                    break
+            j -= 1
+        if j < 0:
+            return
 
 
 def _instance_extensions(instance, base, t_idx):
@@ -88,18 +129,26 @@ def count_feasible(instance: Instance) -> int:
 def reachable_states(instance: Instance, budget: EnumerationBudget | None = None):
     """Forward pass of the DP: per period, the reachable level vectors as
     tuples, in the order first reached from the previous period's states (the
-    initial levels for period 1). Raises EnumerationCapExceeded as soon as the
-    distinct states collected so far exceed the budget, checked after each
-    previous-period state's extensions are merged into the layer."""
+    initial levels for period 1). Raises EnumerationCapExceeded once the
+    distinct states collected exceed the budget. A previous-period state's
+    extensions are merged as they are built, and no more than the cap is
+    held: past it, the rest of that state's extensions are only counted, so
+    `count` is the number of distinct states once all of them are merged."""
     budget = budget or EnumerationBudget()
     layer = [_initial_state(instance)]
     layers, count = [], 0
     for t_idx in range(instance.horizon):
-        reached = {}
+        reached, room = {}, budget.max_configurations - count   # this layer's share of the cap
         for base in layer:
-            reached.update(dict.fromkeys(_instance_extensions(instance, base, t_idx)))
-            if count + len(reached) > budget.max_configurations:
-                raise EnumerationCapExceeded(count + len(reached), budget.max_configurations,
+            extensions = _instance_extensions(instance, base, t_idx)
+            for state in extensions:
+                reached[state] = None
+                if len(reached) > room:
+                    break
+            if len(reached) > room:
+                over = sum(1 for state in extensions if state not in reached)
+                raise EnumerationCapExceeded(count + len(reached) + over,
+                                             budget.max_configurations,
                                              f"reachable states by period {t_idx + 1}")
         layer = list(reached)
         count += len(layer)

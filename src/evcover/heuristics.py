@@ -99,42 +99,48 @@ def _initial_levels(instance):
 def _construct(instance, coverage, mode, select, trace=None, clock=None):
     """Common greedy skeleton: per period, repeatedly add one affordable outlet
     chosen by `select` from the positive-score candidates, until no candidate
-    remains or no candidate gains anything."""
+    remains or no candidate gains anything. Returns the levels and their
+    covered bits, `coverage.cover_words(levels)`."""
     J, T = instance.n_stations, instance.horizon
     levels = _initial_levels(instance)
     cost = instance.cost_budget.outlet_cost
-    budgets = instance.cost_budget.budgets
+    limits = instance.cost_budget.budgets + BUDGET_TOL
+    K, stations = cost.shape[1], np.arange(J)
+    price = np.full((J, K + 1, T), np.inf)      # of the outlet after k; inf past m_j
+    price[:, :K] = np.where(np.arange(K)[:, None] < instance.max_outlets[:, None, None], cost,
+                            np.inf)
+    words = np.empty(coverage.trip.n_words, dtype=np.uint64)
     for t in range(1, T + 1):
         if t > 1:
             levels[:, t - 1] = levels[:, t - 2]
+        lv = levels[:, t - 1]
         spent = 0.0
         t_to = t if mode == MYOPIC else T
-        held = coverage.held_words(levels[:, t - 1], t, t_to)
+        span = coverage.trip.word_slice(t, t_to)
+        held = coverage.held_words(lv, t, t_to)
+        next_price = price[stations, lv, t - 1]
         while True:
-            cand_j, cand_rows = [], []
-            for j in range(J):
-                lv = int(levels[j, t - 1])
-                if lv < instance.stations[j].max_outlets \
-                        and spent + cost[j, lv, t - 1] <= budgets[t - 1] + BUDGET_TOL:
-                    cand_j.append(j)
-                    cand_rows.append(coverage.slot(j, lv + 1))
-            if not cand_j:
+            cand_j = (spent + next_price <= limits[t - 1]).nonzero()[0]
+            if not cand_j.size:
                 break
+            cand_rows = coverage.slot_base[cand_j] + lv[cand_j]      # slot (j, lv + 1)
             gains = coverage.slot_gains(cand_rows, held, t, t_to)
             pick = select(gains)
             if pick is None:
                 break
-            j = cand_j[pick]
-            lv = int(levels[j, t - 1])
-            spent += cost[j, lv, t - 1]
-            levels[j, t - 1] = lv + 1
-            held = coverage.held_words(levels[:, t - 1], t, t_to)
+            j = int(cand_j[pick])
+            k = int(lv[j])
+            spent += next_price[j]
+            lv[j] = k + 1
+            next_price[j] = price[j, k + 1, t - 1]
+            held |= coverage.a_bits[cand_rows[pick], span]  # a[j][k] ⊆ a[j][k+1]: held_words(lv)
             if trace is not None:
                 trace.append({"period": t, "station": instance.stations[j].id,
-                              "k": lv + 1, "score": float(gains[pick]),
+                              "k": k + 1, "score": float(gains[pick]),
                               "elapsed": 0.0 if clock is None else time.perf_counter() - clock})
-    max_k = int(instance.max_outlets.max()) if J else 0
-    return levels, SolutionX.from_levels(levels, max_k)
+        period = coverage.trip.word_slice(t)
+        words[period] = held[:period.stop - period.start]
+    return levels, words
 
 
 def _greedy_pick(gains):
@@ -149,21 +155,24 @@ def greedy(instance: Instance, coverage: CoverageTensor, config: GreedyConfig | 
     config = config or GreedyConfig()
     start = time.perf_counter()
     trace = []
-    _, x = _construct(instance, coverage, config.mode, _greedy_pick, trace, start)
-    f = evaluate(instance, coverage, x)
+    levels, words = _construct(instance, coverage, config.mode, _greedy_pick, trace, start)
+    f = coverage.value_of_words(words)
     for row in trace:
         row["f"] = None
     if trace:
         trace[-1]["f"] = f
-    return HeuristicResult(x, f, time.perf_counter() - start, trace,
+    return HeuristicResult(_solution(instance, levels), f, time.perf_counter() - start, trace,
                            termination="completed")
 
 
-def grasp_construct(instance, coverage, alpha, mode, rng) -> SolutionX:
-    """Randomised construction: pick uniformly from the restricted candidate
-    list of positive-gain additions within alpha of the best. With alpha = 1
-    the greedy tie-break applies, so the output is exactly the greedy
-    solution."""
+def _solution(instance, levels):
+    return SolutionX.from_levels(levels, int(instance.max_outlets.max(initial=0)))
+
+
+def _rcl_pick(alpha, rng):
+    """GRASP's pick: uniform from the restricted candidate list of
+    positive-gain additions within alpha of the best; with alpha = 1 the
+    greedy tie-break applies."""
     def pick(gains):
         if gains.size == 0:
             return None
@@ -172,11 +181,18 @@ def grasp_construct(instance, coverage, alpha, mode, rng) -> SolutionX:
             return None
         if alpha >= 1.0:
             return int(np.argmax(gains))
-        rcl = np.flatnonzero((gains > 0.0) & (gains >= alpha * best - 1e-12))
-        return int(rng.choice(rcl))
+        rcl = ((gains > 0.0) & (gains >= alpha * best - 1e-12)).nonzero()[0]
+        return int(rcl[rng.integers(len(rcl))])  # the draw rng.choice(rcl) makes
+    return pick
 
-    _, x = _construct(instance, coverage, mode, pick)
-    return x
+
+def grasp_construct(instance, coverage, alpha, mode, rng) -> SolutionX:
+    """Randomised construction: pick uniformly from the restricted candidate
+    list of positive-gain additions within alpha of the best. With alpha = 1
+    the greedy tie-break applies, so the output is exactly the greedy
+    solution."""
+    levels, _ = _construct(instance, coverage, mode, _rcl_pick(alpha, rng))
+    return _solution(instance, levels)
 
 
 def grasp_filter(candidate_f, incumbent_f, max_observed_rel_increase) -> bool:
@@ -197,11 +213,17 @@ def grasp_filter(candidate_f, incumbent_f, max_observed_rel_increase) -> bool:
 # arrays stay small. Without an accepted move the next batch takes the next
 # run from the same levels. The first move accepted at station j* ends the
 # batch once j*'s own remaining moves, built from the same levels, have been
-# tried, and the next batch starts at j*+1 from the new levels. Move building,
-# budgets and coverage run over arrays. Batched values only screen the moves:
-# a move is decided with the arithmetic of `CoverageTensor.period_values`
-# unless its screened gain is far from the acceptance threshold, so the
-# accepted moves and f are exact.
+# tried, and the next batch starts at j*+1 from the new levels. When all of a
+# period's moves fit BATCH_SLOTS, a batch that runs to the last station holds
+# every station's moves of its period and of as many later periods as fit,
+# all built from the same levels. A batch that starts from exactly those
+# levels (a new pass, or the next period, after a batch that accepted
+# nothing) evaluates them instead of building its own, and the `SwapBasis`
+# planes filled from the first of those periods on serve it too. Move
+# building, budgets and coverage run over arrays. Batched values only screen
+# the moves: a move is decided with the arithmetic of
+# `CoverageTensor.period_values` unless its screened gain is far from the
+# acceptance threshold, so the accepted moves and f are exact.
 
 ADD, TRANSFER, SPLIT = 0, 1, 2
 MOVE_NAMES = ("add", "transfer", "split")
@@ -237,15 +259,23 @@ class _SearchTables:
         # of base spend plus twice the dearest station's full ladder
         self.rel_err = 2.0 * (J * K + 4 * K + 8) * EPS
         self.ladder = own.sum(axis=1).max(axis=0) if J else np.zeros(T)
+        self.periods, self.stations, self.outlets = np.arange(T), np.arange(J + 1), np.arange(K)
+        self.weights = coverage.trip.word_weights.reshape(T, -1).T    # (period words, T)
 
+        # one row of moves per station, the rows repeated for every period
+        # (`period` counts the repeats): the moves of stations j0..j1-1 and of
+        # every station in the `later` periods after are rows j0 to j1+later*J
         js = np.arange(J)[:, None]
         c = np.arange(J - 1)[None, :]
         others = c + (c >= js)
-        self.kind = np.repeat(np.array([ADD] + [TRANSFER] * (J - 1) + [SPLIT] * (J - 1))[None],
-                              J, axis=0)
-        self.station = np.repeat(js, 2 * J - 1, axis=1)
-        self.partner = np.concatenate([np.full((J, 1), J), others, others], axis=1)
-        self.pair_ok = (self.kind == TRANSFER) | (self.partner > js)   # Split: later jp only
+        kind = np.repeat(np.array([ADD] + [TRANSFER] * (J - 1) + [SPLIT] * (J - 1))[None],
+                         J, axis=0)
+        station = np.repeat(js, 2 * J - 1, axis=1)
+        partner = np.concatenate([np.full((J, 1), J), others, others], axis=1)
+        pair_ok = (kind == TRANSFER) | (partner > js)   # Split: later jp only
+        self.kind, self.station, self.partner, self.pair_ok = (
+            np.tile(a, (T, 1)) for a in (kind, station, partner, pair_ok))
+        self.period = np.repeat(self.periods, J * (2 * J - 1)).reshape(self.kind.shape)
 
 
 def _buy_up(tab, t_idx, buyers, floor, carry, pools):
@@ -265,7 +295,7 @@ def _buy_up(tab, t_idx, buyers, floor, carry, pools):
     if not r.size:
         return start, pools
     where = (t_idx + p[:, None], buyers[r, None])
-    steps = np.arange(K)
+    steps = tab.outlets
     chain = np.empty((len(r), K + 1))
     chain[:, 0] = pools[r, p]
     can = np.zeros((len(r), K + 1), dtype=bool)
@@ -290,14 +320,17 @@ def _buy_up(tab, t_idx, buyers, floor, carry, pools):
 @dataclass
 class _Moves:
     """One batch's moves in search order. Move i sets stations j[i] and jp[i]
-    to new[i, 0] and new[i, 1] outlets in periods t..T; jp[i] == n_stations
-    for an Add. `differs` marks the periods where a move changes a level."""
+    to new[i, 0] and new[i, 1] outlets in the periods of the batch, from its
+    first period t on; jp[i] == n_stations for an Add. start[i] is the 0-based
+    period the move belongs to, before which it keeps every level. `differs`
+    marks the periods where a move changes a level."""
     kind: np.ndarray
     j: np.ndarray
     jp: np.ndarray
     new: np.ndarray
     ok: np.ndarray
     differs: np.ndarray
+    start: np.ndarray
 
     def levels(self, i, levels, t_idx):
         out = levels.copy()
@@ -307,71 +340,83 @@ class _Moves:
         return out
 
 
-def _batch_moves(instance, tab, levels, spent, t_idx, j0, j1):
+def _batch_moves(instance, tab, levels, spent, t_idx, j0, j1, later=0):
     """Add / Transfer / Split moves of stations j0..j1-1 built from `levels`,
-    whose period_costs are `spent`. Transfer and Split need j open in period
-    t. A Transfer puts j back to its period-(t-1) level from t on and spends
-    what j had bought, period by period, on jp first and on j with the
-    leftover; a Split does the same to both stations and gives each half. A
-    move that frees nothing is dropped; one that leaves a Split station
-    closed in period t or breaks a budget is not ok."""
+    whose period_costs are `spent`, then, for each of the `later` periods
+    after t, every station's moves of that period from the same levels.
+    Transfer and Split need j open in the move's period s. A Transfer puts j
+    back to its period-(s-1) level from s on and spends what j had bought,
+    period by period, on jp first and on j with the leftover; a Split does
+    the same to both stations and gives each half. A move that frees nothing
+    is dropped; one that leaves a Split station closed in period s or breaks
+    a budget is not ok. The levels are persistent (outlets are never
+    removed), so a later period's move is the move of the same name built
+    from period s with the periods t..s-1 left as they are."""
     J, T = levels.shape
     P = T - t_idx
     before = np.zeros(J + 1, dtype=int)
     before[:J] = levels[:, t_idx - 1] if t_idx > 0 else instance.initial_levels
     tail = np.zeros((J + 1, P), dtype=int)
     tail[:J] = levels[:, t_idx:]
-    lv = tail[:J, 0]
 
-    # what each station bought in each period from t on, summed in outlet order
+    # what each station bought in each period from t on, summed in outlet
+    # order, and whether it bought anything from each period on
     prev = np.maximum.accumulate(np.column_stack([before[:J], tail[:J]]), axis=1)[:, :-1]
-    ks = np.arange(tab.n_outlets)
     bought = np.zeros((J + 1, P))
-    bought[:J] = np.cumsum(np.where((ks >= prev[..., None]) & (ks < tail[:J, :, None]),
+    bought[:J] = np.cumsum(np.where((tab.outlets >= prev[..., None])
+                                    & (tab.outlets < tail[:J, :, None]),
                                     tab.by_period[:, t_idx:], 0.0), axis=2)[..., -1]
-    frees = bought.any(axis=1)
+    frees = np.logical_or.accumulate(bought[:, ::-1] != 0, axis=1)[:, ::-1]
 
-    kind, j, jp = tab.kind[j0:j1], tab.station[j0:j1], tab.partner[j0:j1]
+    # stations j0..j1-1 of period t, then every station of each later period;
+    # s is a move's period, counted from t
+    rows = slice(j0, j1 + later * J)
+    kind, j, jp, s = tab.kind[rows], tab.station[rows], tab.partner[rows], tab.period[rows]
     is_split = kind == SPLIT
-    keep = np.where(kind == ADD, (lv < instance.max_outlets)[j0:j1, None],
-                    (lv >= 1)[j0:j1, None] & tab.pair_ok[j0:j1]
-                    & (frees[j] | is_split & frees[jp]))
-    kind, j, jp, is_split = kind[keep], j[keep], jp[keep], is_split[keep]
+    lv = tail[j, s]
+    keep = np.where(kind == ADD, lv < instance.max_outlets[j],
+                    (lv >= 1) & tab.pair_ok[rows] & (frees[j, s] | is_split & frees[jp, s]))
+    kind, j, jp, is_split, start = kind[keep], j[keep], jp[keep], is_split[keep], s[keep]
     is_tr = kind == TRANSFER
+    active = tab.periods[:P] >= start[:, None]          # the periods a move may change
 
     # Transfer's jp and both Split stations buy first, Transfer's j with what
-    # jp left; an Add's pools are empty
+    # jp left; an Add's pools are empty, and nobody buys before a move's period
     freed = bought[j] + bought[np.where(is_split, jp, J)]
     pool = np.where(is_split, 0.5, np.where(is_tr, 1.0, 0.0))[:, None] * freed
-    pools = np.stack([np.where(is_split[:, None], pool, 0.0), pool], axis=1)
-    floor = np.zeros((len(kind), 2, P), dtype=int)
-    floor[:, 1] = np.where(is_tr[:, None], tail[jp], 0)
+    pools = np.where(active[:, None], np.stack([np.where(is_split[:, None], pool, 0.0), pool],
+                                               axis=1), -np.inf)
     pairs = np.column_stack([j, jp])
+    floor = np.where(active[:, None], 0, tail[pairs])
+    floor[:, 1] = np.where(is_tr[:, None], tail[jp], floor[:, 1])
     got, left = _buy_up(tab, t_idx, pairs.ravel(), floor.reshape(-1, P), before[pairs].ravel(),
                         pools.reshape(-1, P))
     new = got.reshape(-1, 2, P)
     got_j, _ = _buy_up(tab, t_idx, j, floor[:, 0], before[j],
                        np.where(is_tr[:, None], left.reshape(-1, 2, P)[:, 1], 0.0))
-    new[:, 0] = np.where(is_tr[:, None], got_j,
-                         np.where(is_split[:, None], new[:, 0], np.maximum(tail[j], lv[j, None] + 1)))
-    ok = ~is_split | ((new[:, 0, 0] >= 1) & (new[:, 1, 0] >= 1))
+    add = np.maximum(tail[j], np.where(active, tail[j, start][:, None] + 1, 0))
+    new[:, 0] = np.where(is_tr[:, None], got_j, np.where(is_split[:, None], new[:, 0], add))
+    first = np.arange(len(kind))
+    ok = ~is_split | ((new[first, 0, start] >= 1) & (new[first, 1, start] >= 1))
     differs = (new[:, 0] != tail[j]) | (new[:, 1] != tail[jp])
-    moves = _Moves(kind, j, jp, new, ok, differs)
+    moves = _Moves(kind, j, jp, new, ok, differs, t_idx + start)
 
-    # budgets: the base spend, less the two stations' old spend, plus their new
+    # budgets: every period before the move's must be within its budget; from
+    # it on, the base spend, less the two stations' old spend, plus their new
     # spend; a move too close to a budget to tell is checked with period_costs
-    if not (spent[:t_idx] <= tab.limit[:t_idx]).all():
-        ok[:] = False
-    taus = np.arange(t_idx, T)
+    within = np.concatenate([[True], np.logical_and.accumulate(spent <= tab.limit)])
+    ok &= within[t_idx + start]
+    taus = tab.periods[t_idx:]
     cum = tab.cum
 
     def spend(st, lv_, prev_):
         return cum[st, np.maximum(lv_, prev_), taus] - cum[st, prev_, taus]
 
-    old = spend(np.arange(J + 1)[:, None], tail, np.column_stack([before, tail[:, :-1]]))
+    old = spend(tab.stations[:, None], tail, np.column_stack([before, tail[:, :-1]]))
     prev_new = np.concatenate([before[pairs][..., None], new[..., :-1]], axis=2)
-    excess = (spent[t_idx:] - (old[j] + old[jp]) + spend(pairs[..., None], new, prev_new).sum(axis=1)
-              - tab.limit[t_idx:])
+    excess = np.where(active, spent[t_idx:] - (old[j] + old[jp])
+                      + spend(pairs[..., None], new, prev_new).sum(axis=1) - tab.limit[t_idx:],
+                      -np.inf)
     err = tab.rel_err * (spent[t_idx:] + 2.0 * tab.ladder[t_idx:])
     ok &= (excess <= err).all(axis=1)
     for i in np.flatnonzero(ok & (excess >= -err).any(axis=1)):
@@ -379,34 +424,38 @@ def _batch_moves(instance, tab, levels, spent, t_idx, j0, j1):
     return moves
 
 
-def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, j1, trace):
-    """Try one batch of moves (see the section comment). Returns the levels, f
-    and the station whose moves were accepted, None when none was. `spent` is
-    period_costs(instance, levels); `values` is updated in place."""
-    mv = _batch_moves(instance, tab, levels, spent, t_idx, j0, j1)
-    cand = np.flatnonzero(mv.ok)
+def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, mv, trace):
+    """Try the moves of period t and stations j0.. in batch `mv` (see the
+    section comment), which were built from `levels`. Returns the levels, f
+    and the station whose moves were accepted, None when none was. `spent`
+    is period_costs(instance, levels); `values` is updated in place."""
+    cand = np.flatnonzero(mv.ok & (mv.start == t_idx) & (mv.j >= j0))
     if not cand.size:
         return levels, f_cur, None
     t, base_levels = t_idx + 1, levels
+    frame = levels.shape[1] - mv.new.shape[2]            # the batch's first period
+    off = t_idx - frame
     basis = tab.basis
-    if basis.levels is not levels or basis.t_from != t:  # levels are replaced, never edited
+    if basis.levels is not levels or basis.t_from > t:  # levels are replaced, never edited
         basis.update(levels, t)
-    held_counts = np.bitwise_count(basis.held)
-    weights = coverage.trip.word_weights.reshape(coverage.horizon, -1)[t_idx:].T
+    b_off = t - basis.t_from
+    held_counts = np.bitwise_count(basis.held[b_off:])
+    weights = tab.weights[:, t_idx:]
     base_values = values[t_idx:].copy()
     base_sum = base_values.sum()
     margin = SCREEN_REL_MARGIN * max(abs(f_cur), 1.0)
 
     # (move, period) pairs where a move changes a level, in move order, cut
     # into chunks at station boundaries
-    differs = mv.differs[cand]
+    differs = mv.differs[cand, off:]
     row, period = np.nonzero(differs)
     pair_start = np.searchsorted(row, np.arange(len(cand) + 1))
     station = mv.j[cand]
     ends = [len(cand)]
     if len(row) * held_counts.shape[1] > CHUNK_WORDS:
-        words = np.bincount(station - j0, weights=differs.sum(axis=1) * held_counts.shape[1])
-        chunk = ((np.cumsum(words) - words) // CHUNK_WORDS)[station - j0]
+        words = np.bincount(station - station[0],
+                            weights=differs.sum(axis=1) * held_counts.shape[1])
+        chunk = ((np.cumsum(words) - words) // CHUNK_WORDS)[station - station[0]]
         ends = np.append(np.flatnonzero(np.diff(chunk)) + 1, len(cand))
 
     a = 0
@@ -415,8 +464,9 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
         # keeps the popcount of every word, so its value is the base value
         pa, pb = pair_start[a], pair_start[b]
         rows, per = cand[row[pa:pb]], period[pa:pb]
-        counts = np.bitwise_count(basis.words(per, mv.j[rows], mv.jp[rows],
-                                              mv.new[rows, 0, per], mv.new[rows, 1, per]))
+        counts = np.bitwise_count(basis.words(per + b_off, mv.j[rows], mv.jp[rows],
+                                              mv.new[rows, 0, per + off],
+                                              mv.new[rows, 1, per + off]))
         unchanged = (counts == held_counts[per]).all(axis=1)
         screened = (counts.astype(np.float64) @ weights)[np.arange(pb - pa), per]
         local = row[pa:pb] - a
@@ -434,7 +484,7 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
                 break
             i = pos + int(hits[0])
             r = cand[i]
-            cand_levels = mv.levels(r, base_levels, t_idx)
+            cand_levels = mv.levels(r, base_levels, frame)
             tail = base_values.copy() if same[i - a] else coverage.period_values(cand_levels, t)
             d = float(tail.sum() - values[t_idx:].sum())
             if d > MIN_GAIN:
@@ -457,27 +507,38 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
 def _local_search(instance, coverage, levels, deadline=None, trace=None, tables=None):
     """Add / Transfer / Split moves, period by period, taking the first
     improving move; never worsens f and never leaves the feasible set
-    (infeasible moves are discarded). Returns the searched levels and f.
-    `tables` is a _SearchTables of the same instance and coverage, which
-    searches run one at a time may share."""
+    (infeasible moves are discarded). `levels` is a feasible schedule.
+    Returns the searched levels and f. `tables` is a _SearchTables of the
+    same instance and coverage, which searches run one at a time may share."""
     levels = levels.copy()
     values = coverage.period_values(levels)  # per period, refreshed on every accepted move
     f_cur = float(values.sum())
     spent = period_costs(instance, levels)
     tab = tables or _SearchTables(instance, coverage)
     J, T = instance.n_stations, instance.horizon
+    carried = (None, 0, -1, None)  # levels, first and last period, moves of a whole-period batch
 
     for t in range(1, T + 1):
         t_idx = t - 1
+        fits = BATCH_SLOTS // ((2 * J - 1) * (T - t_idx))   # stations per batch
         while True:
             if deadline is not None and time.perf_counter() > deadline:
                 return levels, f_cur
             pass_start = f_cur
             j0 = 0
             while j0 < J:
-                j1 = min(J, j0 + max(1, BATCH_SLOTS // ((2 * J - 1) * (T - t_idx))))
+                if carried[0] is levels and carried[1] <= t_idx <= carried[2]:
+                    mv, j1 = carried[3], J
+                else:
+                    whole = fits >= J      # every station's moves of the period fit one batch
+                    j1 = J if whole else min(J, j0 + max(1, fits))
+                    later = min(T - t, fits // J - 1) if whole else 0
+                    mv = _batch_moves(instance, tab, levels, spent, t_idx, 0 if whole else j0, j1,
+                                      later)
+                    if whole:
+                        carried = (levels, t_idx, t_idx + later, mv)
                 levels, f_cur, j_star = _search_batch(instance, coverage, tab, levels, spent,
-                                                      values, f_cur, t_idx, j0, j1, trace)
+                                                      values, f_cur, t_idx, j0, mv, trace)
                 if j_star is None:
                     j0 = j1
                     continue
@@ -506,7 +567,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     deadline = start + config.time_limit_s
-    max_k = int(instance.max_outlets.max())
+    pick = _rcl_pick(config.alpha, rng)
 
     incumbent, incumbent_f = None, -np.inf
     searched = {}                      # start schedule bytes -> (levels, f)
@@ -531,18 +592,18 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
             if time.perf_counter() >= deadline:
                 termination = "time_limit"
                 break
-            x_c = grasp_construct(instance, coverage, config.alpha, config.mode, rng)
+            levels_c, words = _construct(instance, coverage, config.mode, pick)
             examined += 1
-            f_c = evaluate(instance, coverage, x_c)
+            f_c = coverage.value_of_words(words)
             if grasp_filter(f_c, incumbent_f, max_rel):
                 filtered += 1
                 trace.append({"iteration": examined, "constructed_f": f_c, "filtered": True,
                               "incumbent": incumbent_f,
                               "elapsed": time.perf_counter() - start})
                 continue
-            key = x_c.levels.tobytes()
+            key = levels_c.tobytes()
             if key not in searched:
-                searched[key] = worker.submit(_local_search, instance, coverage, x_c.levels,
+                searched[key] = worker.submit(_local_search, instance, coverage, levels_c,
                                               deadline=deadline, tables=tables).result()
             levels, f_ls = searched[key]
             if max_rel is None:
@@ -558,7 +619,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
 
     # f of the incumbent, not the local search's running sum of deltas, which
     # can drift from it in the last bits
-    x = SolutionX.zeros(instance) if incumbent is None else SolutionX.from_levels(incumbent, max_k)
+    x = SolutionX.zeros(instance) if incumbent is None else _solution(instance, incumbent)
     return HeuristicResult(x, evaluate(instance, coverage, x), time.perf_counter() - start,
                            trace, termination=termination)
 
@@ -612,15 +673,14 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
                           "objective": None, "wall_time": None})
         levels[:, t - 1:] = new_levels[:, None]
         base = new_levels
-    max_k = int(instance.max_outlets.max())
-    x = SolutionX.from_levels(levels, max_k)
+    x = _solution(instance, levels)
     f = evaluate(instance, coverage, x)
     return HeuristicResult(x, f, time.perf_counter() - start, trace,
                            termination="completed")
 
 
 def _best_period_by_enumeration(instance, coverage, t, base):
-    options = _instance_extensions(instance, tuple(int(v) for v in base), t - 1)
+    options = list(_instance_extensions(instance, tuple(int(v) for v in base), t - 1))
     if len(options) > EnumerationBudget().max_configurations:
         raise HeuristicError(
             f"period {t}: no solver configured and {len(options)} period states "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +10,7 @@ from evcover.covering import CoverageTensor, build_coverage, evaluate
 from evcover.datasets import generate_small_instance
 from evcover.exact import (EnumerationBudget, EnumerationCapExceeded, brute_force_optimum,
                            count_feasible, random_feasible_solution, reachable_states)
-from evcover.instance import SolutionX, validate_solution
+from evcover.instance import BUDGET_TOL, SolutionX, validate_solution
 
 from conftest import enumerate_feasible, enumeration_optimum, manual_instance
 
@@ -228,3 +230,48 @@ def test_state_cap_refuses_inside_a_later_layer(monkeypatch):
     assert "by period 2" in str(err.value)
     # refused at the crossing parent, before the rest of the layer is extended
     assert calls.count(1) == crossing + 1 < len(layers[0])
+
+
+def test_state_cap_holds_at_most_the_cap_of_one_parents_extensions():
+    # one parent, the initial levels, with every one of 4 ** 8 vectors affordable
+    inst = generate_small_instance(3, n_nodes=9, n_stations=8, horizon=1, max_outlets=3,
+                                   budget=1e6)
+    assert count_feasible(inst) == 4 ** 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded) as err:
+            reachable_states(inst, EnumerationBudget(max_configurations=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.count == 4 ** 8 and err.value.cap == 100
+    assert "by period 1" in str(err.value)
+    # the 65,536 tuples of the whole extension set would take ~15 MB
+    assert peak < 2_000_000
+
+
+def test_period_extensions_match_plain_recursion():
+    """The odometer over the leading stations and the lists grown over the
+    trailing ones give every affordable vector once, in lexicographic order."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        J = int(rng.integers(0, exact.GROWN_STATIONS + 4))
+        caps = rng.integers(0, 4, J)
+        base = tuple(int(rng.integers(0, m + 1)) for m in caps)
+        cost = np.round(rng.uniform(1.0, 100.0, (J, 4)), 2)
+        budget = float(rng.uniform(0.0, 300.0))
+
+        def grow(j, prefix, spent):
+            if j == J:
+                yield prefix
+                return
+            lv, add = base[j], 0.0
+            yield from grow(j + 1, prefix + (lv,), spent)
+            while lv < caps[j] and spent + (add + cost[j, lv]) <= budget + BUDGET_TOL:
+                add += cost[j, lv]
+                lv += 1
+                yield from grow(j + 1, prefix + (lv,), spent + add)
+
+        want = list(grow(0, (), 0.0))
+        assert list(exact.period_extensions(base, cost, caps, budget)) == want
+        assert want == sorted(want)

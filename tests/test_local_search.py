@@ -53,7 +53,7 @@ def search_cases(draw):
     J = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 10**6))
     inst = generate_small_instance(seed, n_nodes=max(J, draw(st.integers(3, 9))), n_stations=J,
-                                   horizon=draw(st.integers(1, 4)),
+                                   horizon=draw(st.integers(1, 6)),
                                    max_outlets=draw(st.integers(1, 4)),
                                    max_scenarios=draw(st.integers(4, 70)),
                                    budget=draw(st.sampled_from([150.0, 250.0, 400.0, 600.0])))
@@ -115,3 +115,27 @@ def test_accepted_splits_match_reference():
         start[0] = 4  # 150 + 3 * 50: the whole period-1 budget on station 0
         moves += [e["move"][0] for e in assert_same_search(inst, start)]
     assert moves.count("split") >= 4
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=search_cases())
+def test_later_periods_moves_match_reference_candidates(case):
+    """A batch that also holds every later period's moves: each period's
+    feasible moves, in order, are the candidates the reference generator
+    yields for that period from the same levels."""
+    inst, levels = case
+    J, T = inst.n_stations, inst.horizon
+    tables = _SearchTables(inst, build_coverage(inst))
+    spent = period_costs(inst, levels)
+    for t_idx in range(T):
+        mv = _batch_moves(inst, tables, levels, spent, t_idx, 0, J, T - 1 - t_idx)
+        for s in range(t_idx, T):
+            want = [(move, cand.tolist()) for j in range(J)
+                    for move, cand in candidate_moves(inst, levels, s, j)
+                    if cand is not None and schedule_feasible(inst, cand)]
+            got = [((MOVE_NAMES[mv.kind[i]], int(mv.j[i]),
+                     None if MOVE_NAMES[mv.kind[i]] == "add" else int(mv.jp[i])),
+                    mv.levels(i, levels, t_idx).tolist())
+                   for i in np.flatnonzero(mv.ok & (mv.start == s))]
+            assert got == want

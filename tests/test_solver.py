@@ -182,6 +182,19 @@ def test_inprocess_route_equals_spawned_program(small_dataset, child_env):
     assert [here.status, child.status] == [STATUS_INFEASIBLE] * 2
 
 
+def test_spawned_bundled_program_prints_nothing_on_success(child_env):
+    one = MilpModel("one", "max")
+    one.add_var("x", 0, 1, BINARY)
+    one.add_row("cap", {"x": 2.0}, "<=", 1.5)
+    one.set_objective({"x": 1.0})
+    python = shlex.quote(sys.executable)
+    spawned = f"{python} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}} "
+    res = solve_external(one, spawned, time_limit_s=30)
+    assert res.status == STATUS_OPTIMAL and res.values == {"x": 0.0}
+    assert "RuntimeWarning" not in res.detail
+    assert res.detail == ""
+
+
 def test_default_route_starts_no_process(monkeypatch):
     def no_spawn(*args, **kwargs):
         raise AssertionError("the bundled solver must not be spawned")

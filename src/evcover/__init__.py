@@ -16,8 +16,8 @@ _EXPORTS = {
                  "score_hyperoptic", "score_myopic", "station_utility_at_k"),
     "datasets": ("DatasetSpec", "generate_dataset", "generate_small_instance"),
     "errors": ("NestSpec", "compute_asc", "draw_errors", "gumbel_draw"),
-    "exact": ("EnumerationBudget", "EnumerationCapExceeded", "brute_force_optimum",
-              "count_feasible", "random_feasible_solution", "reachable_states"),
+    "exact": ("EnumerationCapExceeded", "brute_force_optimum", "count_feasible",
+              "random_feasible_solution", "reachable_states"),
     "growth": ("GfInstance", "GfSolution", "GrowthFunction", "adjust_solution_max_outlets",
                "build_gf_instance", "generate_growth_function", "gf_forward_recursion",
                "gf_solution_as_x", "per_node_ev"),

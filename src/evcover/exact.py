@@ -4,14 +4,14 @@ counting and random sampling of feasible schedules.
 f is a sum of per-period covered masses, and which level vectors period t
 may take depends only on the period t-1 levels. The optimum is therefore a
 longest path over (period, level-vector) states: `brute_force_optimum` values
-each reachable state once instead of evaluating every feasible schedule, and
-`EnumerationBudget` caps the reachable states up front.
+each reachable state once instead of evaluating every feasible schedule.
+`MAX_STATES` caps the reachable states: the forward pass refuses at the first
+state past it, before any state is valued.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,28 +21,16 @@ from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 
 GROWN_STATIONS = 5  # period_extensions grows this many trailing stations per run
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on the work of an exact pass, refused up front: reachable
-    (period, level-vector) states for the DP oracle, and options per period
-    for the rolling-horizon fallback.
-    The DP oracle's peak RSS grows by about 450 bytes per state at 30
-    stations (270 at 10), so the default admits at most ~1.8 GB."""
-
-    max_configurations: int = 4_000_000
-
-    def __post_init__(self):
-        if self.max_configurations < 1:
-            raise ValueError("max_configurations must be positive")
+# Reachable (period, level-vector) states of the DP oracle, and options of one
+# period for the solver-less rolling horizon, refused past this. The oracle's
+# peak RSS grows by about 335 bytes per state at 30 stations (270 at 10), so
+# the cap admits at most ~1.3 GB.
+MAX_STATES = 4_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    def __init__(self, count, cap, what="schedules"):
-        super().__init__(
-            f"feasible state space has {count} {what}, over the cap of {cap}"
-        )
-        self.count = count
+    def __init__(self, cap, what):
+        super().__init__(f"more than {cap} {what}")
         self.cap = cap
 
 
@@ -126,32 +114,24 @@ def count_feasible(instance: Instance) -> int:
     return count_from(0, tuple(instance.initial_levels))
 
 
-def reachable_states(instance: Instance, budget: EnumerationBudget | None = None):
+def reachable_states(instance: Instance):
     """Forward pass of the DP: per period, the reachable level vectors as
     tuples, in the order first reached from the previous period's states (the
-    initial levels for period 1). Raises EnumerationCapExceeded once the
-    distinct states collected exceed the budget. A previous-period state's
-    extensions are merged as they are built, and no more than the cap is
-    held: past it, the rest of that state's extensions are only counted, so
-    `count` is the number of distinct states once all of them are merged."""
-    budget = budget or EnumerationBudget()
+    initial levels for period 1). A previous-period state's extensions are
+    merged as they come, and EnumerationCapExceeded is raised as soon as the
+    distinct states collected pass MAX_STATES."""
     layer = [_initial_state(instance)]
-    layers, count = [], 0
+    layers, room = [], MAX_STATES   # room: the cap's share left for this layer
     for t_idx in range(instance.horizon):
-        reached, room = {}, budget.max_configurations - count   # this layer's share of the cap
+        reached = {}
         for base in layer:
-            extensions = _instance_extensions(instance, base, t_idx)
-            for state in extensions:
+            for state in _instance_extensions(instance, base, t_idx):
                 reached[state] = None
                 if len(reached) > room:
-                    break
-            if len(reached) > room:
-                over = sum(1 for state in extensions if state not in reached)
-                raise EnumerationCapExceeded(count + len(reached) + over,
-                                             budget.max_configurations,
-                                             f"reachable states by period {t_idx + 1}")
+                    raise EnumerationCapExceeded(MAX_STATES,
+                                                 f"reachable states by period {t_idx + 1}")
         layer = list(reached)
-        count += len(layer)
+        room -= len(layer)
         layers.append(layer)
     return layers
 
@@ -160,8 +140,7 @@ def _initial_state(instance):
     return tuple(int(v) for v in instance.initial_levels)
 
 
-def brute_force_optimum(instance: Instance, coverage: CoverageTensor,
-                        budget: EnumerationBudget | None = None):
+def brute_force_optimum(instance: Instance, coverage: CoverageTensor):
     """Maximiser of f over all feasible schedules; ties go to the first in
     enumeration order. Returns (SolutionX, f_star).
 
@@ -169,8 +148,8 @@ def brute_force_optimum(instance: Instance, coverage: CoverageTensor,
     of state s plus the best V among its extensions. Keeping the first strict
     maximum in period_extensions order and following the best choices forward
     yields the lexicographically first optimal schedule. Each state is valued
-    once; the budget caps the reachable states before any is valued."""
-    layers = reachable_states(instance, budget)
+    once; MAX_STATES caps the reachable states before any is valued."""
+    layers = reachable_states(instance)
     T = len(layers)
     best_child = [None] * T
     v_next = None  # per state of period t: best V over its period-(t + 1) extensions

@@ -3,7 +3,7 @@
 All heuristics work on outlet-count schedules (levels[j, t]) and only ever
 emit feasible solutions. Greedy is deterministic; GRASP is reproducible from
 its seed; rolling horizon delegates each period to the external solver (or
-to per-period enumeration, capped by the default `EnumerationBudget`, when no
+to per-period enumeration, capped at `exact.MAX_STATES` options, when no
 solver is configured).
 
 The search rules are fixed: the GRASP restricted candidate list keeps the
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import CoverageTensor, SwapBasis, evaluate
-from .exact import EnumerationBudget, _instance_extensions
+from .exact import MAX_STATES, EnumerationCapExceeded, _instance_extensions
 from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
 from .solver import resolve_solver_command, solve_external
@@ -461,7 +461,8 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
     a = 0
     for b in ends:
         # screened tails of moves a..b-1; `same` where every changed period
-        # keeps the popcount of every word, so its value is the base value
+        # keeps the popcount of every word, so its value is the base value:
+        # it gains nothing before an acceptance and loses after one
         pa, pb = pair_start[a], pair_start[b]
         rows, per = cand[row[pa:pb]], period[pa:pb]
         counts = np.bitwise_count(basis.words(per + b_off, mv.j[rows], mv.jp[rows],
@@ -478,14 +479,13 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
         pos, stop, accepted = a, b, None
         while pos < stop:
             d = tails[pos - a:stop - a] - values[t_idx:].sum()
-            hits = np.flatnonzero(np.where(same[pos - a:stop - a], d > MIN_GAIN,
-                                           d >= MIN_GAIN - margin))
+            hits = np.flatnonzero(~same[pos - a:stop - a] & (d >= MIN_GAIN - margin))
             if not hits.size:
                 break
             i = pos + int(hits[0])
             r = cand[i]
             cand_levels = mv.levels(r, base_levels, frame)
-            tail = base_values.copy() if same[i - a] else coverage.period_values(cand_levels, t)
+            tail = coverage.period_values(cand_levels, t)
             d = float(tail.sum() - values[t_idx:].sum())
             if d > MIN_GAIN:
                 if accepted is None:
@@ -646,8 +646,8 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
     """Fix one period at a time: solve the period-t MC restriction under its
     time share, freeze the outcome, move on. Each period model carries the
     previous configuration as fixed lower bounds, which is also its warm
-    start. Falls back to per-period enumeration when no solver is configured
-    and the period state space fits the enumeration budget."""
+    start. Falls back to per-period enumeration when no solver is configured;
+    a period with more than MAX_STATES options is refused."""
     config = config or RollingHorizonConfig()
     start = time.perf_counter()
     T = instance.horizon
@@ -680,13 +680,14 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
 
 
 def _best_period_by_enumeration(instance, coverage, t, base):
-    options = list(_instance_extensions(instance, tuple(int(v) for v in base), t - 1))
-    if len(options) > EnumerationBudget().max_configurations:
-        raise HeuristicError(
-            f"period {t}: no solver configured and {len(options)} period states "
-            f"exceed the enumeration budget")
+    """The first strict maximiser of period t's value among the affordable
+    level vectors >= base, valued as they come; refused at option
+    MAX_STATES + 1."""
     best_v, best = -np.inf, None
-    for opt in options:
+    options = _instance_extensions(instance, tuple(int(v) for v in base), t - 1)
+    for n, opt in enumerate(options):
+        if n == MAX_STATES:
+            raise EnumerationCapExceeded(MAX_STATES, f"options in period {t}")
         v = coverage.value_of_words(coverage.held_words(opt, t, t), t, t)
         if v > best_v:
             best_v, best = v, opt

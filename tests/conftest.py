@@ -3,8 +3,8 @@ import pytest
 
 from evcover.covering import build_coverage, evaluate
 from evcover.datasets import generate_small_dataset, generate_small_instance
-from evcover.exact import (EnumerationBudget, EnumerationCapExceeded, _instance_extensions,
-                           count_feasible)
+from evcover import exact
+from evcover.exact import EnumerationCapExceeded, _instance_extensions, count_feasible
 from evcover.instance import (CostBudget, ChoiceSets, Instance, SolutionX, Station, UserClass,
                              UtilityParams)
 from evcover.network import Edge, Network, Node
@@ -58,14 +58,12 @@ def manual_instance(*, n_stations=1, max_outlets=2, horizon=1, scenarios=1,
                     metadata={"dataset_kind": "manual", "seed": 0})
 
 
-def enumerate_feasible(instance, budget=None):
+def enumerate_feasible(instance):
     """Yield every feasible SolutionX exactly once, lexicographic over the
-    per-period outlet-count vectors. Refuses up front when the number of
-    feasible schedules exceeds the enumeration budget."""
-    budget = budget or EnumerationBudget()
-    total = count_feasible(instance)
-    if total > budget.max_configurations:
-        raise EnumerationCapExceeded(total, budget.max_configurations)
+    per-period outlet-count vectors. Refuses up front when there are more
+    feasible schedules than exact.MAX_STATES."""
+    if count_feasible(instance) > exact.MAX_STATES:
+        raise EnumerationCapExceeded(exact.MAX_STATES, "feasible schedules")
     max_k = int(instance.max_outlets.max()) if instance.n_stations else 0
     T = instance.horizon
 
@@ -83,11 +81,11 @@ def enumerate_feasible(instance, budget=None):
     yield from walk(0, [])
 
 
-def enumeration_optimum(instance, coverage, budget=None):
+def enumeration_optimum(instance, coverage):
     """Reference oracle: evaluate every feasible schedule in enumeration order
     and keep the first strict maximum. Returns (SolutionX, f_star)."""
     best_x, best_f = None, -np.inf
-    for x in enumerate_feasible(instance, budget):
+    for x in enumerate_feasible(instance):
         f = evaluate(instance, coverage, x)
         if f > best_f:
             best_x, best_f = x, f

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from evcover import exact
 from evcover.covering import CoverageTensor, build_coverage, evaluate
 from evcover.datasets import generate_small_instance
-from evcover.exact import (EnumerationBudget, EnumerationCapExceeded, brute_force_optimum,
-                           count_feasible, random_feasible_solution, reachable_states)
+from evcover.exact import (EnumerationCapExceeded, brute_force_optimum, count_feasible,
+                           random_feasible_solution, reachable_states)
 from evcover.instance import BUDGET_TOL, SolutionX, validate_solution
 
 from conftest import enumerate_feasible, enumeration_optimum, manual_instance
@@ -80,11 +80,14 @@ def test_lexicographic_order():
     assert levels == sorted(levels)
 
 
-def test_cap_refusal_reports_size():
+def test_cap_refusal_reports_size(monkeypatch):
     inst = generate_small_instance(45, n_stations=3, horizon=2)
+    assert count_feasible(inst) > 2
+    monkeypatch.setattr(exact, "MAX_STATES", 2)
     with pytest.raises(EnumerationCapExceeded) as err:
-        list(enumerate_feasible(inst, EnumerationBudget(max_configurations=2)))
-    assert err.value.count == count_feasible(inst)
+        list(enumerate_feasible(inst))
+    assert err.value.cap == 2
+    assert str(err.value) == "more than 2 feasible schedules"
 
 
 def test_zero_budget_optimum_is_zero_solution():
@@ -194,16 +197,17 @@ def test_state_cap_refuses_before_any_valuation(monkeypatch):
     monkeypatch.setattr(exact, "evaluate", no_valuation)
     monkeypatch.setattr(CoverageTensor, "held_words", no_valuation)
     monkeypatch.setattr(CoverageTensor, "value_of_words", no_valuation)
-    # crossed in the last period: the count is every reachable state
+    # crossed in the last period, at its last state
+    monkeypatch.setattr(exact, "MAX_STATES", total - 1)
     with pytest.raises(EnumerationCapExceeded) as err:
-        brute_force_optimum(inst, cov, EnumerationBudget(max_configurations=total - 1))
-    assert err.value.count == total
+        brute_force_optimum(inst, cov)
     assert err.value.cap == total - 1
-    assert f"{total} reachable states" in str(err.value)
+    assert str(err.value) == f"more than {total - 1} reachable states by period 3"
     # crossed in period 1: the forward pass stops there
+    monkeypatch.setattr(exact, "MAX_STATES", 1)
     with pytest.raises(EnumerationCapExceeded) as err:
-        brute_force_optimum(inst, cov, EnumerationBudget(max_configurations=1))
-    assert err.value.count == per_period[0]
+        brute_force_optimum(inst, cov)
+    assert str(err.value) == "more than 1 reachable states by period 1"
 
 
 def test_state_cap_refuses_inside_a_later_layer(monkeypatch):
@@ -224,28 +228,40 @@ def test_state_cap_refuses_inside_a_later_layer(monkeypatch):
     extensions = exact._instance_extensions
     monkeypatch.setattr(exact, "_instance_extensions",
                         lambda *args: calls.append(args[2]) or extensions(*args))
+    monkeypatch.setattr(exact, "MAX_STATES", len(layers[0]) + merged[0])
     with pytest.raises(EnumerationCapExceeded) as err:
-        reachable_states(inst, EnumerationBudget(len(layers[0]) + merged[0]))
-    assert err.value.count == len(layers[0]) + merged[crossing]
+        reachable_states(inst)
     assert "by period 2" in str(err.value)
     # refused at the crossing parent, before the rest of the layer is extended
     assert calls.count(1) == crossing + 1 < len(layers[0])
 
 
-def test_state_cap_holds_at_most_the_cap_of_one_parents_extensions():
+def test_state_cap_holds_at_most_the_cap_of_one_parents_extensions(monkeypatch):
     # one parent, the initial levels, with every one of 4 ** 8 vectors affordable
     inst = generate_small_instance(3, n_nodes=9, n_stations=8, horizon=1, max_outlets=3,
                                    budget=1e6)
     assert count_feasible(inst) == 4 ** 8
+    pulled = []
+    extensions = exact._instance_extensions
+
+    def counted(*args):
+        for state in extensions(*args):
+            pulled.append(state)
+            yield state
+
+    monkeypatch.setattr(exact, "_instance_extensions", counted)
+    monkeypatch.setattr(exact, "MAX_STATES", 100)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapExceeded) as err:
-            reachable_states(inst, EnumerationBudget(max_configurations=100))
+            reachable_states(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert err.value.count == 4 ** 8 and err.value.cap == 100
+    assert err.value.cap == 100
     assert "by period 1" in str(err.value)
+    # refused at the first state past the cap, not after walking all 65,536
+    assert len(pulled) <= 101
     # the 65,536 tuples of the whole extension set would take ~15 MB
     assert peak < 2_000_000
 

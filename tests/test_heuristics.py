@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from evcover import heuristics
 from evcover.covering import build_coverage, evaluate, gap, score_hyperoptic, score_myopic
 from evcover.datasets import generate_small_instance
-from evcover.exact import brute_force_optimum
+from evcover.exact import EnumerationCapExceeded, brute_force_optimum
 from evcover.heuristics import (GraspConfig, GreedyConfig, HeuristicResult,
                                 RollingHorizonConfig, grasp, grasp_construct,
                                 grasp_filter, greedy, rolling_horizon, _local_search)
-from evcover.instance import SolutionX, validate_solution
+from evcover.instance import CostBudget, Instance, SolutionX, validate_solution
 from evcover.milp import build_mc, extract_solution_x
 from evcover.solver import solve_external
 
@@ -243,6 +244,31 @@ def test_rolling_horizon_enumeration_fallback_matches_solver():
     fallback = rolling_horizon(inst, cov, RollingHorizonConfig(), solver="none")
     assert fallback.f == pytest.approx(with_solver.f, abs=1e-6)
     assert fallback.trace[0]["status"] == "enumerated"
+
+
+def test_rolling_horizon_enumeration_refuses_at_the_first_option_past_the_cap(monkeypatch):
+    # period 1 has no budget, so its one option is the initial levels; period 2
+    # can afford every one of the 4 ** 4 level vectors
+    inst = manual_instance(n_stations=4, max_outlets=3, horizon=2)
+    cost = CostBudget(inst.cost_budget.outlet_cost, [0.0, 1e6])
+    inst = Instance(inst.network, inst.stations, inst.user_classes, inst.horizon, cost,
+                    inst.utility_params, inst.choice_sets, inst.error_tensor, inst.metadata)
+    cov = build_coverage(inst)
+    pulled = []
+    extensions = heuristics._instance_extensions
+
+    def counted(instance, base, t_idx):
+        pulled.append(0)
+        for option in extensions(instance, base, t_idx):
+            pulled[-1] += 1
+            yield option
+
+    monkeypatch.setattr(heuristics, "_instance_extensions", counted)
+    monkeypatch.setattr(heuristics, "MAX_STATES", 10)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        rolling_horizon(inst, cov, solver="none")
+    assert str(err.value) == "more than 10 options in period 2"
+    assert pulled == [1, 11]
 
 
 # -- cross-cutting invariants ------------------------------------------------------------

@@ -31,8 +31,7 @@ rows.append(("greedy hyperoptic", g_h.f, g_h.wall_time))
 
 # GRASP with the recommended settings: alpha 0.85, 300 constructions,
 # filtering after a 10-solution warmup, first-improvement local search
-res = grasp(inst, cov, GraspConfig(alpha=0.85, mode="myopic", max_solutions=300,
-                                   max_filtered=500, seed=1))
+res = grasp(inst, cov, GraspConfig(alpha=0.85, mode="myopic", max_solutions=300, seed=1))
 n_filtered = sum(1 for r in res.trace if r.get("filtered"))
 rows.append((f"GRASP ({res.termination}, {n_filtered} filtered)", res.f, res.wall_time))
 

@@ -357,9 +357,12 @@ def _solve_gf_model(gf_inst, solver_cmd, time_limit):
 
 
 def _solve_gf_by_enumeration(gf_inst):
-    """Exhaustive search over cumulative outlet schedules with loads resolved
-    by the forward recursion; only viable at desk scale."""
+    """Exhaustive search over open patterns, valued by the forward recursion
+    (which reads only `open`); desk scale only. Each station stops at its least
+    open level, 1 or its initial count: the same pattern at no more spend and
+    earlier in lexicographic order, so the first best schedule is unchanged."""
     T = gf_inst.horizon
+    ceiling = np.maximum(gf_inst.initial_outlets, np.minimum(gf_inst.max_outlets, 1))
     # price of each station's k-th outlet; opening a station adds to its first
     step_cost = np.full((len(gf_inst.station_ids), int(gf_inst.max_outlets.max())),
                         gf_inst.outlet_cost)
@@ -378,8 +381,7 @@ def _solve_gf_by_enumeration(gf_inst):
                 best = sol
             return
         base = levels[-1] if levels else tuple(int(v) for v in gf_inst.initial_outlets)
-        for opt in period_extensions(base, step_cost, gf_inst.max_outlets,
-                                     gf_inst.budgets[t]):
+        for opt in period_extensions(base, step_cost, ceiling, gf_inst.budgets[t]):
             count += 1
             if count > GF_ENUMERATION_CAP:
                 raise GrowthError(f"GF enumeration exceeds the desk-scale cap of "

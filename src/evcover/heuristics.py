@@ -9,9 +9,10 @@ solver is configured).
 The search rules are fixed: the GRASP restricted candidate list keeps the
 additions whose gain is at least alpha times the best gain; the local search
 takes the first improving move and leaves a period once a pass gains less
-than LOCAL_SEARCH_MIN_REL_GAIN of f; the GRASP filter switches on after
-FILTER_WARMUP searched candidates; geometric rolling-horizon allocation gives
-period 1 FIRST_PERIOD_SHARE_S seconds and halves it every period.
+than LOCAL_SEARCH_MIN_REL_GAIN of f; the GRASP filter acts after FILTER_WARMUP
+searched candidates and stops GRASP at MAX_FILTERED filtered ones; geometric
+rolling-horizon allocation gives period 1 FIRST_PERIOD_SHARE_S seconds and
+halves it every period.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ MYOPIC = "myopic"
 HYPEROPTIC = "hyperoptic"
 
 FILTER_WARMUP = 10                 # searched candidates before the GRASP filter acts
+MAX_FILTERED = 500                 # GRASP stops after this many filtered candidates
 LOCAL_SEARCH_MIN_REL_GAIN = 1e-4   # a period's search stops below this relative gain
 FIRST_PERIOD_SHARE_S = 3600.0      # geometric allocation: period 1, halved every period
 
@@ -53,13 +55,12 @@ class GreedyConfig:
 class GraspConfig:
     """GRASP settings. The rules the loop applies are constants: value RCL
     (gain >= alpha * best gain), first-improvement local search stopping
-    below LOCAL_SEARCH_MIN_REL_GAIN, and the filter after FILTER_WARMUP
-    searched candidates."""
+    below LOCAL_SEARCH_MIN_REL_GAIN, the filter after FILTER_WARMUP searched
+    candidates, and the stop after MAX_FILTERED filtered ones."""
 
     alpha: float = 0.85
     mode: str = MYOPIC
     max_solutions: int = 300
-    max_filtered: int = 500
     time_limit_s: float = 7200.0
     seed: int = 0
 
@@ -143,19 +144,13 @@ def _construct(instance, coverage, mode, select, trace=None, clock=None):
     return levels, words
 
 
-def _greedy_pick(gains):
-    if gains.size == 0 or gains.max() <= 0.0:
-        return None
-    return int(np.argmax(gains))  # first max = lowest station index
-
-
 def greedy(instance: Instance, coverage: CoverageTensor, config: GreedyConfig | None = None
            ) -> HeuristicResult:
     """Deterministic outlet-at-a-time construction from the zero solution."""
     config = config or GreedyConfig()
     start = time.perf_counter()
     trace = []
-    levels, words = _construct(instance, coverage, config.mode, _greedy_pick, trace, start)
+    levels, words = _construct(instance, coverage, config.mode, _rcl_pick(1.0, None), trace, start)
     f = coverage.value_of_words(words)
     for row in trace:
         row["f"] = None
@@ -171,8 +166,8 @@ def _solution(instance, levels):
 
 def _rcl_pick(alpha, rng):
     """GRASP's pick: uniform from the restricted candidate list of
-    positive-gain additions within alpha of the best; with alpha = 1 the
-    greedy tie-break applies."""
+    positive-gain additions within alpha of the best. With alpha = 1 it is
+    greedy's pick, the first best gain, and draws nothing (greedy's rng is None)."""
     def pick(gains):
         if gains.size == 0:
             return None
@@ -558,7 +553,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
           ) -> HeuristicResult:
     """Construct / filter / locally-improve loop with incumbent tracking.
 
-    Terminates when max_solutions candidates have been examined, max_filtered
+    Terminates when max_solutions candidates have been examined, MAX_FILTERED
     candidates have been filtered out, or the time limit is reached. The local
     search is a function of its start, so a constructed schedule that was
     searched before reuses that search's outcome.
@@ -586,7 +581,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
             if examined >= config.max_solutions:
                 termination = "max_solutions"
                 break
-            if filtered >= config.max_filtered:
+            if filtered >= MAX_FILTERED:
                 termination = "max_filtered"
                 break
             if time.perf_counter() >= deadline:

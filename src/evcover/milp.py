@@ -196,6 +196,7 @@ class BigMBounds:
     every opt-out utility. b, nu, mu are per class with shapes
     (n_alts, R, T): b is the all-outlets utility upper bound, nu = b - abar
     for station alternatives, mu the per-alternative linearisation constant.
+    A negative nu or mu entry is refused when the bounds are built.
     """
 
     abar: np.ndarray
@@ -203,6 +204,9 @@ class BigMBounds:
     nu: tuple
     mu: tuple
     abar_adjusted: list = field(default_factory=list)  # (class_index, t) pairs
+
+    def __post_init__(self):
+        self.verify()
 
     def verify(self):
         for ci, (nu_c, mu_c) in enumerate(zip(self.nu, self.mu)):
@@ -248,9 +252,7 @@ def compute_bounds(instance: Instance) -> BigMBounds:
         warnings.warn(
             f"abar >= opt-out utility for {len(adjusted)} (class, period) pairs; "
             "lowered to min_r u0 - 1e-6 to keep the Big-M sound", stacklevel=2)
-    bounds = BigMBounds(abar, tuple(b_all), tuple(nu_all), tuple(mu_all), adjusted)
-    bounds.verify()
-    return bounds
+    return BigMBounds(abar, tuple(b_all), tuple(nu_all), tuple(mu_all), adjusted)
 
 
 # -- single-level model --------------------------------------------------------
@@ -263,7 +265,6 @@ def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
     The open-utility upper row needs no slack for a closed station, because
     abar <= kappa + eps for every considered station and scenario: abar is
     their minimum, and compute_bounds only ever lowers it."""
-    bounds.verify()
     model = MilpModel("sl", "min")
     _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
     pre = preprocess_home_charging(instance)
@@ -334,8 +335,8 @@ def sl_objective_complement(instance: Instance) -> float:
 
 
 def build_mc(instance: Instance, coverage: CoverageTensor) -> MilpModel:
-    """Maximum covering model: one covering row per non-forced triplet;
-    home-forced triplets enter the objective as a constant."""
+    """Maximum covering model: one covering row per non-forced triplet, one
+    x term per covering station; home-forced triplets add a constant."""
     model = MilpModel("mc", "max")
     _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
     obj = {}
@@ -349,7 +350,9 @@ def build_mc(instance: Instance, coverage: CoverageTensor) -> MilpModel:
 def _add_cover_rows(model, instance, coverage, ci, t, obj):
     """Covering variable and row of every non-forced triplet of class index
     ci in period t, with its objective weight entered in obj; returns the
-    weight of the block's home-forced triplets."""
+    weight of the block's home-forced triplets. The row is w <= sum_j
+    x[j, min_k_j, t], one term per covering station j; under the ladder rows it
+    admits the integer points of the paper's w <= sum_j sum_{k >= min_k_j} x[j, k, t]."""
     uc = instance.user_classes[ci]
     b = coverage.trip.block(ci, t - 1)
     p0, w0 = coverage.trip.bit_start[b], coverage.trip.word_start[b]
@@ -364,8 +367,7 @@ def _add_cover_rows(model, instance, coverage, ci, t, obj):
             j = instance.station_index[alt]
             mk = int(coverage.min_k[j, p0 + r])
             if mk:
-                for k in range(mk, instance.stations[j].max_outlets + 1):
-                    coeffs[x_name(alt, k, t)] = 1.0
+                coeffs[x_name(alt, mk, t)] = 1.0
         w = model.add_var(f"w_c{ci}_r{r}_t{t}", lb=0.0, ub=1.0)
         obj[w] = weight
         coeffs[w] = -1.0

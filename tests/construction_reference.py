@@ -61,3 +61,11 @@ def reference_rcl_pick(alpha, rng):
         rcl = np.flatnonzero((gains > 0.0) & (gains >= alpha * best - 1e-12))
         return int(rng.choice(rcl))
     return pick
+
+
+def reference_greedy_pick(gains):
+    """Greedy's pick before it became `_rcl_pick(1.0, None)`: None when no
+    gain is positive, else the first best gain (lowest station index)."""
+    if gains.size == 0 or gains.max() <= 0.0:
+        return None
+    return int(np.argmax(gains))

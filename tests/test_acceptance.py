@@ -177,8 +177,7 @@ def test_criterion_6_heuristic_quality(tiny_set):
         best_greedy = max(greedy(inst, cov, GreedyConfig(mode=m)).f
                           for m in ("myopic", "hyperoptic"))
         res = grasp(inst, cov, GraspConfig(alpha=0.85, mode="myopic",
-                                           max_solutions=300, max_filtered=500,
-                                           seed=seed))
+                                           max_solutions=300, seed=seed))
         if f_star > 0:
             n_scored += 1
             gaps_greedy.append(gap(f_star, best_greedy))
@@ -231,8 +230,7 @@ def test_criterion_8_performance_analogue(simple_scale):
         greedy_times.append(time.perf_counter() - t0)
     t0 = time.perf_counter()
     res = grasp(insts[0], covs[0], GraspConfig(alpha=0.85, mode="myopic",
-                                               max_solutions=300, max_filtered=500,
-                                               seed=0))
+                                               max_solutions=300, seed=0))
     grasp_time = time.perf_counter() - t0
     ok = max(greedy_times) < 1.0 and grasp_time < 300.0
     _report(8, ok,

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from evcover.covering import build_coverage
 from evcover.datasets import generate_small_instance
-from evcover.heuristics import HYPEROPTIC, MYOPIC, _construct, _greedy_pick, _rcl_pick
+from evcover.heuristics import HYPEROPTIC, MYOPIC, _construct, _rcl_pick
 
-from construction_reference import reference_construct, reference_rcl_pick
+from construction_reference import reference_construct, reference_greedy_pick, \
+    reference_rcl_pick
 from test_local_search import reshaped
 
 
@@ -36,7 +37,7 @@ def construction_cases(draw):
 def test_construction_matches_reference(case, seed):
     inst, mode, alpha = case
     cov = build_coverage(inst)
-    for pick, want_pick in ((_greedy_pick, _greedy_pick),
+    for pick, want_pick in ((_rcl_pick(1.0, None), reference_greedy_pick),
                             (_rcl_pick(alpha, np.random.default_rng(seed)),
                              reference_rcl_pick(alpha, np.random.default_rng(seed)))):
         want_trace, got_trace = [], []

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evcover import growth
 from evcover.covering import build_coverage, evaluate
@@ -16,6 +20,8 @@ from evcover.instance import SolutionX, validate_solution
 from evcover.milp import build_gf
 from evcover.solver import solve_external
 from evcover.growth import extract_gf_solution
+
+from gf_reference import full_walk_gf
 
 
 def test_hand_recursion_example():
@@ -245,3 +251,37 @@ def test_gf_enumeration_over_its_cap_is_refused_naming_it(monkeypatch):
     monkeypatch.setattr(growth, "GF_ENUMERATION_CAP", 3)
     with pytest.raises(GrowthError, match="cap of 3 schedule prefixes"):
         _solve_gf_model(gfi, "none", 60.0)
+
+
+@st.composite
+def gf_cases(draw):
+    J, T, m = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    inst = generate_small_dataset(draw(st.integers(0, 10**6)), 1, n_nodes=8, n_stations=J,
+                                  horizon=T, max_outlets=m, max_scenarios=6)[0]
+    gfi = build_gf_instance(inst, GrowthFunction((0.0, 0.5, 1.0), (1.2, 1.2), (0.1, 0.1)),
+                            radius_km=draw(st.sampled_from([3.0, 5.0, 10.0])))
+    initial = draw(st.lists(st.integers(0, m), min_size=J, max_size=J))
+    return replace(gfi, initial_outlets=np.array(initial))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gfi=gf_cases())
+def test_gf_enumeration_over_open_patterns_matches_the_full_walk(gfi):
+    want, _ = full_walk_gf(gfi)
+    got = growth._solve_gf_by_enumeration(gfi)
+    np.testing.assert_array_equal(got.open, want.open)
+    np.testing.assert_array_equal(got.outlets, want.outlets)
+
+
+def test_gf_enumeration_with_initial_outlets_matches_the_full_walk():
+    inst = generate_small_dataset(3, 1, n_nodes=8, n_stations=5, horizon=2, max_outlets=2,
+                                  max_scenarios=6)[0]
+    gfi = replace(build_gf_instance(inst, GrowthFunction((0.0, 0.5, 1.0), (1.2, 1.2),
+                                                         (0.1, 0.1)), radius_km=5.0),
+                  initial_outlets=np.array([0, 1, 1, 2, 0]))
+    want, prefixes = full_walk_gf(gfi)
+    got = growth._solve_gf_by_enumeration(gfi)
+    assert prefixes > 100
+    np.testing.assert_array_equal(got.open, want.open)
+    np.testing.assert_array_equal(got.outlets, want.outlets)
+    assert (got.outlets[:, -1] >= gfi.initial_outlets).all()

@@ -192,7 +192,7 @@ def test_grasp_reports_evaluate_and_never_beats_the_optimum_exactly(seed, f_star
     assert res.f <= f_star
 
 
-def test_grasp_termination_reasons():
+def test_grasp_termination_reasons(monkeypatch):
     inst, cov = tiny(325)
     by_examined = grasp(inst, cov, GraspConfig(max_solutions=3, seed=0))
     assert by_examined.termination == "max_solutions"
@@ -200,8 +200,9 @@ def test_grasp_termination_reasons():
     by_time = grasp(inst, cov, GraspConfig(max_solutions=10**6, time_limit_s=0.0, seed=0))
     assert by_time.termination == "time_limit"
     # filtering path: after the warmup every weaker candidate gets filtered
-    by_filter = grasp(inst, cov, GraspConfig(max_solutions=10**6, max_filtered=5,
-                                             alpha=0.0, seed=3, time_limit_s=60.0))
+    monkeypatch.setattr(heuristics, "MAX_FILTERED", 5)
+    by_filter = grasp(inst, cov, GraspConfig(max_solutions=10**6, alpha=0.0, seed=3,
+                                             time_limit_s=60.0))
     assert by_filter.termination in ("max_filtered", "max_solutions")
     n_filtered = sum(1 for r in by_filter.trace if r.get("filtered"))
     if by_filter.termination == "max_filtered":

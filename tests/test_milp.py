@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evcover.covering import build_coverage, compute_abar, evaluate, optout_utility, \
     station_utility_at_k
@@ -10,9 +13,13 @@ from evcover.exact import brute_force_optimum, random_feasible_solution
 from evcover.growth import GrowthFunction, build_gf_instance
 from evcover.instance import OPT_OUT, SolutionX
 from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, build_gf,
-                          build_mc, build_sl, compute_bounds, extract_solution_x, x_name)
+                          build_mc, build_mc_period, build_sl, compute_bounds,
+                          extract_solution_x, x_name)
+from evcover.solver import solve_model_inprocess
 
 from conftest import manual_instance
+from mc_reference import summed_build_mc, summed_build_mc_period
+from test_local_search import reshaped
 
 
 def bounds_full_scan_oracle(inst):
@@ -239,3 +246,96 @@ def test_mc_forced_constant_through_solver():
     from evcover.solver import solve_external
     res = solve_external(model, time_limit_s=30)
     assert res.objective == pytest.approx(100.0, abs=1e-6)
+
+
+def test_big_m_bounds_with_a_negative_constant_are_refused_when_built():
+    bounds = compute_bounds(manual_instance(max_outlets=2, kappa_station=2.0, beta=0.3))
+    for field_name in ("nu", "mu"):
+        bad = tuple(a.copy() for a in getattr(bounds, field_name))
+        bad[0][0, 0, 0] = -1.0
+        with pytest.raises(ModelError, match="class index 0: negative Big-M constant"):
+            replace(bounds, **{field_name: bad})
+
+
+# -- single-term covering rows against the paper's summed rows ---------------------
+
+
+def _period_base(inst, x, t):
+    return inst.initial_levels if t == 1 else x.levels[:, t - 2]
+
+
+def _cover_rows_have_one_min_k_term_per_station(inst, cov, model, periods):
+    rows = {row.name: row for row in model.rows}
+    n_rows = 0
+    for ci in range(inst.n_classes):
+        for t in periods:
+            p0 = cov.trip.bit_start[cov.trip.block(ci, t - 1)]
+            for r in range(inst.user_classes[ci].scenario_count):
+                row = rows.get(f"cover_c{ci}_r{r}_t{t}")
+                if row is None:  # home-forced: no row, weight in the constant
+                    continue
+                n_rows += 1
+                want = {}
+                for alt in inst.choice_sets.c1[ci][t - 1]:
+                    mk = int(cov.min_k[inst.station_index[alt], p0 + r])
+                    if mk:
+                        want[x_name(alt, mk, t)] = 1.0
+                want[f"w_c{ci}_r{r}_t{t}"] = -1.0
+                assert row.coeffs == want, row.name
+    assert n_rows == sum(1 for name in rows if name.startswith("cover_"))
+    return n_rows
+
+
+def test_cover_rows_hold_one_x_term_per_covering_station():
+    # a reshaped instance with caps and initial outlets, then one with home-forced triplets
+    inst = reshaped(generate_small_instance(61, n_stations=4, horizon=3, max_outlets=3),
+                    np.random.default_rng(61), fractional=True)
+    cov = build_coverage(inst)
+    n = _cover_rows_have_one_min_k_term_per_station(inst, cov, build_mc(inst, cov),
+                                                    range(1, inst.horizon + 1))
+    assert n == cov.trip.n_triplets
+    x = random_feasible_solution(inst, np.random.default_rng(1))
+    for t in range(1, inst.horizon + 1):
+        _cover_rows_have_one_min_k_term_per_station(
+            inst, cov, build_mc_period(inst, cov, t, _period_base(inst, x, t)), [t])
+    eps = np.zeros((3, 4, 1))
+    eps[1, :2, 0] = 2.0  # home wins in scenarios 0 and 1 only
+    inst = manual_instance(home_kappa=4.5, kappa_station=6.0, scenarios=4, eps=eps)
+    cov = build_coverage(inst)
+    assert _cover_rows_have_one_min_k_term_per_station(inst, cov, build_mc(inst, cov), [1]) == 2
+
+
+@st.composite
+def mc_cases(draw):
+    J = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10**6))
+    inst = generate_small_instance(seed, n_nodes=max(J, draw(st.integers(3, 7))), n_stations=J,
+                                   horizon=draw(st.integers(1, 3)),
+                                   max_outlets=draw(st.integers(1, 3)),
+                                   max_scenarios=draw(st.integers(4, 12)),
+                                   budget=draw(st.sampled_from([150.0, 250.0, 400.0])))
+    shape = draw(st.sampled_from(["as generated", "caps", "caps and fractional costs"]))
+    if shape != "as generated":
+        inst = reshaped(inst, np.random.default_rng(seed), fractional=shape != "caps")
+    return inst, draw(st.integers(0, 2**32 - 1))
+
+
+def _mc_optimum(model):
+    status, obj, _ = solve_model_inprocess(model)
+    assert status == "optimal"
+    return obj + model.objective_constant
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mc_cases())
+def test_single_term_cover_rows_keep_the_summed_rows_optima(case):
+    inst, seed = case
+    cov = build_coverage(inst)
+    f_mc = _mc_optimum(build_mc(inst, cov))
+    assert f_mc == pytest.approx(_mc_optimum(summed_build_mc(inst, cov)), abs=1e-6)
+    assert f_mc == pytest.approx(brute_force_optimum(inst, cov)[1], abs=1e-6)
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, inst.horizon + 1))
+    base = _period_base(inst, random_feasible_solution(inst, rng), t)
+    assert _mc_optimum(build_mc_period(inst, cov, t, base)) == pytest.approx(
+        _mc_optimum(summed_build_mc_period(inst, cov, t, base)), abs=1e-6)

@@ -37,7 +37,7 @@ from .instance import Instance, InstanceError, load_instance, save_instance
 from .milp import ModelError, build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
-from .solver import resolve_solver_command, solve_external
+from .solver import positive_seconds, resolve_solver_command, solve_external
 
 METHODS = ("exact-enum", "mc-external", "sl-external", "greedy-m", "greedy-h",
            "grasp-m", "grasp-h", "rh-even", "rh-geom")
@@ -117,12 +117,15 @@ class RowsError(ValueError):
 
 
 def read_rows_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ROW_FIELDS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise RowsError(f"{path}: not a rows file, missing columns {', '.join(missing)}")
-        return list(reader)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ROW_FIELDS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise RowsError(f"{path}: not a rows file, missing columns {', '.join(missing)}")
+            return list(reader)
+    except UnicodeDecodeError as exc:
+        raise RowsError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_report_csv(path, aggregates):
@@ -420,7 +423,7 @@ def make_parser():
     s.add_argument("manifest")
     s.add_argument("--method", choices=METHODS, required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
+    s.add_argument("--time-limit", type=positive_seconds, default=DEFAULT_TIME_LIMIT)
     s.add_argument("--solver-cmd", default=None,
                    help="command template with {lp_path} {sol_path} {time_limit}; "
                         "'none' disables the solver")
@@ -437,7 +440,7 @@ def make_parser():
     c = sub.add_parser("compare-gf", help="growth-function vs covering comparison")
     c.add_argument("manifest")
     c.add_argument("--out", required=True)
-    c.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
+    c.add_argument("--time-limit", type=positive_seconds, default=DEFAULT_TIME_LIMIT)
     c.add_argument("--solver-cmd", default=None)
     c.add_argument("--mc-method", choices=METHODS, default="greedy-h")
     c.add_argument("--radius", type=float, default=10.0)

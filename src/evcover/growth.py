@@ -230,10 +230,11 @@ def save_growth(gf: GrowthFunction, path):
 
 
 def load_growth(path) -> GrowthFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return growth_from_csv(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return growth_from_csv(fh.read())
+    except UnicodeDecodeError as exc:
+        raise GrowthError(f"{path}: not UTF-8 text: {exc}") from None
     except GrowthError as exc:
         raise GrowthError(f"{path}: {exc}") from None
 

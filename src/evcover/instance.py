@@ -429,6 +429,11 @@ def instance_from_json(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed instance file: {exc}") from exc
+    return _instance_from_doc(doc)
+
+
+def _instance_from_doc(doc) -> Instance:
+    """The Instance of a parsed document, freeing each class's errors text once decoded."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema not in (INSTANCE_SCHEMA, _V1_SCHEMA):
         raise InstanceError(
@@ -452,7 +457,7 @@ def instance_from_json(text: str) -> Instance:
             kap = np.asarray(c["kappa"], dtype=float)
             kappa.append(kap)
             beta.append(np.asarray(c["beta"], dtype=float))
-            errors.append(_errors_from_doc(c["errors"], schema, uc.id,
+            errors.append(_errors_from_doc(c.pop("errors"), schema, uc.id,
                                            (kap.shape[0], uc.scenario_count, T)))
         return Instance(
             network=network,
@@ -480,10 +485,15 @@ def save_instance(instance: Instance, path):
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The Instance of a v2 or v1 file, parsed straight from the open file."""
     try:
-        return instance_from_json(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return _instance_from_doc(doc)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{path}: malformed instance file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
     except InstanceError as exc:
         raise InstanceError(f"{path}: {exc}") from None
 

@@ -9,7 +9,8 @@ variable, each naming the offender. Nothing re-checks a model once built.
 
 Variable name scheme (documented, relied on by the solution extractors):
   x_{station}_{k}_{t}          binary outlet-ladder variables
-  w_c{ci}_r{r}_t{t}            MC covering variables (continuous in [0, 1])
+  w_t{t}_p{n}                  MC covering variables (continuous in [0, 1]), one per
+                               covering pattern n of period t, in row cover_t{t}_p{n}
   w_c{ci}_r{r}_t{t}_a{alt}     SL selection variables (binary; a-1 denotes home)
   u_c{ci}_r{r}_t{t}_a{alt}     SL utilities (free)
   alpha_c{ci}_r{r}_t{t}        SL max-utility variables (free)
@@ -335,44 +336,44 @@ def sl_objective_complement(instance: Instance) -> float:
 
 
 def build_mc(instance: Instance, coverage: CoverageTensor) -> MilpModel:
-    """Maximum covering model: one covering row per non-forced triplet, one
-    x term per covering station; home-forced triplets add a constant."""
+    """Maximum covering model: one covering row per distinct covering pattern
+    of each period; home-forced triplets add a constant."""
     model = MilpModel("mc", "max")
     _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
     obj = {}
-    for ci in range(instance.n_classes):
-        for t in range(1, instance.horizon + 1):
-            _add_cover_rows(model, instance, coverage, ci, t, obj)
+    for t in range(1, instance.horizon + 1):
+        _add_cover_rows(model, coverage, t, obj)
     model.set_objective(obj, constant=coverage.forced_mass)
     return model
 
 
-def _add_cover_rows(model, instance, coverage, ci, t, obj):
-    """Covering variable and row of every non-forced triplet of class index
-    ci in period t, with its objective weight entered in obj; returns the
-    weight of the block's home-forced triplets. The row is w <= sum_j
-    x[j, min_k_j, t], one term per covering station j; under the ladder rows it
-    admits the integer points of the paper's w <= sum_j sum_{k >= min_k_j} x[j, k, t]."""
-    uc = instance.user_classes[ci]
-    b = coverage.trip.block(ci, t - 1)
-    p0, w0 = coverage.trip.bit_start[b], coverage.trip.word_start[b]
-    weight = uc.populations[t - 1] / uc.scenario_count
-    forced_weight = 0.0
-    for r in range(uc.scenario_count):
-        if coverage.forced_bits[w0 + r // 64] >> np.uint64(r % 64) & np.uint64(1):
-            forced_weight += weight
-            continue
-        coeffs = {}
-        for alt in instance.choice_sets.c1[ci][t - 1]:
-            j = instance.station_index[alt]
-            mk = int(coverage.min_k[j, p0 + r])
-            if mk:
-                coeffs[x_name(alt, mk, t)] = 1.0
-        w = model.add_var(f"w_c{ci}_r{r}_t{t}", lb=0.0, ub=1.0)
-        obj[w] = weight
+def _add_cover_rows(model, coverage, t, obj):
+    """Covering block of period t, with its objective weights entered in obj;
+    returns the period's home-forced mass. A triplet p that is neither forced
+    nor never covered has the pattern min_k[:, p] and the row w <= sum_j
+    x[j, min_k_j, t]; under the ladder rows that admits the integer points of
+    the paper's w <= sum_j sum_{k >= min_k_j} x[j, k, t]. Triplets with the
+    same pattern have the same row, so one w_t{t}_p{n} weighted by their
+    summed N/R stands for all of them; n numbers the patterns in the order
+    their first triplet appears."""
+    trip = coverage.trip
+    b0, b1 = trip.block(0, t - 1), trip.block(0, t)
+    p = np.arange(trip.bit_start[b0], trip.bit_start[b1])
+    forced = np.unpackbits(coverage.forced_bits.view(np.uint8), bitorder="little")[trip.bit_of(p)]
+    cols = coverage.min_k[:, p]
+    keep = (forced == 0) & cols.any(axis=0)
+    patterns, first, inverse = np.unique(cols[:, keep], axis=1, return_index=True,
+                                         return_inverse=True)
+    weights = np.bincount(inverse.ravel(), minlength=first.size,
+                          weights=np.repeat(trip.block_weight[b0:b1], trip.block_bits[b0:b1])[keep])
+    for n, u in enumerate(np.argsort(first)):
+        coeffs = {x_name(coverage.station_ids[j], int(patterns[j, u]), t): 1.0
+                  for j in np.flatnonzero(patterns[:, u])}
+        w = model.add_var(f"w_t{t}_p{n}", lb=0.0, ub=1.0)
+        obj[w] = float(weights[u])
         coeffs[w] = -1.0
-        model.add_row(f"cover_c{ci}_r{r}_t{t}", coeffs, ">=", 0.0)
-    return forced_weight
+        model.add_row(f"cover_t{t}_p{n}", coeffs, ">=", 0.0)
+    return coverage.value_of_words(coverage.forced_bits[trip.word_slice(t)], t, t)
 
 
 def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
@@ -385,8 +386,7 @@ def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,
     model = MilpModel(f"mc_t{t}", "max")
     _add_x_block(model, instance, [t], np.asarray(base_levels, dtype=int))
     obj = {}
-    constant = sum(_add_cover_rows(model, instance, coverage, ci, t, obj)
-                   for ci in range(instance.n_classes))
+    constant = _add_cover_rows(model, coverage, t, obj)
     model.set_objective(obj, constant=constant)
     return model
 

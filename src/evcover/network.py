@@ -251,9 +251,10 @@ def save_network(network: Network, path):
 
 
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return network_from_text(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return network_from_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise NetworkError(f"{path}: not UTF-8 text: {exc}") from None
     except NetworkError as exc:
         raise NetworkError(f"{path}: {exc}") from None

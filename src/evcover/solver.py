@@ -23,6 +23,8 @@ calling process; the same function is the
 
 from __future__ import annotations
 
+import argparse
+import math
 import os
 import shlex
 import subprocess
@@ -205,13 +207,31 @@ def solve_lp_file(lp_path, sol_path, time_limit=None):
     write_solution_pairs(sol_path, status, objective, values)
 
 
+def positive_seconds(text):
+    """A time limit read from text: a positive, finite number of seconds.
+    Anything else raises argparse.ArgumentTypeError, so this is also the
+    argparse type of the CLI's --time-limit."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive, finite number of seconds")
+    return value
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    usage = "usage: evcover-lp-solve LP_FILE SOL_FILE [TIME_LIMIT_S]"
     if len(argv) not in (2, 3):
-        print("usage: evcover-lp-solve LP_FILE SOL_FILE [TIME_LIMIT_S]", file=sys.stderr)
+        print(usage, file=sys.stderr)
+        return 2
+    try:
+        time_limit = positive_seconds(argv[2]) if len(argv) == 3 else None
+    except argparse.ArgumentTypeError as exc:
+        print(f"{usage}\nevcover-lp-solve: {exc}", file=sys.stderr)
         return 2
     lp_path, sol_path = argv[0], argv[1]
-    time_limit = float(argv[2]) if len(argv) == 3 else None
     try:
         solve_lp_file(lp_path, sol_path, time_limit)
     except Exception as exc:  # malformed input must not crash silently

@@ -17,6 +17,8 @@ from evcover.instance import SolutionX, load_instance, save_instance
 from evcover.lp_io import parse_lp
 from evcover.network import generate_network, save_network
 
+from mc_reference import cover_patterns
+
 
 @pytest.fixture(scope="module")
 def tiny_manifest(tmp_path_factory):
@@ -194,7 +196,9 @@ def test_export_mc_counts(tmp_path, tiny_manifest):
     model = parse_lp(out.read_text())
     cov = build_coverage(insts[0])
     n_cover = sum(1 for r in model.rows if r.name.startswith("cover_"))
-    assert n_cover == cov.trip.n_triplets  # minus forced (none here)
+    n_patterns = sum(len(cover_patterns(insts[0], cov, t))
+                     for t in range(1, insts[0].horizon + 1))
+    assert n_cover == n_patterns < cov.trip.n_triplets
     out_sl = tmp_path / "s.lp"
     assert main(["export", inst_path, "--formulation", "sl", "--out", str(out_sl)]) == 0
     sl_model = parse_lp(out_sl.read_text())
@@ -316,6 +320,36 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, command, bad):
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"evcover {command}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "{bin}", "--formulation", "mc", "--out", "{out}"],
+    ["generate", "Simple", "--network", "{bin}", "--out", "{out}"],
+    ["report", "{bin}", "--out", "{out}"],
+    ["export", "{inst}", "--formulation", "gf", "--growth", "{bin}", "--out", "{out}"],
+])
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, tiny_manifest, capsys, argv):
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    out = tmp_path / "out"
+    inst = os.path.join(os.path.dirname(tiny_manifest[0]), "instance_000.json")
+    assert main([a.format(bin=binary, out=out, inst=inst) for a in argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"evcover {argv[0]}: {binary}: not UTF-8 text")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", ["0", "-5", "nan", "abc"])
+@pytest.mark.parametrize("command", ["solve", "compare-gf"])
+def test_a_time_limit_that_is_not_positive_seconds_is_refused(tmp_path, tiny_manifest, capsys,
+                                                              command, limit):
+    out = tmp_path / "out"
+    argv = [command, str(tiny_manifest[0]), "--out", str(out), f"--time-limit={limit}"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + (["--method", "grasp-m"] if command == "solve" else []))
+    assert exit_.value.code == 2
+    assert f"{limit!r} is not a positive, finite number of seconds" in capsys.readouterr().err
     assert not out.exists()
 
 

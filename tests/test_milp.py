@@ -18,7 +18,7 @@ from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, bu
 from evcover.solver import solve_model_inprocess
 
 from conftest import manual_instance
-from mc_reference import summed_build_mc, summed_build_mc_period
+from mc_reference import cover_patterns, summed_build_mc, summed_build_mc_period
 from test_local_search import reshaped
 
 
@@ -140,7 +140,9 @@ def test_mc_saturation_trivial_instance():
 def test_mc_covering_row_count(small_instance, small_coverage):
     model = build_mc(small_instance, small_coverage)
     n_cover = sum(1 for r in model.rows if r.name.startswith("cover_"))
-    assert n_cover == small_coverage.trip.n_triplets  # no forced triplets here
+    n_patterns = sum(len(cover_patterns(small_instance, small_coverage, t))
+                     for t in range(1, small_instance.horizon + 1))
+    assert n_cover == n_patterns < small_coverage.trip.n_triplets
 
 
 def test_sl_has_more_rows_than_mc(small_instance, small_coverage):
@@ -264,26 +266,20 @@ def _period_base(inst, x, t):
     return inst.initial_levels if t == 1 else x.levels[:, t - 2]
 
 
-def _cover_rows_have_one_min_k_term_per_station(inst, cov, model, periods):
-    rows = {row.name: row for row in model.rows}
-    n_rows = 0
-    for ci in range(inst.n_classes):
-        for t in periods:
-            p0 = cov.trip.bit_start[cov.trip.block(ci, t - 1)]
-            for r in range(inst.user_classes[ci].scenario_count):
-                row = rows.get(f"cover_c{ci}_r{r}_t{t}")
-                if row is None:  # home-forced: no row, weight in the constant
-                    continue
-                n_rows += 1
-                want = {}
-                for alt in inst.choice_sets.c1[ci][t - 1]:
-                    mk = int(cov.min_k[inst.station_index[alt], p0 + r])
-                    if mk:
-                        want[x_name(alt, mk, t)] = 1.0
-                want[f"w_c{ci}_r{r}_t{t}"] = -1.0
-                assert row.coeffs == want, row.name
-    assert n_rows == sum(1 for name in rows if name.startswith("cover_"))
-    return n_rows
+def _cover_rows_match_the_triplet_patterns(inst, cov, model, periods):
+    """One cover row per distinct pattern of the per-triplet reference, named
+    and ordered by first appearance, holding exactly the pattern's x terms and
+    a w whose objective weight is the pattern's summed N/R; so no two rows
+    share a term set, and forced and never-covered triplets get none."""
+    rows = [row for row in model.rows if row.name.startswith("cover_")]
+    want = [(t, n, terms, weight) for t in periods
+            for n, (terms, weight) in enumerate(cover_patterns(inst, cov, t).items())]
+    assert len(rows) == len(want)
+    for row, (t, n, terms, weight) in zip(rows, want):
+        assert (row.name, row.sense, row.rhs) == (f"cover_t{t}_p{n}", ">=", 0.0)
+        assert row.coeffs == {**dict.fromkeys(terms, 1.0), f"w_t{t}_p{n}": -1.0}
+        assert model.objective[f"w_t{t}_p{n}"] == pytest.approx(weight, rel=1e-12)
+    return len(rows)
 
 
 def test_cover_rows_hold_one_x_term_per_covering_station():
@@ -291,18 +287,21 @@ def test_cover_rows_hold_one_x_term_per_covering_station():
     inst = reshaped(generate_small_instance(61, n_stations=4, horizon=3, max_outlets=3),
                     np.random.default_rng(61), fractional=True)
     cov = build_coverage(inst)
-    n = _cover_rows_have_one_min_k_term_per_station(inst, cov, build_mc(inst, cov),
-                                                    range(1, inst.horizon + 1))
-    assert n == cov.trip.n_triplets
+    n = _cover_rows_match_the_triplet_patterns(inst, cov, build_mc(inst, cov),
+                                               range(1, inst.horizon + 1))
+    assert 0 < n < cov.trip.n_triplets
     x = random_feasible_solution(inst, np.random.default_rng(1))
     for t in range(1, inst.horizon + 1):
-        _cover_rows_have_one_min_k_term_per_station(
+        _cover_rows_match_the_triplet_patterns(
             inst, cov, build_mc_period(inst, cov, t, _period_base(inst, x, t)), [t])
     eps = np.zeros((3, 4, 1))
     eps[1, :2, 0] = 2.0  # home wins in scenarios 0 and 1 only
     inst = manual_instance(home_kappa=4.5, kappa_station=6.0, scenarios=4, eps=eps)
     cov = build_coverage(inst)
-    assert _cover_rows_have_one_min_k_term_per_station(inst, cov, build_mc(inst, cov), [1]) == 2
+    model = build_mc(inst, cov)
+    assert _cover_rows_match_the_triplet_patterns(inst, cov, model, [1]) == 1
+    assert model.objective == {"w_t1_p0": pytest.approx(2 * 100.0 / 4)}
+    assert model.objective_constant == pytest.approx(2 * 100.0 / 4)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from evcover.datasets import generate_small_instance
 from evcover.exact import brute_force_optimum
 from evcover.growth import build_gf_instance, generate_growth_function
 from evcover.heuristics import GreedyConfig, greedy
+from evcover.lp_io import export_lp
 from evcover.milp import (BINARY, MilpModel, build_gf, build_mc, build_mc_period, build_sl,
                           compute_bounds, extract_solution_x)
 from evcover.solver import (BUNDLED_DETAIL, STATUS_ERROR, STATUS_INFEASIBLE,
@@ -137,6 +138,18 @@ def test_bundled_cli_main(tmp_path):
     status, _, _ = parse_solution_file(sol)
     assert status == STATUS_INFEASIBLE
     assert main([str(tmp_path / "missing.lp"), str(sol)]) == 1
+
+
+@pytest.mark.parametrize("limit", ["0", "-5", "nan", "abc"])
+def test_bundled_cli_main_refuses_a_time_limit_that_is_not_positive_seconds(tmp_path, capsys,
+                                                                           limit):
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    export_lp(infeasible_toy(), lp)
+    assert solver.main([str(lp), str(sol), limit]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: evcover-lp-solve LP_FILE SOL_FILE [TIME_LIMIT_S]\n")
+    assert f"{limit!r} is not a positive, finite number of seconds" in err
+    assert not sol.exists()
 
 
 # -- the in-process bundled route against the spawned program it replaces ----------

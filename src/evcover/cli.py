@@ -37,7 +37,7 @@ from .instance import Instance, InstanceError, load_instance, save_instance
 from .milp import ModelError, build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
-from .solver import positive_seconds, resolve_solver_command, solve_external
+from .solver import checked_number, positive_seconds, resolve_solver_command, solve_external
 
 METHODS = ("exact-enum", "mc-external", "sl-external", "greedy-m", "greedy-h",
            "grasp-m", "grasp-h", "rh-even", "rh-geom")
@@ -405,6 +405,11 @@ def cmd_export(args):
 # -- argument parsing -----------------------------------------------------------------
 
 
+ALPHA = checked_number(float, lambda a: 0.0 <= a <= 1.0, "a number in [0, 1]")
+THREADS = checked_number(int, lambda n: n >= 1, "a whole number of at least 1")
+RADIUS_KM = checked_number(float, lambda r: r >= 0.0, "a non-negative number of km")
+
+
 def make_parser():
     p = argparse.ArgumentParser(prog="evcover",
                                 description="EV charging-station placement toolkit")
@@ -427,9 +432,9 @@ def make_parser():
     s.add_argument("--solver-cmd", default=None,
                    help="command template with {lp_path} {sol_path} {time_limit}; "
                         "'none' disables the solver")
-    s.add_argument("--alpha", type=float, default=0.85)
+    s.add_argument("--alpha", type=ALPHA, default=0.85)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=THREADS, default=1)
     s.set_defaults(func=cmd_solve)
 
     r = sub.add_parser("report", help="aggregate rows CSVs into a report")
@@ -443,7 +448,7 @@ def make_parser():
     c.add_argument("--time-limit", type=positive_seconds, default=DEFAULT_TIME_LIMIT)
     c.add_argument("--solver-cmd", default=None)
     c.add_argument("--mc-method", choices=METHODS, default="greedy-h")
-    c.add_argument("--radius", type=float, default=10.0)
+    c.add_argument("--radius", type=RADIUS_KM, default=10.0)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_compare_gf)
 
@@ -452,7 +457,7 @@ def make_parser():
     e.add_argument("--formulation", choices=["mc", "sl", "gf"], required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--growth", help="growth-function CSV (gf only)")
-    e.add_argument("--radius", type=float, default=10.0)
+    e.add_argument("--radius", type=RADIUS_KM, default=10.0)
     e.set_defaults(func=cmd_export)
     return p
 

@@ -3,12 +3,14 @@
 One LP dialect is emitted (CPLEX-style LP as accepted by CBC, GLPK, HiGHS
 and SCIP): an objective section, Subject To rows, Bounds, Binaries and
 Generals, terminated by End. Output is deterministic: constraints in build
-order, bound/binary/general lines lexicographic by variable name, numbers
-with 12 significant digits. Objective constants are not representable
-portably in LP text, so they are written as a header comment and re-added
-by the solver adapter. Every name is one LP token because `MilpModel`
-refuses any other name when the model is built. `parse_lp` reads exactly
-this dialect, not general LP text; any other text raises LpParseError.
+order, bound/binary/general lines lexicographic by variable name. Every
+number, here and in `write_solution_pairs`, is the shortest text that reads
+back as the same float, so models and solutions cross files exactly.
+Objective constants are not representable portably in LP text, so they are
+written as a header comment and re-added by the solver adapter. Every name
+is one LP token because `MilpModel` refuses any other name when the model
+is built. `parse_lp` reads exactly this dialect, not general LP text; any
+other text raises LpParseError.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ import math
 
 from .milp import BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError
 
-_NUM = "%.12g"
 _LINE_WIDTH = 240
 
 
 def _fmt(value):
-    out = _NUM % value
-    return out
+    # repr reads back as the same float; integers are written without ".0"
+    return repr(float(value)).removesuffix(".0")
 
 
 def _terms(coeffs, var_order, fallback_var):
@@ -67,9 +68,8 @@ def model_to_lp(model: MilpModel) -> str:
     lines.extend(_wrap(" obj: " + _terms(model.objective, sorted(model.objective), fallback)))
     lines.append("Subject To")
     for row in model.rows:
-        op = {"<=": "<=", ">=": ">=", "=": "="}[row.sense]
         body = _terms(row.coeffs, sorted(row.coeffs), fallback)
-        lines.extend(_wrap(f" {row.name}: {body} {op} {_fmt(row.rhs)}"))
+        lines.extend(_wrap(f" {row.name}: {body} {row.sense} {_fmt(row.rhs)}"))
     lines.append("Bounds")
     for v in sorted(model.variables, key=lambda v: v.name):
         if v.kind == BINARY and v.lb == 0.0 and v.ub == 1.0:
@@ -98,9 +98,11 @@ def model_to_lp(model: MilpModel) -> str:
 
 
 def export_lp(model: MilpModel, path):
+    """Write the model's LP text to path; returns the text."""
     text = model_to_lp(model)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return text
 
 
 # -- LP parsing ---------------------------------------------------------------
@@ -219,10 +221,10 @@ def parse_lp(text: str) -> MilpModel:
 
 def _is_number(tok):
     try:
-        float(tok)
-        return True
+        float(tok)  # also reads inf, -inf and +inf in any case
     except ValueError:
-        return tok.lower() in ("inf", "-inf", "+inf")
+        return False
+    return True
 
 
 _STATUS_WORDS = {

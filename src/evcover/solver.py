@@ -12,13 +12,15 @@ environment variable, else it falls back to the bundled solver below. Set
 EVCOVER_SOLVER_CMD=none to declare that no solver is available; callers
 then receive a 'not-configured' status and can skip or fall back.
 
-Bundled solver: `solve_lp_file` reads exactly the LP dialect `export_lp`
-writes (not general LP text), solves it with scipy's HiGHS-backed MILP
-routine at zero MIP gap and writes a name/value solution file. When the
-resolved template is the bundled one, `solve_external` calls it in the
-calling process; the same function is the
-`python -m evcover.solver LP SOL [TIME_LIMIT]` program (installed as
-`evcover-lp-solve`), which other templates can spawn.
+Bundled solver: it reads exactly the LP dialect `export_lp` writes (not
+general LP text) and solves it with scipy's HiGHS-backed MILP routine at
+zero MIP gap. When the resolved template is the bundled one,
+`solve_external` parses the LP text it wrote and solves it in the calling
+process, and HiGHS's answer goes straight into the result, with no solution
+file. The same steps are the `python -m evcover.solver LP SOL [TIME_LIMIT]`
+program (installed as `evcover-lp-solve`), which other templates can spawn;
+it writes a name/value solution file. Both routes return the same numbers,
+because LP text and solution files carry every float exactly.
 """
 
 from __future__ import annotations
@@ -79,14 +81,15 @@ def resolve_solver_command(solver_command=None):
 
 
 def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> SolveResult:
-    """Write the model as LP, solve the LP file, parse the solution file.
+    """Write the model as LP and solve the LP file.
 
-    The bundled solver runs in the calling process; it has no grace timeout
-    beyond HiGHS's own time limit, and an exception inside it becomes an
-    'error' result. Any other template runs as a subprocess, killed 60 s
-    after the time limit when one is given; `detail` keeps the tail of its
-    output. A solution file that cannot be parsed is an 'error' result too.
-    The reported objective includes the model's objective constant (which is
+    The bundled solver runs in the calling process on the written text and
+    its answer is returned as HiGHS gives it; it has no grace timeout beyond
+    HiGHS's own time limit, and an exception inside it becomes an 'error'
+    result. Any other template runs as a subprocess, killed 60 s after the
+    time limit when one is given; `detail` keeps the tail of its output, and
+    a solution file that cannot be parsed is an 'error' result too. The
+    reported objective includes the model's objective constant (which is
     not representable in LP text).
     """
     command = resolve_solver_command(solver_command)
@@ -94,16 +97,19 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
         return SolveResult(STATUS_NOT_CONFIGURED, detail="external solver not configured")
     limit = float(time_limit_s) if time_limit_s is not None else 1e7
     start = time.perf_counter()
+
+    def failed(detail):
+        return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start, detail=detail)
+
     with tempfile.TemporaryDirectory() as tmp:
         lp_path = os.path.join(tmp, f"{model.name}.lp")
         sol_path = os.path.join(tmp, f"{model.name}.sol")
-        export_lp(model, lp_path)
+        text = export_lp(model, lp_path)
         if command == bundled_solver_command():
             try:
-                solve_lp_file(lp_path, sol_path, limit)
+                status, objective, values = solve_model_inprocess(parse_lp(text), limit)
             except Exception as exc:  # the spawned program would exit without a solution
-                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
-                                   detail=f"bundled solver failed: {type(exc).__name__}: {exc}")
+                return failed(f"bundled solver failed: {type(exc).__name__}: {exc}")
             detail = BUNDLED_DETAIL
         else:
             argv = [
@@ -114,26 +120,21 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
                 proc = subprocess.run(argv, capture_output=True, text=True,
                                       timeout=None if time_limit_s is None else limit + 60.0)
             except subprocess.TimeoutExpired:
-                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
-                                   detail="solver subprocess exceeded the grace timeout")
+                return failed("solver subprocess exceeded the grace timeout")
             except OSError as exc:
-                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
-                                   detail=f"could not run solver: {exc}")
+                return failed(f"could not run solver: {exc}")
             detail = (proc.stderr or proc.stdout or "")[-400:]
             if not os.path.exists(sol_path):
-                return SolveResult(STATUS_ERROR, wall_time=time.perf_counter() - start,
-                                   detail=f"no solution file (exit {proc.returncode}): {detail}")
-        wall = time.perf_counter() - start
-        try:
-            status, objective, values = parse_solution_file(sol_path)
-        except ValueError as exc:
-            return SolveResult(STATUS_ERROR, wall_time=wall,
-                               detail=f"unreadable solution file: {exc}; solver output: {detail}")
+                return failed(f"no solution file (exit {proc.returncode}): {detail}")
+            try:
+                status, objective, values = parse_solution_file(sol_path)
+            except ValueError as exc:
+                return failed(f"unreadable solution file: {exc}; solver output: {detail}")
     if status in (STATUS_OPTIMAL, STATUS_TIMEOUT):
         if objective is None:
             objective = sum(model.objective.get(n, 0.0) * v for n, v in values.items())
         objective += model.objective_constant
-    return SolveResult(status, objective, values, wall, detail)
+    return SolveResult(status, objective, values, time.perf_counter() - start, detail)
 
 
 # -- bundled LP solver (scipy / HiGHS) -----------------------------------------
@@ -179,45 +180,33 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     res = milp(c=sign * c, constraints=LinearConstraint(A, lo, hi),
                integrality=integrality, bounds=Bounds(lb, ub), options=options)
 
-    if res.status == 0:
-        status = STATUS_OPTIMAL
-    elif res.status == 1 and res.x is not None:
-        status = STATUS_TIMEOUT
-    elif res.status == 2:
-        status = STATUS_INFEASIBLE
-    elif res.status == 3:
-        status = STATUS_UNBOUNDED
-    else:
-        status = STATUS_ERROR
-    if res.x is None:
-        return status, None, {}
+    status = {0: STATUS_OPTIMAL, 1: STATUS_TIMEOUT, 2: STATUS_INFEASIBLE,
+              3: STATUS_UNBOUNDED}.get(res.status, STATUS_ERROR)
+    if res.x is None:  # a limit reached without an incumbent is an error
+        return (STATUS_ERROR if status == STATUS_TIMEOUT else status), None, {}
     objective = float(sign * res.fun)
     values = {name: float(val) for name, val in zip(names, res.x)}
     return status, objective, values
 
 
-def solve_lp_file(lp_path, sol_path, time_limit=None):
-    """The bundled solver: parse an LP file in the emitted dialect, solve it
-    with HiGHS and write a name/value solution file. Raises, before any
-    solution file is written, when the LP file cannot be read or parsed or
-    the solve itself fails."""
-    with open(lp_path, "r", encoding="utf-8") as fh:
-        model = parse_lp(fh.read())
-    status, objective, values = solve_model_inprocess(model, time_limit)
-    write_solution_pairs(sol_path, status, objective, values)
+def checked_number(convert, accept, what):
+    """An argparse type: `convert(text)` when `accept` holds for it. Any other
+    text raises argparse.ArgumentTypeError naming `what`, so the parser
+    refuses it (exit 2) before a command runs."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
 
 
-def positive_seconds(text):
-    """A time limit read from text: a positive, finite number of seconds.
-    Anything else raises argparse.ArgumentTypeError, so this is also the
-    argparse type of the CLI's --time-limit."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive, finite number of seconds")
-    return value
+# a time limit: the type of the CLI's --time-limit and of evcover-lp-solve's TIME_LIMIT_S
+positive_seconds = checked_number(float, lambda v: math.isfinite(v) and v > 0,
+                                  "a positive, finite number of seconds")
 
 
 def main(argv=None):
@@ -232,8 +221,11 @@ def main(argv=None):
         print(f"{usage}\nevcover-lp-solve: {exc}", file=sys.stderr)
         return 2
     lp_path, sol_path = argv[0], argv[1]
-    try:
-        solve_lp_file(lp_path, sol_path, time_limit)
+    try:  # nothing is written when the LP file cannot be read or parsed or the solve fails
+        with open(lp_path, "r", encoding="utf-8") as fh:
+            model = parse_lp(fh.read())
+        status, objective, values = solve_model_inprocess(model, time_limit)
+        write_solution_pairs(sol_path, status, objective, values)
     except Exception as exc:  # malformed input must not crash silently
         print(f"failed to solve {lp_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -353,6 +353,45 @@ def test_a_time_limit_that_is_not_positive_seconds_is_refused(tmp_path, tiny_man
     assert not out.exists()
 
 
+def refused_with_exit_2(argv, out, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["-0.1", "1.5", "nan", "abc"])
+def test_an_alpha_outside_0_1_is_refused(tmp_path, tiny_manifest, capsys, alpha):
+    out = tmp_path / "out"
+    refused_with_exit_2(["solve", str(tiny_manifest[0]), "--method", "grasp-m", "--out", str(out),
+                         f"--alpha={alpha}"], out, f"{alpha!r} is not a number in [0, 1]", capsys)
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "1.5"])
+def test_threads_below_one_are_refused(tmp_path, tiny_manifest, capsys, threads):
+    out = tmp_path / "out"
+    refused_with_exit_2(["solve", str(tiny_manifest[0]), "--method", "greedy-m", "--out", str(out),
+                         f"--threads={threads}"], out,
+                        f"{threads!r} is not a whole number of at least 1", capsys)
+
+
+@pytest.mark.parametrize("radius", ["-5", "nan", "abc"])
+@pytest.mark.parametrize("command", ["compare-gf", "export"])
+def test_a_radius_that_is_negative_or_nan_is_refused(tmp_path, tiny_manifest, capsys, command,
+                                                      radius):
+    manifest = str(tiny_manifest[0])
+    out = tmp_path / "out"
+    growth = tmp_path / "g.csv"
+    growth.write_text("q_lo,q_hi,slope,intercept\n0.0,1.0,1.0,0.0\n")
+    argv = (["compare-gf", manifest, "--mc-method", "greedy-m", "--solver-cmd", "none"]
+            if command == "compare-gf" else
+            ["export", os.path.join(os.path.dirname(manifest), "instance_000.json"),
+             "--formulation", "gf", "--growth", str(growth)])
+    refused_with_exit_2(argv + ["--out", str(out), f"--radius={radius}"], out,
+                        f"{radius!r} is not a non-negative number of km", capsys)
+
+
 def test_compare_gf_workflow(tmp_path, tiny_manifest):
     manifest, insts = tiny_manifest
     out = tmp_path / "cmp"

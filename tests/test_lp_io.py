@@ -174,6 +174,28 @@ def test_infeasible_status_words():
     assert status == "feasible-timeout"
 
 
+_EXACT = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from([-0.0, 5e-324, 0.1, 1.7976931348623157e308]))
+_SOLUTION_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True).filter(
+    lambda name: name not in ("obj", "objective", "inf", "infinity", "nan"))
+
+
+def bits(value):
+    return None if value is None else value.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["optimal", "feasible-timeout", "infeasible", "unbounded", "error"]),
+       st.none() | _EXACT, st.dictionaries(_SOLUTION_NAMES, _EXACT, max_size=8))
+def test_solution_pairs_read_back_bit_for_bit(tmp_path_factory, status, objective, values):
+    path = tmp_path_factory.mktemp("sol") / "m.sol"
+    write_solution_pairs(path, status, objective, values)
+    got_status, got_objective, got_values = parse_solution_file(path)
+    assert (got_status, bits(got_objective)) == (status, bits(objective))
+    assert [(n, bits(v)) for n, v in got_values.items()] == \
+        [(n, bits(v)) for n, v in values.items()]
+
+
 # -- names the dialect cannot carry -----------------------------------------------
 
 
@@ -245,25 +267,21 @@ def lp_models(draw):
     return model
 
 
-def written(value):
-    return float("%.12g" % value)
-
-
 def read_back_expected(model):
     """What parse_lp(model_to_lp(model)) should hold: variables sorted by
-    name, numbers to 12 significant digits, zero coefficients dropped and an
-    empty expression as the zero term of the first variable."""
+    name, every number exactly, zero coefficients dropped and an empty
+    expression as the zero term of the first variable."""
     def expression(coeffs):
-        kept = [(name, written(c)) for name, c in sorted(coeffs.items()) if c != 0]
+        kept = [(name, c) for name, c in sorted(coeffs.items()) if c != 0]
         return kept or [(model.variables[0].name, 0.0)]
 
-    rows = [(r.name, expression(r.coeffs), r.sense, written(r.rhs)) for r in model.rows]
+    rows = [(r.name, expression(r.coeffs), r.sense, r.rhs) for r in model.rows]
     objective = expression(model.objective)
     used = {name for _, coeffs, _, _ in rows for name, _ in coeffs} | dict(objective).keys()
-    variables = [(v.name, written(v.lb), written(v.ub), v.kind)
+    variables = [(v.name, v.lb, v.ub, v.kind)
                  for v in sorted(model.variables, key=lambda v: v.name)
                  if v.name in used or (v.lb, v.ub, v.kind) != (0.0, math.inf, CONTINUOUS)]
-    return model.sense, variables, rows, objective, written(model.objective_constant)
+    return model.sense, variables, rows, objective, model.objective_constant
 
 
 def read_back(model):
@@ -274,7 +292,7 @@ def read_back(model):
 
 @settings(max_examples=300, deadline=None)
 @given(lp_models())
-def test_round_trip_equals_model_to_twelve_digits(model):
+def test_round_trip_equals_model_exactly(model):
     assert read_back(parse_lp(model_to_lp(model))) == read_back_expected(model)
 
 

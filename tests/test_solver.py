@@ -232,6 +232,36 @@ def test_inprocess_exception_becomes_error_result(target, monkeypatch):
     assert "RuntimeError: boom inside the bundled solver" in res.detail
 
 
+def thirds_model():
+    m = MilpModel("thirds", "max")
+    m.add_var("a", 0, 1, BINARY)
+    m.add_var("b", 0, 1, BINARY)
+    m.add_row("cap", {"a": 1.0, "b": 1.0}, "<=", 2.0)
+    m.set_objective({"a": 1 / 3, "b": 1234567.891234567}, constant=0.1)
+    return m
+
+
+def test_objective_is_the_exact_sum_on_both_routes(child_env):
+    python = shlex.quote(sys.executable)
+    spawned = f"{python} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}} "
+    for command in (None, spawned):
+        res = solve_external(thirds_model(), command, time_limit_s=30)
+        assert res.status == STATUS_OPTIMAL and res.values == {"a": 1.0, "b": 1.0}
+        assert res.objective == 1 / 3 + 1234567.891234567 + 0.1
+
+
+def test_default_route_reads_and_writes_no_solution_file(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the in-process route must not use a solution file")
+
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    monkeypatch.setattr(solver, "parse_solution_file", boom)
+    monkeypatch.setattr(solver, "write_solution_pairs", boom)
+    res = solve_external(thirds_model(), time_limit_s=30)
+    assert res.status == STATUS_OPTIMAL and res.detail == BUNDLED_DETAIL
+    assert res.objective == 1 / 3 + 1234567.891234567 + 0.1
+
+
 def test_spawned_solver_output_kept_on_success():
     writer = ("import sys; open(sys.argv[1], 'w').write('status optimal\\nx 1\\n'); "
               "print('x' * 500 + 'solver chatter')")

@@ -5,8 +5,9 @@ Every command is deterministic given its inputs, seed and config (solver
 wall times excepted). Outputs are plain files: instances and manifests as
 JSON, rows and reports as CSV, models as LP text, per-node results as CSV
 and GeoJSON. Exit code 2 flags runs in which at least one instance was
-skipped because a prerequisite (usually the solver) was missing, or failed
-with an error; every other instance of the batch is still solved.
+skipped because a prerequisite (a configured solver, or an enumeration
+within its cap) was missing, or failed with an error (a solver that ran and
+failed, say); every other instance of the batch is still solved.
 """
 
 from __future__ import annotations
@@ -152,19 +153,16 @@ def run_method(instance: Instance, coverage, method, *, time_limit=DEFAULT_TIME_
         x, f = brute_force_optimum(instance, coverage)
         return x, f, time.perf_counter() - start, "completed", "", []
     if method in ("mc-external", "sl-external"):
-        command = resolve_solver_command(solver_cmd)
-        if command is None:
-            raise HeuristicError("external solver not configured")
         if method == "mc-external":
             model = build_mc(instance, coverage)
         else:
             model = build_sl(instance, compute_bounds(instance))
-        result = solve_external(model, command, time_limit_s=time_limit)
+        result = solve_external(model, solver_cmd, time_limit_s=time_limit)
         if not result.ok:
             raise HeuristicError(f"solver status {result.status}: {result.detail}")
         x = extract_solution_x(instance, result.values)
         f = evaluate(instance, coverage, x)
-        return x, f, time.perf_counter() - start, result.status, "", []
+        return x, f, time.perf_counter() - start, result.status, result.detail, []
     if method in ("greedy-m", "greedy-h"):
         cfg = GreedyConfig(mode="myopic" if method.endswith("-m") else "hyperoptic")
         res = greedy(instance, coverage, cfg)
@@ -198,14 +196,18 @@ def _error_row(path, method, exc):
 
 def _solve_one(args):
     """Solve one instance into a (row, solution) pair. A missing prerequisite
-    gives a "skipped" row and any other failure an "error" row, so one bad
-    instance never sinks the batch."""
+    (no solver configured for an `-external` method) and an enumeration past
+    its cap give a "skipped" row; any other failure, a solver that ran and
+    failed included, gives an "error" row, so one bad instance never sinks
+    the batch."""
     path, method, options = args
+    if method.endswith("-external") and resolve_solver_command(options["solver_cmd"]) is None:
+        return _failed_row(path, method, "skipped", "external solver not configured"), None
     try:
         inst = load_instance(path)
         cov = build_coverage(inst)
         x, f, wall, termination, detail, trace = run_method(inst, cov, method, **options)
-    except (HeuristicError, EnumerationCapExceeded) as exc:
+    except EnumerationCapExceeded as exc:
         return _failed_row(path, method, "skipped", str(exc)), None
     except Exception as exc:  # noqa: BLE001 - isolate the failure to this instance
         return _error_row(path, method, exc), None
@@ -329,7 +331,8 @@ def write_node_geojson(instance, node_ev, path):
 
 
 def cmd_compare_gf(args):
-    # every instance is loaded, and the GF model solved, before --out is created
+    # every instance is loaded, the GF model solved and the MC method run on
+    # every instance before --out is created
     paths = _manifest_paths(args.manifest)
     if not paths:
         raise InstanceError(f"{args.manifest}: manifest lists no instances")
@@ -341,21 +344,19 @@ def cmd_compare_gf(args):
     gf_curve = generate_growth_function(instances, ref, coverages)
     gf_inst = build_gf_instance(instances[0], gf_curve, radius_km=args.radius)
     gf_sol = _solve_gf_model(gf_inst, args.solver_cmd, args.time_limit)
-    os.makedirs(args.out, exist_ok=True)
-    save_growth(gf_curve, os.path.join(args.out, "growth_function.csv"))
     x_gf = gf_solution_as_x(gf_inst, gf_sol)
     x_adj = adjust_solution_max_outlets(gf_inst, gf_sol)
 
     rows, mc_xs = [], []
     for inst, cov, path in zip(instances, coverages, paths):
-        name = os.path.splitext(os.path.basename(path))[0]
-        f_gf = evaluate(inst, cov, x_gf)
-        f_adj = evaluate(inst, cov, x_adj)
         x_mc, f_mc, _, _, _, _ = run_method(
             inst, cov, args.mc_method, time_limit=args.time_limit,
             solver_cmd=args.solver_cmd, seed=args.seed)
         mc_xs.append(x_mc)
-        rows.append({"instance": name, "gf": f_gf, "gf_adjusted": f_adj, "mc": f_mc})
+        rows.append({"instance": _instance_name(path), "gf": evaluate(inst, cov, x_gf),
+                     "gf_adjusted": evaluate(inst, cov, x_adj), "mc": f_mc})
+    os.makedirs(args.out, exist_ok=True)
+    save_growth(gf_curve, os.path.join(args.out, "growth_function.csv"))
     with open(os.path.join(args.out, "comparison_rows.csv"), "w", newline="",
               encoding="utf-8") as fh:
         w = csv.DictWriter(fh, fieldnames=["instance", "gf", "gf_adjusted", "mc"])
@@ -468,7 +469,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError, RowsError,
-            ModelError) as exc:
+            ModelError, HeuristicError, EnumerationCapExceeded) as exc:
         print(f"evcover {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -6,11 +6,12 @@ Generals, terminated by End. Output is deterministic: constraints in build
 order, bound/binary/general lines lexicographic by variable name. Every
 number, here and in `write_solution_pairs`, is the shortest text that reads
 back as the same float, so models and solutions cross files exactly.
-Objective constants are not representable portably in LP text, so they are
-written as a header comment and re-added by the solver adapter. Every name
-is one LP token because `MilpModel` refuses any other name when the model
-is built. `parse_lp` reads exactly this dialect, not general LP text; any
-other text raises LpParseError.
+Objective constants, not portable in LP text, are written as a header
+comment and re-added by the solver adapter. Every name is one LP token
+because `MilpModel` refuses any other name when the model is built.
+`parse_lp` reads exactly this dialect (for the `evcover-lp-solve` program;
+the bundled in-process solve reads no LP text); any other text raises
+LpParseError.
 """
 
 from __future__ import annotations
@@ -98,11 +99,9 @@ def model_to_lp(model: MilpModel) -> str:
 
 
 def export_lp(model: MilpModel, path):
-    """Write the model's LP text to path; returns the text."""
-    text = model_to_lp(model)
+    """Write the model's LP text to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
+        fh.write(model_to_lp(model))
 
 
 # -- LP parsing ---------------------------------------------------------------

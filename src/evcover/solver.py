@@ -12,15 +12,15 @@ environment variable, else it falls back to the bundled solver below. Set
 EVCOVER_SOLVER_CMD=none to declare that no solver is available; callers
 then receive a 'not-configured' status and can skip or fall back.
 
-Bundled solver: it reads exactly the LP dialect `export_lp` writes (not
-general LP text) and solves it with scipy's HiGHS-backed MILP routine at
-zero MIP gap. When the resolved template is the bundled one,
-`solve_external` parses the LP text it wrote and solves it in the calling
-process, and HiGHS's answer goes straight into the result, with no solution
-file. The same steps are the `python -m evcover.solver LP SOL [TIME_LIMIT]`
-program (installed as `evcover-lp-solve`), which other templates can spawn;
-it writes a name/value solution file. Both routes return the same numbers,
-because LP text and solution files carry every float exactly.
+Bundled solver: scipy's HiGHS-backed MILP routine at zero MIP gap. On the
+bundled template `solve_external` still writes the LP file, then solves the
+model it was given in the calling process, with no solution file. Other
+templates can spawn the same solver as `evcover-lp-solve LP SOL [TIME_LIMIT]`
+(`python -m evcover.solver`), which parses the LP file (only the dialect
+`export_lp` writes) and writes a name/value solution file. Both routes give
+the same numbers, because LP text and solution files carry every float
+exactly and `solve_model_inprocess` orders and prunes a model as `parse_lp`
+does.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def resolve_solver_command(solver_command=None):
 def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> SolveResult:
     """Write the model as LP and solve the LP file.
 
-    The bundled solver runs in the calling process on the written text and
+    The bundled solver runs in the calling process on the given model and
     its answer is returned as HiGHS gives it; it has no grace timeout beyond
     HiGHS's own time limit, and an exception inside it becomes an 'error'
     result. Any other template runs as a subprocess, killed 60 s after the
@@ -104,10 +104,10 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
     with tempfile.TemporaryDirectory() as tmp:
         lp_path = os.path.join(tmp, f"{model.name}.lp")
         sol_path = os.path.join(tmp, f"{model.name}.sol")
-        text = export_lp(model, lp_path)
+        export_lp(model, lp_path)
         if command == bundled_solver_command():
             try:
-                status, objective, values = solve_model_inprocess(parse_lp(text), limit)
+                status, objective, values = solve_model_inprocess(model, limit)
             except Exception as exc:  # the spawned program would exit without a solution
                 return failed(f"bundled solver failed: {type(exc).__name__}: {exc}")
             detail = BUNDLED_DETAIL
@@ -141,22 +141,23 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
 
 
 def solve_model_inprocess(model: MilpModel, time_limit_s=None):
-    """Solve a MilpModel with scipy's MILP (HiGHS) without the subprocess hop.
-    Returns (status, objective_without_constant, values)."""
+    """Solve a MilpModel with scipy's MILP (HiGHS) in this process; returns
+    (status, objective_without_constant, values). HiGHS gets the columns in name
+    order, no zero coefficient and no negative zero (`+ 0.0`), so a model and
+    `parse_lp`'s reading of its LP text get the same answer."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
-    names = [v.name for v in model.variables]
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
+    variables = sorted(model.variables, key=lambda v: v.name)
+    index = {v.name: i for i, v in enumerate(variables)}
+    n = len(variables)
     c = np.zeros(n)
     for name, coef in model.objective.items():
         c[index[name]] = coef
     sign = -1.0 if model.sense == "max" else 1.0
 
     rows, cols, vals = [], [], []
-    lo = np.empty(len(model.rows))
-    hi = np.empty(len(model.rows))
+    lo, hi = np.empty((2, len(model.rows)))
     for ri, row in enumerate(model.rows):
         for name, coef in row.coeffs.items():
             rows.append(ri)
@@ -169,23 +170,23 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
         else:
             lo[ri] = hi[ri] = row.rhs
     A = csr_matrix((vals, (rows, cols)), shape=(len(model.rows), n))
+    A.eliminate_zeros()
 
-    integrality = np.array(
-        [0 if v.kind == CONTINUOUS else 1 for v in model.variables], dtype=np.uint8)
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
+    integrality = np.array([v.kind != CONTINUOUS for v in variables], dtype=np.uint8)
+    lb = np.array([v.lb for v in variables])
+    ub = np.array([v.ub for v in variables])
     options = {"mip_rel_gap": 0.0, "presolve": True}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
-    res = milp(c=sign * c, constraints=LinearConstraint(A, lo, hi),
-               integrality=integrality, bounds=Bounds(lb, ub), options=options)
+    res = milp(c=sign * c + 0.0, constraints=LinearConstraint(A, lo + 0.0, hi + 0.0),
+               integrality=integrality, bounds=Bounds(lb + 0.0, ub + 0.0), options=options)
 
     status = {0: STATUS_OPTIMAL, 1: STATUS_TIMEOUT, 2: STATUS_INFEASIBLE,
               3: STATUS_UNBOUNDED}.get(res.status, STATUS_ERROR)
     if res.x is None:  # a limit reached without an incumbent is an error
         return (STATUS_ERROR if status == STATUS_TIMEOUT else status), None, {}
     objective = float(sign * res.fun)
-    values = {name: float(val) for name, val in zip(names, res.x)}
+    values = {v.name: float(val) for v, val in zip(variables, res.x)}
     return status, objective, values
 
 

@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import re
+import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evcover import exact
 from evcover.cli import (RunReport, main, nearest_rank_percentile, read_rows_csv,
                          write_rows_csv)
 from evcover.covering import build_coverage, evaluate
@@ -16,6 +19,7 @@ from evcover.growth import GrowthError, growth_from_csv
 from evcover.instance import SolutionX, load_instance, save_instance
 from evcover.lp_io import parse_lp
 from evcover.network import generate_network, save_network
+from evcover.solver import BUNDLED_DETAIL
 
 from mc_reference import cover_patterns
 
@@ -106,6 +110,35 @@ def test_solve_skips_without_solver(tmp_path, tiny_manifest, monkeypatch):
     rows = read_rows_csv(out / "rows.mc-external.csv")
     assert all(r["status"] == "skipped" for r in rows)
     assert all("not configured" in r["detail"] for r in rows)
+
+
+@pytest.mark.parametrize("method", ["mc-external", "rh-even"])
+def test_a_solver_that_runs_and_fails_gives_error_rows(tmp_path, tiny_manifest, capsys,
+                                                       method):
+    # the solver runs, exits 0 and writes no solution file: a failure, not a
+    # missing prerequisite
+    manifest, insts = tiny_manifest
+    out = tmp_path / "failed"
+    rc = main(["solve", str(manifest), "--method", method, "--out", str(out),
+               "--solver-cmd", f"{shlex.quote(sys.executable)} -c pass {{lp_path}}"])
+    assert rc == 2
+    rows = read_rows_csv(out / f"rows.{method}.csv")
+    assert [r["status"] for r in rows] == ["error"] * len(insts)
+    for row in rows:
+        assert row["detail"].startswith("HeuristicError: ")
+        assert "status error" in row["detail"] and "no solution file (exit 0)" in row["detail"]
+    assert f"{method}: 0 solved, 0 skipped, {len(insts)} failed" in capsys.readouterr().out
+
+
+def test_mc_external_rows_say_where_the_answer_came_from(tmp_path, tiny_manifest,
+                                                         monkeypatch):
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    manifest, insts = tiny_manifest
+    out = tmp_path / "mc"
+    assert main(["solve", str(manifest), "--method", "mc-external", "--out", str(out),
+                 "--time-limit", "60"]) == 0
+    rows = read_rows_csv(out / "rows.mc-external.csv")
+    assert [r["detail"] for r in rows] == [BUNDLED_DETAIL] * len(insts)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -433,6 +466,30 @@ def test_compare_gf_runs_the_mc_method_once_per_instance(tmp_path, tiny_manifest
                "--mc-method", "exact-enum", "--solver-cmd", "none"])
     assert rc == 0
     assert len(calls) == len(insts)
+
+
+@pytest.mark.parametrize("mc_method, message", [
+    ("mc-external", "external solver not configured"),
+    ("exact-enum", "more than 1 reachable states"),
+])
+def test_compare_gf_whose_mc_method_cannot_run_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                                  mc_method, message):
+    monkeypatch.setattr(exact, "MAX_STATES", 1)
+    root = tmp_path / "ds"
+    root.mkdir()
+    entries = []
+    for inst in generate_small_dataset(3, 2, n_nodes=6, n_stations=3, horizon=2):
+        idx = inst.metadata["instance_index"]
+        save_instance(inst, root / f"instance_{idx:03d}.json")
+        entries.append({"path": f"instance_{idx:03d}.json", "seed": 3, "index": idx})
+    out = tmp_path / "cmp"
+    rc = main(["compare-gf", str(write_manifest(root, "small", 3, entries)), "--out", str(out),
+               "--mc-method", mc_method, "--solver-cmd", "none"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("evcover compare-gf: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_solve_writes_machine_readable_trace(tmp_path, tiny_manifest):

@@ -1,9 +1,12 @@
+import math
 import os
 import shlex
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcover import solver
 from evcover.covering import build_coverage
@@ -11,9 +14,9 @@ from evcover.datasets import generate_small_instance
 from evcover.exact import brute_force_optimum
 from evcover.growth import build_gf_instance, generate_growth_function
 from evcover.heuristics import GreedyConfig, greedy
-from evcover.lp_io import export_lp
-from evcover.milp import (BINARY, MilpModel, build_gf, build_mc, build_mc_period, build_sl,
-                          compute_bounds, extract_solution_x)
+from evcover.lp_io import export_lp, model_to_lp, parse_lp
+from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, build_gf, build_mc,
+                          build_mc_period, build_sl, compute_bounds, extract_solution_x)
 from evcover.solver import (BUNDLED_DETAIL, STATUS_ERROR, STATUS_INFEASIBLE,
                             STATUS_NOT_CONFIGURED, STATUS_OPTIMAL, STATUS_TIMEOUT,
                             bundled_solver_command, resolve_solver_command, solve_external,
@@ -219,7 +222,7 @@ def test_default_route_starts_no_process(monkeypatch):
     assert res.detail == BUNDLED_DETAIL
 
 
-@pytest.mark.parametrize("target", ["parse_lp", "solve_model_inprocess"])
+@pytest.mark.parametrize("target", ["solve_model_inprocess"])
 def test_inprocess_exception_becomes_error_result(target, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom inside the bundled solver")
@@ -260,6 +263,55 @@ def test_default_route_reads_and_writes_no_solution_file(monkeypatch):
     res = solve_external(thirds_model(), time_limit_s=30)
     assert res.status == STATUS_OPTIMAL and res.detail == BUNDLED_DETAIL
     assert res.objective == 1 / 3 + 1234567.891234567 + 0.1
+
+
+def test_default_route_solves_the_model_it_was_given(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the in-process route must not read LP text back")
+
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    monkeypatch.setattr(solver, "parse_lp", boom)
+    res = solve_external(thirds_model(), time_limit_s=30)
+    assert res.status == STATUS_OPTIMAL and res.detail == BUNDLED_DETAIL
+    assert res.values == {"a": 1.0, "b": 1.0}
+    assert res.objective == 1 / 3 + 1234567.891234567 + 0.1
+
+
+_COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1 / 3, 7.0])
+_SMALL = st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0, -2.0, 0.5])
+
+
+@st.composite
+def solvable_models(draw):
+    """Small models, variables declared out of name order, with zero
+    coefficients and an empty row; every variable has a nonzero coefficient
+    in a row or in the objective, so that its LP text declares it."""
+    model = MilpModel("drawn", draw(st.sampled_from(["min", "max"])))
+    names = draw(st.lists(st.text("abxyz_", min_size=1, max_size=3), min_size=1, max_size=6,
+                          unique=True))
+    for name in names:
+        kind = draw(st.sampled_from([CONTINUOUS, BINARY, INTEGER]))
+        lb = draw(st.sampled_from([0.0, -0.0, -2.0]))
+        ub = draw(st.sampled_from([1.0, 3.0] + ([math.inf] if kind == CONTINUOUS else [])))
+        model.add_var(name, lb, ub, kind)
+    expressions = st.dictionaries(st.sampled_from(names), _COEFFS, max_size=len(names))
+    rows = draw(st.lists(expressions, max_size=5))
+    rows.insert(draw(st.integers(0, len(rows))), {})
+    for i, coeffs in enumerate(rows):
+        model.add_row(f"r{i}", coeffs, draw(st.sampled_from(["<=", ">=", "="])), draw(_SMALL))
+    objective = draw(expressions)
+    used = {name for coeffs in rows + [objective] for name, c in coeffs.items() if c != 0}
+    objective.update({name: 1.0 for name in names if name not in used})
+    model.set_objective(objective)
+    return model
+
+
+@settings(max_examples=200, deadline=None)
+@given(solvable_models())
+def test_inprocess_solve_of_a_model_equals_the_solve_of_its_lp_text(model):
+    # repr compares every float bit for bit, the sign of a zero included
+    assert repr(solve_model_inprocess(model)) == \
+        repr(solve_model_inprocess(parse_lp(model_to_lp(model))))
 
 
 def test_spawned_solver_output_kept_on_success():

@@ -118,13 +118,23 @@ class RowsError(ValueError):
 
 
 def read_rows_csv(path):
+    """The rows of a rows CSV; an `ok` row needs finite numbers as f and wall_time_s."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
             missing = [c for c in ROW_FIELDS if c not in (reader.fieldnames or ())]
             if missing:
                 raise RowsError(f"{path}: not a rows file, missing columns {', '.join(missing)}")
-            return list(reader)
+            rows = []
+            for row in reader:
+                for column in ("f", "wall_time_s") if row["status"] == "ok" else ():
+                    try:
+                        FINITE(row[column])
+                    except argparse.ArgumentTypeError as exc:
+                        raise RowsError(f"{path}: line {reader.line_num}: ok row's {column} "
+                                        f"{exc}") from None
+                rows.append(row)
+            return rows
     except UnicodeDecodeError as exc:
         raise RowsError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -218,6 +228,23 @@ def _solve_one(args):
             "wall_time_s": wall, "termination": termination, "detail": detail}, sol
 
 
+def _in_pool(tasks, workers):
+    """Each task's `_solve_one` result from a pool of `workers` processes. A
+    worker that dies breaks the pool and every task still in it, so each broken
+    task is rerun alone: only a task that breaks its own pool gets an error row."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_solve_one, t) for t in tasks]
+    results = []
+    for task, future in zip(tasks, futures):
+        if future.exception() is None:
+            results.append(future.result())
+        elif len(tasks) > 1:
+            results += _in_pool([task], 1)
+        else:
+            results.append((_error_row(task[0], task[1], future.exception()), None))
+    return results
+
+
 # -- commands ------------------------------------------------------------------------
 
 
@@ -256,18 +283,7 @@ def cmd_solve(args):
     options = {"time_limit": args.time_limit, "solver_cmd": args.solver_cmd,
                "alpha": args.alpha, "seed": args.seed}
     tasks = [(p, args.method, options) for p in paths]
-    if args.threads > 1:
-        # one future per task: a worker that dies costs its own row, not the batch
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(_solve_one, t) for t in tasks]
-            results = []
-            for task, future in zip(tasks, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # noqa: BLE001
-                    results.append((_error_row(task[0], args.method, exc), None))
-    else:
-        results = [_solve_one(t) for t in tasks]
+    results = _in_pool(tasks, args.threads) if args.threads > 1 else [_solve_one(t) for t in tasks]
     rows = []
     for row, sol in results:
         rows.append(row)
@@ -409,6 +425,7 @@ def cmd_export(args):
 ALPHA = checked_number(float, lambda a: 0.0 <= a <= 1.0, "a number in [0, 1]")
 THREADS = checked_number(int, lambda n: n >= 1, "a whole number of at least 1")
 RADIUS_KM = checked_number(float, lambda r: r >= 0.0, "a non-negative number of km")
+FINITE = checked_number(float, math.isfinite, "a finite number")  # an ok row's f and time
 
 
 def make_parser():

@@ -2,8 +2,8 @@
 
 One LP dialect is emitted (CPLEX-style LP as accepted by CBC, GLPK, HiGHS
 and SCIP): an objective section, Subject To rows, Bounds, Binaries and
-Generals, terminated by End. Output is deterministic: constraints in build
-order, bound/binary/general lines lexicographic by variable name. Every
+Generals, terminated by End. The text carries the whole model in its own
+order: rows, terms, and one Bounds line per column, as built. Every
 number, here and in `write_solution_pairs`, is the shortest text that reads
 back as the same float, so models and solutions cross files exactly.
 Objective constants, not portable in LP text, are written as a header
@@ -28,20 +28,14 @@ def _fmt(value):
     return repr(float(value)).removesuffix(".0")
 
 
-def _terms(coeffs, var_order, fallback_var):
-    parts = []
-    for name in var_order:
-        c = coeffs[name]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(c))} {name}")
-    if not parts:
+def _terms(coeffs, fallback_var):
+    text = " ".join(f"{'-' if c < 0 else '+'} {_fmt(abs(c))} {name}"
+                    for name, c in coeffs.items() if c != 0)
+    if not text:
         # empty expressions are not valid LP text; emit a zero term instead
         return f"0 {fallback_var}"
-    first = parts[0]
-    first = first[2:] if first.startswith("+ ") else "-" + first[2:]
-    return " ".join([first] + parts[1:])
+    # the first term carries its sign on the number: "c x" or "-c x"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _wrap(line, indent=" "):
@@ -66,34 +60,27 @@ def model_to_lp(model: MilpModel) -> str:
     if model.objective_constant:
         lines.append(f"\\ ObjectiveConstant: {_fmt(model.objective_constant)}")
     lines.append("Maximize" if model.sense == "max" else "Minimize")
-    lines.extend(_wrap(" obj: " + _terms(model.objective, sorted(model.objective), fallback)))
+    lines.extend(_wrap(" obj: " + _terms(model.objective, fallback)))
     lines.append("Subject To")
     for row in model.rows:
-        body = _terms(row.coeffs, sorted(row.coeffs), fallback)
+        body = _terms(row.coeffs, fallback)
         lines.extend(_wrap(f" {row.name}: {body} {row.sense} {_fmt(row.rhs)}"))
     lines.append("Bounds")
-    for v in sorted(model.variables, key=lambda v: v.name):
-        if v.kind == BINARY and v.lb == 0.0 and v.ub == 1.0:
-            continue
+    for v in model.variables:
         if v.lb == v.ub:
             lines.append(f" {v.name} = {_fmt(v.lb)}")
         elif math.isinf(v.ub) and math.isinf(v.lb):
             lines.append(f" {v.name} free")
         elif math.isinf(v.ub):
-            if v.lb != 0.0:
-                lines.append(f" {v.name} >= {_fmt(v.lb)}")
+            lines.append(f" {v.name} >= {_fmt(v.lb)}")
         elif math.isinf(v.lb):
             lines.append(f" -inf <= {v.name} <= {_fmt(v.ub)}")
         else:
             lines.append(f" {_fmt(v.lb)} <= {v.name} <= {_fmt(v.ub)}")
-    binaries = sorted(v.name for v in model.variables if v.kind == BINARY)
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(f" {n}" for n in binaries)
-    generals = sorted(v.name for v in model.variables if v.kind == INTEGER)
-    if generals:
-        lines.append("Generals")
-        lines.extend(f" {n}" for n in generals)
+    for header, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        names = [f" {v.name}" for v in model.variables if v.kind == kind]
+        if names:
+            lines += [header, *names]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -152,7 +139,8 @@ def _entries(lines):
 
 def parse_lp(text: str) -> MilpModel:
     """Read back exactly the dialect `model_to_lp` writes; any other text
-    raises LpParseError. Variables come back sorted by name."""
+    raises LpParseError. The columns are the Bounds lines, in their order, so
+    `parse_lp(model_to_lp(m))` has m's columns in m's order."""
     lines = text.splitlines()
     marks = [k for k, line in enumerate(lines) if line in _HEADERS] + [len(lines)]
     headers = [lines[k] for k in marks[:-1]]
@@ -180,34 +168,32 @@ def parse_lp(text: str) -> MilpModel:
         # + 0.0 reads a written "-0" rhs as 0
         rows.append((name, _linear(name, tokens[:-2]), tokens[-2], _number(tokens[-1]) + 0.0))
 
-    bounds, kind = {}, {}
-    for line in sections["Bounds"]:
-        match line.split():
-            case [name, "free"]:
-                lo, hi = -math.inf, math.inf
-            case [name, ">=", lo]:
-                lo, hi = _number(lo), math.inf
-            case [name, "=", lo]:
-                lo = hi = _number(lo)
-            case [lo, "<=", name, "<=", hi]:
-                lo, hi = _number(lo), _number(hi)
-            case _:
-                raise LpParseError(f"bounds line {line.strip()!r} has none of the written shapes")
-        if name in bounds:
-            raise LpParseError(f"{name!r} has two bounds lines")
-        bounds[name] = lo, hi
+    kind = {}
     for header, var_kind in (("Binaries", BINARY), ("Generals", INTEGER)):
         for line in sections.get(header, ()):
             tokens = line.split()
             if len(tokens) != 1 or tokens[0] in kind:
                 raise LpParseError(f"{header}: {line.strip()!r} is not one new name")
             kind[tokens[0]] = var_kind
-    names = set(obj_coeffs).union(*(coeffs for _, coeffs, _, _ in rows), bounds, kind)
 
     model = MilpModel("parsed", "max" if headers[0] == "Maximize" else "min")
     try:
-        for name in sorted(names):
-            model.add_var(name, *bounds.get(name, (0.0, math.inf)), kind.get(name, CONTINUOUS))
+        for line in sections["Bounds"]:
+            match line.split():
+                case [name, "free"]:
+                    lo, hi = -math.inf, math.inf
+                case [name, ">=", lo]:
+                    lo, hi = _number(lo), math.inf
+                case [name, "=", lo]:
+                    lo = hi = _number(lo)
+                case [lo, "<=", name, "<=", hi]:
+                    lo, hi = _number(lo), _number(hi)
+                case _:
+                    raise LpParseError(f"bounds line {line.strip()!r} has none of the written "
+                                       "shapes")
+            model.add_var(name, lo, hi, kind.pop(name, CONTINUOUS))
+        if kind:
+            raise LpParseError(f"{next(iter(kind))!r} has a kind line but no bounds line")
         for name, coeffs, op, rhs in rows:
             model.add_row(name, coeffs, op, rhs)
         model.set_objective(obj_coeffs, constant)

@@ -19,8 +19,8 @@ templates can spawn the same solver as `evcover-lp-solve LP SOL [TIME_LIMIT]`
 (`python -m evcover.solver`), which parses the LP file (only the dialect
 `export_lp` writes) and writes a name/value solution file. Both routes give
 the same numbers, because LP text and solution files carry every float
-exactly and `solve_model_inprocess` orders and prunes a model as `parse_lp`
-does.
+and the model's column order exactly, and `solve_model_inprocess` drops the
+zeros that LP text leaves out.
 """
 
 from __future__ import annotations
@@ -142,15 +142,15 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
 
 def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     """Solve a MilpModel with scipy's MILP (HiGHS) in this process; returns
-    (status, objective_without_constant, values). HiGHS gets the columns in name
-    order, no zero coefficient and no negative zero (`+ 0.0`), so a model and
-    `parse_lp`'s reading of its LP text get the same answer."""
+    (status, objective_without_constant, values). HiGHS gets the columns in
+    `model.variables` order, no zero coefficient and no negative zero
+    (`+ 0.0`), so a model and `parse_lp`'s reading of its LP text get the
+    same answer."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
-    variables = sorted(model.variables, key=lambda v: v.name)
-    index = {v.name: i for i, v in enumerate(variables)}
-    n = len(variables)
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    n = len(model.variables)
     c = np.zeros(n)
     for name, coef in model.objective.items():
         c[index[name]] = coef
@@ -163,18 +163,14 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
             rows.append(ri)
             cols.append(index[name])
             vals.append(coef)
-        if row.sense == "<=":
-            lo[ri], hi[ri] = -np.inf, row.rhs
-        elif row.sense == ">=":
-            lo[ri], hi[ri] = row.rhs, np.inf
-        else:
-            lo[ri] = hi[ri] = row.rhs
+        lo[ri] = -np.inf if row.sense == "<=" else row.rhs
+        hi[ri] = np.inf if row.sense == ">=" else row.rhs
     A = csr_matrix((vals, (rows, cols)), shape=(len(model.rows), n))
     A.eliminate_zeros()
 
-    integrality = np.array([v.kind != CONTINUOUS for v in variables], dtype=np.uint8)
-    lb = np.array([v.lb for v in variables])
-    ub = np.array([v.ub for v in variables])
+    integrality = np.array([v.kind != CONTINUOUS for v in model.variables], dtype=np.uint8)
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
     options = {"mip_rel_gap": 0.0, "presolve": True}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
@@ -186,7 +182,7 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     if res.x is None:  # a limit reached without an incumbent is an error
         return (STATUS_ERROR if status == STATUS_TIMEOUT else status), None, {}
     objective = float(sign * res.fun)
-    values = {v.name: float(val) for v, val in zip(variables, res.x)}
+    values = {v.name: float(val) for v, val in zip(model.variables, res.x)}
     return status, objective, values
 
 

@@ -1,15 +1,18 @@
 import csv
 import json
+import multiprocessing
 import os
 import re
 import shlex
+import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evcover import exact
+from evcover import cli, exact
 from evcover.cli import (RunReport, main, nearest_rank_percentile, read_rows_csv,
                          write_rows_csv)
 from evcover.covering import build_coverage, evaluate
@@ -22,6 +25,8 @@ from evcover.network import generate_network, save_network
 from evcover.solver import BUNDLED_DETAIL
 
 from mc_reference import cover_patterns
+
+SOLVE_ONE = cli._solve_one
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +170,37 @@ def test_one_corrupt_instance_does_not_sink_the_batch(tmp_path, tiny_manifest, t
     assert (out / "instance_000.greedy-m.solution.json").exists()
 
 
+def _dies_on_instance_000(task):
+    if task[0].endswith("instance_000.json"):
+        os._exit(1)
+    time.sleep(0.2)  # the other tasks are still in the pool when its worker dies
+    return SOLVE_ONE(task)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched solve reaches the workers only when they are forked")
+def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypatch):
+    manifest, insts = tiny_manifest
+    root = tmp_path / "ds"
+    root.mkdir()
+    entries = []
+    for idx in range(6):
+        name = f"instance_{idx:03d}.json"
+        shutil.copy(Path(manifest).parent / f"instance_{idx % len(insts):03d}.json", root / name)
+        entries.append({"path": name, "seed": 81, "index": idx})
+    six = write_manifest(root, "small", 81, entries)
+    assert main(["solve", str(six), "--method", "greedy-m", "--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(cli, "_solve_one", _dies_on_instance_000)
+    out = tmp_path / "runs"
+    assert main(["solve", str(six), "--method", "greedy-m", "--threads", "2",
+                 "--out", str(out)]) == 2
+    rows = read_rows_csv(out / "rows.greedy-m.csv")
+    assert [r["status"] for r in rows] == ["error"] + ["ok"] * 5
+    assert rows[0]["detail"].startswith("BrokenProcessPool: ")
+    serial = read_rows_csv(tmp_path / "serial" / "rows.greedy-m.csv")
+    assert [r["f"] for r in rows[1:]] == [r["f"] for r in serial[1:]]
+
+
 def test_solve_mc_external_matches_exact(tmp_path, tiny_manifest):
     manifest, insts = tiny_manifest
     out = tmp_path / "mc"
@@ -185,6 +221,20 @@ def test_report_single_row_percentiles(tmp_path):
     agg = RunReport(read_rows_csv(path)).aggregates()["m"]
     assert agg["time_p5"] == agg["time_p95"] == 1.5
     assert agg["gap_p5"] == agg["gap_p95"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["abc", "", "nan"])
+@pytest.mark.parametrize("column", ["f", "wall_time_s"])
+def test_an_ok_row_without_a_finite_number_is_one_error_line(tmp_path, capsys, column, value):
+    good = {"instance": "i0", "method": "m", "status": "ok", "f": 10.0, "wall_time_s": 1.5}
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, [good, {**good, "status": "skipped", "f": "", "wall_time_s": ""},
+                          {**good, column: value}])
+    out = tmp_path / "report.csv"
+    assert main(["report", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"evcover report: {path}: line 4: ok row's {column} {value!r} is not a finite number"]
+    assert not out.exists()
 
 
 def test_nearest_rank_definition():

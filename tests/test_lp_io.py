@@ -2,6 +2,7 @@ import math
 import operator
 import string
 from dataclasses import replace
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ Subject To
  cap: 150 x1 + 50 x2 <= 400
  link: 1 x1 - 1 x2 >= 0
 Bounds
+ 0 <= x1 <= 1
  0 <= x2 <= 2.5
 Binaries
  x1
@@ -268,20 +270,16 @@ def lp_models(draw):
 
 
 def read_back_expected(model):
-    """What parse_lp(model_to_lp(model)) should hold: variables sorted by
-    name, every number exactly, zero coefficients dropped and an empty
-    expression as the zero term of the first variable."""
+    """What parse_lp(model_to_lp(model)) should hold: the model's own
+    columns in its order, every number exactly, zero coefficients dropped
+    and an empty expression as the zero term of the first variable."""
     def expression(coeffs):
-        kept = [(name, c) for name, c in sorted(coeffs.items()) if c != 0]
+        kept = [(name, c) for name, c in coeffs.items() if c != 0]
         return kept or [(model.variables[0].name, 0.0)]
 
+    variables = [(v.name, v.lb, v.ub, v.kind) for v in model.variables]
     rows = [(r.name, expression(r.coeffs), r.sense, r.rhs) for r in model.rows]
-    objective = expression(model.objective)
-    used = {name for _, coeffs, _, _ in rows for name, _ in coeffs} | dict(objective).keys()
-    variables = [(v.name, v.lb, v.ub, v.kind)
-                 for v in sorted(model.variables, key=lambda v: v.name)
-                 if v.name in used or (v.lb, v.ub, v.kind) != (0.0, math.inf, CONTINUOUS)]
-    return model.sense, variables, rows, objective, model.objective_constant
+    return model.sense, variables, rows, expression(model.objective), model.objective_constant
 
 
 def read_back(model):
@@ -294,6 +292,18 @@ def read_back(model):
 @given(lp_models())
 def test_round_trip_equals_model_exactly(model):
     assert read_back(parse_lp(model_to_lp(model))) == read_back_expected(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_models())
+def test_columns_keep_the_model_order_with_one_bounds_line_each(model):
+    text = model_to_lp(model)
+    assert [v.name for v in parse_lp(text).variables] == [v.name for v in model.variables]
+    lines = text.splitlines()
+    bounds = takewhile(lambda line: line.startswith(" "), lines[lines.index("Bounds") + 1:])
+    # the name is the first token, or the third of `lo <= name <= hi`
+    assert [tokens[2] if tokens[1] == "<=" else tokens[0]
+            for tokens in map(str.split, bounds)] == [v.name for v in model.variables]
 
 
 def one_deletion_each(text):
@@ -321,6 +331,9 @@ def test_text_outside_the_dialect_raises():
                  GOLDEN.replace("Subject To", "subject to"),
                  GOLDEN.replace(" cap: 150 x1 + 50 x2", " cap: 150 x1 50 x2"),
                  GOLDEN.replace(" 0 <= x2 <= 2.5", " x2 <= 2.5"),
+                 # a name used without a Bounds line, in a row and the objective or a kind line
+                 GOLDEN.replace(" 0 <= x2 <= 2.5\n", ""),
+                 GOLDEN.replace(" 0 <= x1 <= 1\n", ""),
                  GOLDEN.replace(" x1\nEnd", " x1 x2\nEnd"),
                  GOLDEN + "\n", GOLDEN.replace("Bounds", "Generals\nBounds")]:
         with pytest.raises(LpParseError):

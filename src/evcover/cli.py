@@ -2,9 +2,9 @@
 reports, run the growth-function comparison, export formulations.
 
 Every command is deterministic given its inputs, seed and config (solver
-wall times excepted). Outputs are plain files: instances and manifests as
-JSON, rows and reports as CSV, models as LP text, per-node results as CSV
-and GeoJSON. Exit code 2 flags runs in which at least one instance was
+wall times excepted). Outputs are plain files: instances as a JSON header
+line followed by the raw error tensors, manifests as JSON, rows and reports
+as CSV, models as LP text, per-node results as CSV and GeoJSON. Exit code 2 flags runs in which at least one instance was
 skipped because a prerequisite (a configured solver, or an enumeration
 within its cap) was missing, or failed with an error (a solver that ran and
 failed, say); every other instance of the batch is still solved.

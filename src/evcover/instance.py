@@ -7,13 +7,17 @@ pre-drawn error tensor. Alternatives are identified by integers: 0 is the
 opt-out, -1 is home charging, positive ids are stations.
 
 Instances are immutable after construction; every array is marked
-read-only so they can be shared freely across threads.
+read-only so they can be shared freely across threads. save_instance writes
+an instance file: one JSON header line, then the raw float64 error tensors
+(see "serialization" below); load_instance reads it, and older all-JSON
+files too.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +27,7 @@ from .network import Network, network_from_text, network_to_text
 OPT_OUT = 0
 HOME = -1
 
-INSTANCE_SCHEMA = "evcover-instance-v2"
+INSTANCE_SCHEMA = "evcover-instance-v3"
 
 BUDGET_TOL = 1e-9  # slack allowed on every budget comparison
 
@@ -344,20 +348,26 @@ def validate_solution(instance: Instance, x: SolutionX) -> FeasibilityReport:
 
 # -- serialization -------------------------------------------------------
 #
-# A single self-describing JSON document. Each class's error tensor is one
-# base64 string of its little-endian float64 bytes, in the row-major order
-# the header block records: value[(alt_pos * R + r) * T + t] =
+# An instance file (schema v3) is one line of compact, sorted-key JSON, a
+# newline, then every class's error tensor as raw little-endian float64
+# bytes, in class order, and nothing after them. Each tensor is in the
+# row-major order the header records: value[(alt_pos * R + r) * T + t] =
 # eps[class][alt_pos][r][t], i.e. nested (class, alternative, scenario,
-# period) with alternative order given by "alternatives". The v1 schema,
-# which stored the same values as one flat JSON number list per class, is
-# still read. save_instance streams the same bytes instance_to_json returns,
-# so round trips are byte-identical.
+# period) with alternative order given by "alternatives". The header has
+# every field of the v2 document except each class's "errors".
+#
+# instance_to_json returns the v2 text form: one JSON document whose
+# "errors" are base64 strings of the same bytes. v2 documents, and v1 ones,
+# which store the values as one flat JSON number list per class, are still
+# read, from a file or from text.
 
+_V2_SCHEMA = "evcover-instance-v2"
 _V1_SCHEMA = "evcover-instance-v1"
 _JSON_FORMAT = {"separators": (",", ":"), "sort_keys": True}
 
 
-def _instance_doc(instance: Instance) -> dict:
+def _header_doc(instance: Instance) -> dict:
+    """The v3 header: every field of the instance but its error tensors."""
     return {
         "schema": INSTANCE_SCHEMA,
         "error_tensor_order": "(class, alternative, scenario, period); row-major",
@@ -385,9 +395,6 @@ def _instance_doc(instance: Instance) -> dict:
                 "alternatives": list(instance.choice_sets.alternatives[ci]),
                 "kappa": instance.utility_params.kappa[ci].tolist(),
                 "beta": instance.utility_params.beta[ci].tolist(),
-                "errors": base64.b64encode(
-                    np.ascontiguousarray(instance.error_tensor[ci], dtype="<f8")
-                ).decode("ascii"),
             }
             for ci, uc in enumerate(instance.user_classes)
         ],
@@ -395,7 +402,12 @@ def _instance_doc(instance: Instance) -> dict:
 
 
 def instance_to_json(instance: Instance) -> str:
-    return json.dumps(_instance_doc(instance), **_JSON_FORMAT)
+    """The v2 text form: one JSON document, each class's errors a base64 string."""
+    doc = _header_doc(instance)
+    doc["schema"] = _V2_SCHEMA
+    for c, errors in zip(doc["classes"], instance.error_tensor):
+        c["errors"] = base64.b64encode(np.ascontiguousarray(errors, dtype="<f8")).decode("ascii")
+    return json.dumps(doc, **_JSON_FORMAT)
 
 
 def _errors_from_doc(value, schema, class_id, shape) -> np.ndarray:
@@ -422,9 +434,25 @@ def _errors_from_doc(value, schema, class_id, shape) -> np.ndarray:
     return flat.reshape(shape)
 
 
+def _errors_from_tail(fh, class_id, shape) -> np.ndarray:
+    """One class's error tensor, read straight into its array from the binary
+    file `fh` at the tensor's first byte; a file too short for it is refused."""
+    nbytes = 8 * shape[0] * shape[1] * shape[2]
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise InstanceError(
+            f"malformed instance file: class {class_id}: the file ends {nbytes - left} "
+            f"bytes short of its error tensor ({nbytes} bytes)"
+        )
+    errors = np.empty(shape, dtype="<f8")
+    fh.readinto(errors)
+    return errors
+
+
 def instance_from_json(text: str) -> Instance:
     """An Instance from a v2 or v1 document; the schemas differ only in how
-    the error tensor is encoded."""
+    the error tensor is encoded. A v3 header is refused: its tensors are in
+    the file after it, so load_instance reads it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -432,12 +460,20 @@ def instance_from_json(text: str) -> Instance:
     return _instance_from_doc(doc)
 
 
-def _instance_from_doc(doc) -> Instance:
-    """The Instance of a parsed document, freeing each class's errors text once decoded."""
+def _instance_from_doc(doc, tail=None) -> Instance:
+    """The Instance of a parsed document. A v3 header takes its error tensors
+    from `tail`, the binary file positioned after it; a v2 or v1 document's
+    errors text is freed once decoded."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema not in (INSTANCE_SCHEMA, _V1_SCHEMA):
+    if schema not in (INSTANCE_SCHEMA, _V2_SCHEMA, _V1_SCHEMA):
         raise InstanceError(
-            f"schema mismatch: expected {INSTANCE_SCHEMA} or {_V1_SCHEMA}, got {schema!r}"
+            f"schema mismatch: expected {INSTANCE_SCHEMA}, {_V2_SCHEMA} or {_V1_SCHEMA}, "
+            f"got {schema!r}"
+        )
+    if schema == INSTANCE_SCHEMA and tail is None:
+        raise InstanceError(
+            f"a {INSTANCE_SCHEMA} header without its error tensors: load the file "
+            "with load_instance"
         )
     try:
         network = network_from_text(doc["network"])
@@ -457,8 +493,11 @@ def _instance_from_doc(doc) -> Instance:
             kap = np.asarray(c["kappa"], dtype=float)
             kappa.append(kap)
             beta.append(np.asarray(c["beta"], dtype=float))
-            errors.append(_errors_from_doc(c.pop("errors"), schema, uc.id,
-                                           (kap.shape[0], uc.scenario_count, T)))
+            shape = (kap.shape[0], uc.scenario_count, T)
+            if tail is None:
+                errors.append(_errors_from_doc(c.pop("errors"), schema, uc.id, shape))
+            else:
+                errors.append(_errors_from_tail(tail, uc.id, shape))
         return Instance(
             network=network,
             stations=stations,
@@ -479,16 +518,36 @@ def _instance_from_doc(doc) -> Instance:
 
 
 def save_instance(instance: Instance, path):
-    """Write the document instance_to_json returns, streamed to the file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_instance_doc(instance), fh, **_JSON_FORMAT)
+    """Write a v3 file: the header line, then the raw error tensors."""
+    header = json.dumps(_header_doc(instance), **_JSON_FORMAT)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        fh.write(b"\n")
+        for errors in instance.error_tensor:
+            fh.write(memoryview(np.ascontiguousarray(errors, dtype="<f8")))
 
 
 def load_instance(path) -> Instance:
-    """The Instance of a v2 or v1 file, parsed straight from the open file."""
+    """The Instance of a v3, v2 or v1 file. A v3 header line is parsed alone
+    and the tensors after it are read into their arrays; any other file is
+    parsed as one JSON document."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            # decoded explicitly: json.loads would take bytes starting \xff\xfe as UTF-16
+            try:
+                doc = json.loads(head.decode("utf-8"))
+            except json.JSONDecodeError:
+                doc = None
+            if isinstance(doc, dict) and doc.get("schema") == INSTANCE_SCHEMA:
+                instance = _instance_from_doc(doc, tail=fh)
+                if fh.read(1):
+                    raise InstanceError("malformed instance file: bytes follow the last error tensor")
+                return instance
+            rest = fh.read()
+        if doc is None or rest.strip():
+            doc = json.loads((head + rest).decode("utf-8"))
+        del head, rest  # the file's bytes, not needed once parsed
         return _instance_from_doc(doc)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: malformed instance file: {exc}") from None

@@ -154,8 +154,8 @@ def test_one_corrupt_instance_does_not_sink_the_batch(tmp_path, tiny_manifest, t
     entries = []
     for idx in range(len(insts)):
         name = f"instance_{idx:03d}.json"
-        data = (Path(manifest).parent / name).read_text()
-        (root / name).write_text(data[: len(data) // 2] if idx == 1 else data)
+        data = (Path(manifest).parent / name).read_bytes()
+        (root / name).write_bytes(data[: len(data) // 2] if idx == 1 else data)
         entries.append({"path": name, "seed": 81, "index": idx})
     bad_manifest = write_manifest(root, "small", 81, entries)
     out = tmp_path / "runs"

@@ -108,20 +108,77 @@ def _error_tensors(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_error_tensors())
-def test_v2_round_trip_keeps_every_error_bit(eps):
+def test_v3_round_trip_keeps_every_error_bit(eps):
     inst = manual_instance(n_stations=eps.shape[0] - 1, scenarios=eps.shape[1],
                            horizon=eps.shape[2], eps=eps)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "inst.json")
         save_instance(inst, path)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            head, tail = fh.readline(), fh.read()
         loaded = load_instance(path)
-    assert text == instance_to_json(inst)
-    assert json.loads(text)["schema"] == "evcover-instance-v2"
+    assert json.loads(head.decode("utf-8"))["schema"] == "evcover-instance-v3"
+    assert len(tail) == 8 * eps.size
+    assert tail == eps.astype("<f8").tobytes()  # row-major (alternative, scenario, period)
+    assert instance_to_json(loaded) == instance_to_json(inst)
     (got,) = loaded.error_tensor
     assert got.shape == eps.shape
     assert np.array_equal(got.view(np.uint64), eps.view(np.uint64))
+
+
+def _v3_parts(tmp_path):
+    """The header line (with its newline) and the tensor bytes of a one-class v3 file."""
+    path = tmp_path / "inst.json"
+    save_instance(manual_instance(n_stations=2, scenarios=3, horizon=2), path)
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 1
+    return data[:cut], data[cut:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda head, tail: head + tail[:-1], "1 bytes short of its error tensor",
+                 id="tail-a-byte-short"),
+    pytest.param(lambda head, tail: head + tail[:8], "136 bytes short", id="one-value-of-18"),
+    pytest.param(lambda head, tail: head + tail + b"\0", "bytes follow the last error tensor",
+                 id="a-byte-after-the-tail"),
+    pytest.param(lambda head, tail: head, "144 bytes short", id="header-line-only"),
+    pytest.param(lambda head, tail: head[:-1], "144 bytes short", id="header-without-newline"),
+    pytest.param(lambda head, tail: head[: len(head) // 2], "Unterminated string|Expecting",
+                 id="half-a-header"),
+])
+def test_v3_file_that_is_cut_or_padded_is_malformed(tmp_path, edit, message):
+    head, tail = _v3_parts(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(edit(head, tail))
+    with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: malformed instance file: "
+                                            f".*(?:{message})"):
+        load_instance(path)
+
+
+def test_v3_header_that_is_not_utf8_is_refused(tmp_path):
+    head, tail = _v3_parts(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(head[:20] + b"\xff\xfe" + head[20:] + tail)
+    with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_v3_refuses_non_finite_errors(tmp_path, bad):
+    head, _ = _v3_parts(tmp_path)
+    values = np.zeros(3 * 3 * 2)
+    values[7] = bad
+    path = tmp_path / "bad.json"
+    path.write_bytes(head + values.astype("<f8").tobytes())
+    with pytest.raises(InstanceError, match="non-finite"):
+        load_instance(path)
+
+
+def test_instance_from_json_refuses_a_v3_header(tmp_path):
+    head, _ = _v3_parts(tmp_path)
+    with pytest.raises(InstanceError, match="evcover-instance-v3 header without its error "
+                                            "tensors: load the file with load_instance"):
+        instance_from_json(head.decode("utf-8"))
 
 
 def _doc_with_errors(payload):
@@ -156,15 +213,36 @@ def test_v2_refuses_malformed_errors(payload, message):
         instance_from_json(_doc_with_errors(payload))
 
 
-def test_v1_file_loads_to_the_same_instance():
-    # written by the v1 writer from generate_small_instance(3)
-    path = os.path.join(os.path.dirname(__file__), "data", "instance_v1.json")
+def _assert_loads_as_small_instance_3(name, schema):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
     with open(path, encoding="utf-8") as fh:
-        assert json.load(fh)["schema"] == "evcover-instance-v1"
+        assert json.load(fh)["schema"] == schema
     loaded, fresh = load_instance(path), generate_small_instance(3)
     for a, b in zip(loaded.error_tensor, fresh.error_tensor, strict=True):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
     assert instance_to_json(loaded) == instance_to_json(fresh)
+
+
+def test_v1_file_loads_to_the_same_instance():
+    # written by the v1 writer from generate_small_instance(3)
+    _assert_loads_as_small_instance_3("instance_v1.json", "evcover-instance-v1")
+
+
+def test_v2_file_loads_to_the_same_instance():
+    # written by the v2 writer (one JSON document, base64 errors) from generate_small_instance(3)
+    _assert_loads_as_small_instance_3("instance_v2.json", "evcover-instance-v2")
+
+
+def test_a_document_over_many_lines_is_parsed_whole(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), "data", "instance_v2.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(doc, indent=1))
+    assert instance_to_json(load_instance(path)) == instance_to_json(generate_small_instance(3))
+    path.write_text(json.dumps(doc) + "\n" + json.dumps(doc))
+    with pytest.raises(InstanceError, match="malformed instance file: Extra data"):
+        load_instance(path)
 
 
 def test_load_rejects_negative_beta(tmp_path):

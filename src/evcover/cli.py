@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -229,19 +230,26 @@ def _solve_one(args):
 
 
 def _in_pool(tasks, workers):
-    """Each task's `_solve_one` result from a pool of `workers` processes. A
-    worker that dies breaks the pool and every task still in it, so each broken
-    task is rerun alone: only a task that breaks its own pool gets an error row."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_solve_one, t) for t in tasks]
-    results = []
-    for task, future in zip(tasks, futures):
-        if future.exception() is None:
-            results.append(future.result())
-        elif len(tasks) > 1:
-            results += _in_pool([task], 1)
-        else:
-            results.append((_error_row(task[0], task[1], future.exception()), None))
+    """Each task's `_solve_one` result from a pool of up to `workers` processes.
+    A worker that dies breaks the pool and every task still in it, or not yet
+    submitted to it, so the unfinished tasks are rerun in two halves, each in a
+    fresh pool: only a task that breaks a pool of its own gets an error row."""
+    futures = []
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        try:
+            for task in tasks:
+                futures.append(pool.submit(_solve_one, task))
+        except BrokenProcessPool:
+            pass
+    if len(tasks) == 1 and futures[0].exception() is not None:
+        return [(_error_row(tasks[0][0], tasks[0][1], futures[0].exception()), None)]
+    results = [f.result() if f.exception() is None else None for f in futures]
+    results += [None] * (len(tasks) - len(futures))
+    broken = [i for i, result in enumerate(results) if result is None]
+    for half in (broken[:len(broken) // 2], broken[len(broken) // 2:]):
+        if half:
+            for i, result in zip(half, _in_pool([tasks[i] for i in half], workers)):
+                results[i] = result
     return results
 
 

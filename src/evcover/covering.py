@@ -367,12 +367,14 @@ class SwapBasis:
 def build_coverage(instance: Instance) -> CoverageTensor:
     """Pack the nested coverage bits of every (station, outlet count) slot.
 
-    Each station's covering thresholds are computed per class for all periods
-    at once and only packed, never stored: slot (j, k) holds the triplets
-    with 0 < threshold <= k. The outlet benefits are non-negative, so the
-    cumulative benefits are sorted and the threshold is at most k exactly
-    when the benefit of the first k outlets reaches the utility gap to
-    opt-out."""
+    The covering thresholds are computed one class at a time, for all the
+    stations the class considers and all periods at once, and only packed,
+    never stored: slot (j, k) holds the triplets with 0 < threshold <= k.
+    The outlet benefits are non-negative, so the cumulative benefits are
+    sorted and the threshold is at most k exactly when the benefit of the
+    first k outlets reaches the utility gap to opt-out. A station outside a
+    period's C1 covers nothing there; it is masked, not given an infinite
+    gap, since an infinite benefit would reach that too."""
     trip = TripletIndex(instance)
     J, T = instance.n_stations, instance.horizon
     pre = preprocess_home_charging(instance)
@@ -382,28 +384,37 @@ def build_coverage(instance: Instance) -> CoverageTensor:
     n_slots = int(instance.max_outlets.sum())
     a_bits = np.zeros((n_slots, trip.n_words), dtype=np.uint64)
     by_period = a_bits.reshape(n_slots, T, -1)      # class blocks sit at the same offset each period
+    K = int(instance.max_outlets.max(initial=0))
+    slot_of = slot_base[:, None] + np.arange(K)     # slot row of (j, k + 1)
+    real = np.arange(K) < instance.max_outlets[:, None]
 
     for ci in range(instance.n_classes):
         alt_index = instance.choice_sets.alt_index[ci]
+        alts = [alt for alt in alt_index if alt not in (OPT_OUT, HOME)]
+        if not alts:
+            continue
+        pos = np.array([alt_index[alt] for alt in alts])
+        j = np.array([instance.station_index[alt] for alt in alts])
         kap = instance.utility_params.kappa[ci]
         bet = instance.utility_params.beta[ci]
         eps = instance.error_tensor[ci]
         o = alt_index[OPT_OUT]
-        u0 = kap[o, None, :] + eps[o]  # (R, T)
         R = eps.shape[1]
         considered = instance.choice_sets.c1[ci]
+        member = np.array([[alt in considered[t] for t in range(T)] for alt in alts])  # (S, T)
+
+        # the gap (u0 - kappa_j) - eps_j, laid out (S, T, R) so that each
+        # (station, outlet count, period) row of the compare is contiguous
+        cum = np.cumsum(bet[pos], axis=1)                                   # (S, K, T)
+        u0 = kap[o, None, :] + eps[o]                                       # (R, T)
+        gap = np.subtract(u0.T, kap[pos][:, :, None], order="C")
+        gap -= eps[pos].transpose(0, 2, 1)                                  # (S, T, R)
+        rows = np.greater_equal(cum[:, :, :, None], gap[:, None], order="C")  # (S, K, T, R)
+        rows &= member[:, None, :, None]
+        packed = trip.pack_block_rows(rows.reshape(-1, R)).reshape(len(alts), K, T, -1)
+
         words = slice(int(trip.word_start[ci]), int(trip.word_start[ci + 1]))
-        for alt, pos in alt_index.items():
-            if alt in (OPT_OUT, HOME):
-                continue
-            j = instance.station_index[alt]
-            m_j = instance.stations[j].max_outlets
-            cum = np.cumsum(bet[pos, :m_j, :], axis=0)          # (m_j, T)
-            gap = (u0 - kap[pos, None, :] - eps[pos]).T         # (T, R)
-            member = np.array([alt in considered[t] for t in range(T)])
-            rows = (cum[:, :, None] >= gap) & member[:, None]   # (m_j, T, R)
-            by_period[slot_base[j]:slot_base[j] + m_j, :, words] = trip.pack_block_rows(
-                rows.reshape(m_j * T, R)).reshape(m_j, T, -1)
+        by_period[slot_of[j][real[j]], :, words] = packed[real[j]]     # rows k < m_j
 
     return CoverageTensor(instance, trip, a_bits, slot_base, pre.forced_bits,
                           pre.forced_mass)

@@ -214,11 +214,13 @@ def grasp_filter(candidate_f, incumbent_f, max_observed_rel_increase) -> bool:
 # all built from the same levels. A batch that starts from exactly those
 # levels (a new pass, or the next period, after a batch that accepted
 # nothing) evaluates them instead of building its own, and the `SwapBasis`
-# planes filled from the first of those periods on serve it too. Move
-# building, budgets and coverage run over arrays. Batched values only screen
-# the moves: a move is decided with the arithmetic of
-# `CoverageTensor.period_values` unless its screened gain is far from the
-# acceptance threshold, so the accepted moves and f are exact.
+# planes filled from the first of those periods on serve it too. The stations
+# after a pass's last accepted move were searched from the levels that pass
+# ended with and gained nothing, so the next pass stops when it reaches them
+# with those levels unchanged. Move building, budgets and coverage run over
+# arrays. Batched values only screen the moves: a move is decided with the
+# arithmetic of `CoverageTensor.period_values` unless its screened gain is far
+# from the acceptance threshold, so the accepted moves and f are exact.
 
 ADD, TRANSFER, SPLIT = 0, 1, 2
 MOVE_NAMES = ("add", "transfer", "split")
@@ -419,12 +421,13 @@ def _batch_moves(instance, tab, levels, spent, t_idx, j0, j1, later=0):
     return moves
 
 
-def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, mv, trace):
-    """Try the moves of period t and stations j0.. in batch `mv` (see the
+def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, j1, mv,
+                  trace):
+    """Try the moves of period t and stations j0..j1-1 in batch `mv` (see the
     section comment), which were built from `levels`. Returns the levels, f
     and the station whose moves were accepted, None when none was. `spent`
     is period_costs(instance, levels); `values` is updated in place."""
-    cand = np.flatnonzero(mv.ok & (mv.start == t_idx) & (mv.j >= j0))
+    cand = np.flatnonzero(mv.ok & (mv.start == t_idx) & (mv.j >= j0) & (mv.j < j1))
     if not cand.size:
         return levels, f_cur, None
     t, base_levels = t_idx + 1, levels
@@ -516,29 +519,37 @@ def _local_search(instance, coverage, levels, deadline=None, trace=None, tables=
     for t in range(1, T + 1):
         t_idx = t - 1
         fits = BATCH_SLOTS // ((2 * J - 1) * (T - t_idx))   # stations per batch
+        clean = (None, J)  # levels after the last accepted move, and the station after it
         while True:
             if deadline is not None and time.perf_counter() > deadline:
                 return levels, f_cur
             pass_start = f_cur
+            clean_levels, clean_from = clean
             j0 = 0
             while j0 < J:
+                # stations clean_from.. were searched from these very levels
+                # in the last pass, after its last accepted move, and gained nothing
+                j_end = clean_from if levels is clean_levels else J
+                if j0 >= j_end:
+                    break
                 if carried[0] is levels and carried[1] <= t_idx <= carried[2]:
                     mv, j1 = carried[3], J
                 else:
                     whole = fits >= J      # every station's moves of the period fit one batch
-                    j1 = J if whole else min(J, j0 + max(1, fits))
+                    j1 = J if whole else min(j_end, j0 + max(1, fits))
                     later = min(T - t, fits // J - 1) if whole else 0
                     mv = _batch_moves(instance, tab, levels, spent, t_idx, 0 if whole else j0, j1,
                                       later)
                     if whole:
                         carried = (levels, t_idx, t_idx + later, mv)
                 levels, f_cur, j_star = _search_batch(instance, coverage, tab, levels, spent,
-                                                      values, f_cur, t_idx, j0, mv, trace)
+                                                      values, f_cur, t_idx, j0, j_end, mv, trace)
                 if j_star is None:
                     j0 = j1
                     continue
                 spent = period_costs(instance, levels)
                 j0 = j_star + 1
+                clean = (levels, j0)
             gained = f_cur - pass_start
             rel = (gained / pass_start) if pass_start > 0 else (np.inf if gained > 0 else 0.0)
             if rel < LOCAL_SEARCH_MIN_REL_GAIN:

@@ -23,23 +23,30 @@ def manual_instance(*, n_stations=1, max_outlets=2, horizon=1, scenarios=1,
                     kappa_station=2.0, kappa_optout=4.5, beta=0.281,
                     eps=None, budget=400.0, populations=(100.0,),
                     initial_outlets=0, cost_first=150.0, cost_later=50.0,
-                    home_kappa=None):
+                    home_kappa=None, not_considered=()):
     """Tiny hand-specified instance: one user class at n0, stations on n1..
 
+    max_outlets: one cap for every station, or one per station.
+    not_considered: (station id, period) pairs, periods 1-based, where the
+    class leaves that station out of C1; each station must stay in C1 in
+    some other period.
     eps: optional (n_alts, R, T) array; zero when omitted. Alternative order
     is opt-out, then home (if home_kappa given), then stations 1..n.
     """
+    caps = np.broadcast_to(max_outlets, (n_stations,))
     net = line_network([1.0] * max(n_stations, 1))
-    stations = [Station(id=j + 1, node_id=f"n{j+1}", max_outlets=max_outlets,
-                        initial_outlets=initial_outlets) for j in range(n_stations)]
+    stations = [Station(id=j + 1, node_id=f"n{j+1}", max_outlets=int(m),
+                        initial_outlets=initial_outlets) for j, m in enumerate(caps)]
     sids = [s.id for s in stations]
     exo = [0, -1] if home_kappa is not None else [0]
     uc = UserClass(id="c0", home_node="n0", populations=tuple(populations) * horizon
                    if len(populations) == 1 else tuple(populations),
                    has_home_charging=home_kappa is not None,
                    scenario_count=scenarios, consideration_radius=None)
-    choice = ChoiceSets([[list(exo)] * horizon], [[list(sids)] * horizon])
+    c1 = [[j for j in sids if (j, t) not in not_considered] for t in range(1, horizon + 1)]
+    choice = ChoiceSets([[list(exo)] * horizon], [c1])
     n_alts = len(exo) + n_stations
+    K = int(np.max(max_outlets))
     kap = np.zeros((n_alts, horizon))
     kap[0, :] = kappa_optout
     row = 1
@@ -47,11 +54,11 @@ def manual_instance(*, n_stations=1, max_outlets=2, horizon=1, scenarios=1,
         kap[1, :] = home_kappa
         row = 2
     kap[row:, :] = kappa_station
-    bet = np.zeros((n_alts, max_outlets, horizon))
+    bet = np.zeros((n_alts, K, horizon))
     bet[row:, :, :] = beta
     if eps is None:
         eps = np.zeros((n_alts, scenarios, horizon))
-    cost = CostBudget.uniform(n_stations, max_outlets, horizon, cost_first, cost_later, budget)
+    cost = CostBudget.uniform(n_stations, K, horizon, cost_first, cost_later, budget)
     return Instance(network=net, stations=stations, user_classes=[uc], horizon=horizon,
                     cost_budget=cost, utility_params=UtilityParams([kap], [bet]),
                     choice_sets=choice, error_tensor=[eps],

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,69 @@ def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypa
     assert rows[0]["detail"].startswith("BrokenProcessPool: ")
     serial = read_rows_csv(tmp_path / "serial" / "rows.greedy-m.csv")
     assert [r["f"] for r in rows[1:]] == [r["f"] for r in serial[1:]]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched solve reaches the workers only when they are forked")
+def test_a_broken_pool_reruns_no_survivor_in_a_pool_of_its_own(tmp_path, tiny_manifest,
+                                                                 monkeypatch):
+    """Six tasks in two workers, and instance 0's worker dies: the unfinished
+    tasks are rerun in halves, so each of the other five completes in a pool
+    of two workers, and only instance 0 is left alone in a one-worker pool."""
+    pools = []  # (workers, instances completed) of every pool made
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.done = []
+            pools.append((max_workers, self.done))
+
+        def submit(self, fn, task):
+            future = super().submit(fn, task)
+            future.add_done_callback(
+                lambda f: f.exception() is None and self.done.append(Path(task[0]).name))
+            return future
+
+    manifest, insts = tiny_manifest
+    root = tmp_path / "ds"
+    root.mkdir()
+    entries = []
+    for idx in range(6):
+        name = f"instance_{idx:03d}.json"
+        shutil.copy(Path(manifest).parent / f"instance_{idx % len(insts):03d}.json", root / name)
+        entries.append({"path": name, "seed": 81, "index": idx})
+    six = write_manifest(root, "small", 81, entries)
+    monkeypatch.setattr(cli, "_solve_one", _dies_on_instance_000)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["solve", str(six), "--method", "greedy-m", "--threads", "2",
+                 "--out", str(tmp_path / "runs")]) == 2
+    done = {name: workers for workers, names in pools for name in names}
+    assert done == {f"instance_{idx:03d}.json": 2 for idx in range(1, 6)}
+    assert [workers for workers, _ in pools].count(1) == 1
+
+
+def test_tasks_a_broken_pool_refused_are_rerun(tmp_path, tiny_manifest, monkeypatch):
+    """A worker can die while tasks are still being submitted, and the pool
+    then refuses the rest: they are rerun like the tasks it broke."""
+    manifest, insts = tiny_manifest
+    assert main(["solve", str(manifest), "--method", "greedy-m", "--out",
+                 str(tmp_path / "serial")]) == 0
+    submitted = []
+
+    class RefusesTheSecondTask(cli.ProcessPoolExecutor):
+        def submit(self, fn, task):
+            submitted.append(task)
+            if len(submitted) == 2:
+                raise BrokenProcessPool("A child process terminated abruptly")
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RefusesTheSecondTask)
+    out = tmp_path / "runs"
+    assert main(["solve", str(manifest), "--method", "greedy-m", "--threads", "2",
+                 "--out", str(out)]) == 0
+    assert len(submitted) == len(insts) + 1
+    serial = read_rows_csv(tmp_path / "serial" / "rows.greedy-m.csv")
+    assert [r["f"] for r in read_rows_csv(out / "rows.greedy-m.csv")] == [r["f"] for r in serial]
 
 
 def test_solve_mc_external_matches_exact(tmp_path, tiny_manifest):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,10 +9,11 @@ from evcover.covering import (CoverageError, CoverageTensor, SwapBasis, TripletI
                               build_coverage, compute_abar, evaluate, evaluate_per_period, gap,
                               optout_utility, preprocess_home_charging,
                               score_hyperoptic, score_myopic, station_utility_at_k)
-from evcover.datasets import generate_small_instance
+from evcover.datasets import DatasetSpec, generate_dataset, generate_small_instance
 from evcover.exact import random_feasible_solution
 from evcover.heuristics import _local_search
 from evcover.instance import HOME, OPT_OUT, InstanceError, SolutionX
+from evcover.network import generate_network
 
 from conftest import manual_instance
 
@@ -361,12 +364,20 @@ def tiny_instances(draw):
                                        n_stations=draw(st.integers(1, 3)), horizon=horizon,
                                        max_outlets=max_outlets,
                                        max_scenarios=max(4, draw(SCENARIO_COUNTS)))
-    # one class with home charging, so forced triplets appear
+    # one class with home charging, so forced triplets appear; per-station
+    # outlet caps, and with two periods or more a station the class leaves
+    # out of C1 for one of them
     n_stations = draw(st.integers(1, 3))
+    caps = draw(st.lists(st.integers(1, max_outlets), min_size=n_stations,
+                         max_size=n_stations))
+    not_considered = ()
+    if horizon > 1 and draw(st.booleans()):
+        not_considered = ((draw(st.integers(1, n_stations)), draw(st.integers(1, horizon))),)
     scenarios = draw(SCENARIO_COUNTS)
     eps = np.random.default_rng(seed).normal(0.0, 1.5, (2 + n_stations, scenarios, horizon))
-    return manual_instance(n_stations=n_stations, max_outlets=max_outlets, horizon=horizon,
-                           scenarios=scenarios, kappa_station=4.0, eps=eps, home_kappa=4.5)
+    return manual_instance(n_stations=n_stations, max_outlets=caps, horizon=horizon,
+                           scenarios=scenarios, kappa_station=4.0, eps=eps, home_kappa=4.5,
+                           not_considered=not_considered)
 
 
 @settings(max_examples=30, deadline=None,
@@ -475,3 +486,25 @@ def test_slot_bits_and_thresholds_match_naive_definition(inst):
                         assert cov.a_entry(j, k, p) == naive_cover_entry(
                             inst, st_.id, k, t, ci, r)
                     assert cov.min_k[j, p] == naive_min_k(inst, j, t, ci, r)
+
+
+def test_station_outside_c1_covers_nothing_even_with_infinite_benefit():
+    # an infinite benefit reaches any gap, so only membership keeps period 2 empty
+    inst = manual_instance(n_stations=2, max_outlets=[2, 1], horizon=2, scenarios=3,
+                           beta=np.inf, not_considered=((1, 2),))
+    cov = build_coverage(inst)
+    for j, k in ((0, 1), (0, 2), (1, 1)):
+        for t in (1, 2):
+            got = [cov.a_entry(j, k, cov.trip.triplet_id(0, t - 1, r)) for r in range(3)]
+            assert got == ([0] * 3 if (j, t) == (0, 2) else [1] * 3)
+
+
+def test_golden_longspan_coverage_bits_are_pinned():
+    """The packed bits of the golden LongSpan instance (`generate_network(30,
+    seed=1)`, instance 0 of base seed 1), as the per-station build made them."""
+    inst = generate_dataset(DatasetSpec(kind="LongSpan", network=generate_network(30, seed=1),
+                                        instance_count=1, base_seed=1))[0]
+    cov = build_coverage(inst)
+    assert cov.a_bits.shape == (180, 2400)
+    assert hashlib.sha256(cov.a_bits.tobytes()).hexdigest() == (
+        "13ff4413acecbce9ac08c3f43b9e74620fd85888e7c5bb45895d4aa1683f4fe5")

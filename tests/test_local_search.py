@@ -4,13 +4,16 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evcover.covering import build_coverage
+from evcover import heuristics
+from evcover.covering import SwapBasis, build_coverage
 from evcover.datasets import generate_small_instance
 from evcover.exact import random_feasible_solution
-from evcover.heuristics import MOVE_NAMES, _batch_moves, _local_search, _SearchTables
+from evcover.heuristics import (BATCH_SLOTS, MOVE_NAMES, _batch_moves, _local_search,
+                                _SearchTables)
 from evcover.instance import BUDGET_TOL, CostBudget, Instance, period_costs
 
 from local_search_reference import candidate_moves, reference_local_search, schedule_feasible
@@ -139,3 +142,60 @@ def test_later_periods_moves_match_reference_candidates(case):
                     mv.levels(i, levels, t_idx).tolist())
                    for i in np.flatnonzero(mv.ok & (mv.start == s))]
             assert got == want
+
+
+def passes_of(calls):
+    """The recorded `_search_batch` calls cut into passes: a pass starts at
+    station 0, and every later call of it starts after the last one."""
+    passes = []
+    for call in calls:
+        if call["j0"] == 0:
+            passes.append([])
+        passes[-1].append(call)
+    return passes
+
+
+@pytest.mark.parametrize("batch_slots", [BATCH_SLOTS, 40])
+def test_a_pass_stops_where_the_last_pass_found_nothing(monkeypatch, batch_slots):
+    """After a pass whose last accepted move was at station j*, the next pass
+    of the period screens no station after j* unless it accepts a move first;
+    the search still matches the reference. With 40 slots a batch holds a few
+    stations, so the pass is cut into several batches."""
+    calls = []
+    search_batch, words = heuristics._search_batch, SwapBasis.words
+
+    def recording_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, *rest):
+        calls.append({"period": t_idx, "j0": j0, "screened": set()})
+        out = search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0,
+                           *rest)
+        calls[-1]["accepted"] = out[2]
+        return out
+
+    def recording_words(self, period, j, *rest):
+        calls[-1]["screened"].update(j.tolist())
+        return words(self, period, j, *rest)
+
+    monkeypatch.setattr(heuristics, "_search_batch", recording_batch)
+    monkeypatch.setattr(heuristics, "BATCH_SLOTS", batch_slots)
+    monkeypatch.setattr(SwapBasis, "words", recording_words)
+    stopped = 0
+    for seed in range(6):
+        inst = generate_small_instance(seed, n_nodes=9, n_stations=6, horizon=3, max_outlets=3,
+                                       budget=400.0)
+        for start_seed in range(3):
+            calls.clear()
+            assert_same_search(inst, random_feasible_solution(
+                inst, np.random.default_rng(start_seed)).levels)
+            by_period = [passes_of([c for c in calls if c["period"] == t])
+                         for t in range(inst.horizon)]
+            for passes in by_period:
+                for before, now in zip(passes, passes[1:]):
+                    last = [c["accepted"] for c in before if c["accepted"] is not None]
+                    assert last, "a pass that accepts nothing ends the period"
+                    for call in now:
+                        assert max(call["screened"], default=-1) <= last[-1]
+                        if call["accepted"] is not None:
+                            break
+                    else:
+                        stopped += last[-1] < inst.n_stations - 1
+    assert stopped >= 20

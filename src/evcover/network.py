@@ -7,18 +7,23 @@ are graph shortest paths over these edge lengths, never straight lines
 (`Network.distance_matrix`). Generated cities have lognormal node
 populations with mean MEAN_POPULATION, and the CENTER_FRACTION of nodes
 closest to the population-weighted centroid form the city centre.
+
+Constructing a network checks connectivity in plain Python. The SciPy
+sparse graph that the shortest paths run on is built on the first distance
+query, and scipy is imported there. Loading an instance therefore imports
+no scipy; generating a network or dataset and building GF data from an
+instance (the first users of distances) do.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 NETWORK_SCHEMA = "evcover-network-v1"
 
@@ -51,9 +56,11 @@ class Network:
     """Undirected, connected graph of zones.
 
     Construction validates all structural invariants (unique ids, existing
-    endpoints, positive lengths, housing mixes summing to 1, connectivity).
-    Instances are immutable after construction and safe to share across
-    threads.
+    endpoints, positive lengths, no self-loops, no edge listed twice in
+    either orientation, housing mixes summing to 1, connectivity).
+    Connectivity is checked in Python; the SciPy sparse graph is built on
+    the first `distance_matrix` call and kept. Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, nodes, edges):
@@ -71,29 +78,29 @@ class Network:
             if n.population < 0:
                 raise NetworkError(f"node {n.id}: negative population")
 
-        checked = []
+        checked, pairs = [], set()
         for e in edges:
             if e.node_a not in self.index_of or e.node_b not in self.index_of:
                 raise NetworkError(f"edge ({e.node_a}, {e.node_b}): unknown endpoint")
             if e.length <= 0:
                 raise NetworkError(f"edge ({e.node_a}, {e.node_b}): length must be > 0")
+            a, b = self.index_of[e.node_a], self.index_of[e.node_b]
+            if a == b:
+                raise NetworkError(f"edge ({e.node_a}, {e.node_b}): self-loop")
+            pair = (a, b) if a < b else (b, a)
+            if pair in pairs:
+                raise NetworkError(f"edge ({e.node_a}, {e.node_b}): repeated; an earlier edge "
+                                   f"already joins {e.node_a} and {e.node_b}")
+            pairs.add(pair)
             checked.append(e)
         self.edges = tuple(checked)
 
         n = len(self.nodes)
-        rows, cols, vals = [], [], []
-        for e in self.edges:
-            a, b = self.index_of[e.node_a], self.index_of[e.node_b]
-            rows += [a, b]
-            cols += [b, a]
-            vals += [e.length, e.length]
-        self._adjacency = csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-        ncomp, labels = connected_components(self._adjacency, directed=False)
+        ncomp, labels = _component_labels(n, pairs)
         if n > 1 and ncomp != 1:
             sizes = np.bincount(labels)
             small = int(np.argmin(sizes))
-            members = [self.node_ids[i] for i in np.flatnonzero(labels == small)]
+            members = [self.node_ids[i] for i in range(n) if labels[i] == small]
             raise NetworkError(
                 f"network is disconnected ({ncomp} components); smallest component: {members}"
             )
@@ -108,10 +115,51 @@ class Network:
     def node(self, node_id) -> Node:
         return self.nodes[self.index_of[node_id]]
 
+    @functools.cached_property
+    def _adjacency(self):
+        """Symmetric CSR matrix of edge lengths, built on the first distance query.
+        Threads that race on that query build equal matrices; one is kept."""
+        from scipy.sparse import csr_matrix
+
+        n = len(self.nodes)
+        rows, cols, vals = [], [], []
+        for e in self.edges:
+            a, b = self.index_of[e.node_a], self.index_of[e.node_b]
+            rows += [a, b]
+            cols += [b, a]
+            vals += [e.length, e.length]
+        return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
     def distance_matrix(self, source_ids):
         """Shortest-path km from each source node to every node, shape (len(sources), n)."""
+        from scipy.sparse.csgraph import dijkstra
+
         idx = np.asarray([self.index_of[s] for s in source_ids], dtype=int)
         return dijkstra(self._adjacency, directed=False, indices=idx)
+
+
+def _component_labels(n, pairs):
+    """(component count, label of each node) of the undirected graph on nodes
+    0..n-1 with edges `pairs`. Components are numbered in the order of their
+    lowest node index, as scipy's connected_components numbers them."""
+    neighbours = [[] for _ in range(n)]
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    labels = [-1] * n
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if labels[w] < 0:
+                    labels[w] = count
+                    stack.append(w)
+        count += 1
+    return count, labels
 
 
 def euclidean(n1: Node, n2: Node) -> float:

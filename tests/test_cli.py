@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -618,3 +619,37 @@ def test_solve_writes_machine_readable_trace(tmp_path, tiny_manifest):
     for entry in lines:
         assert {"period", "station", "k", "score", "elapsed"} <= set(entry)
 
+
+
+# Load, coverage and the solver-free methods need no scipy; the first distance
+# query loads the sparse graph routines.
+NO_SCIPY_ROUTE = """
+import sys
+from evcover import cli
+from evcover.covering import build_coverage
+from evcover.instance import load_instance, save_instance
+
+src, copy = sys.argv[1:3]
+save_instance(load_instance(src), copy)
+inst = load_instance(copy)
+cov = build_coverage(inst)
+for method in ("greedy-m", "grasp-m", "exact-enum", "rh-even"):
+    cli.run_method(inst, cov, method, solver_cmd="none", time_limit=2.0)
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.sparse", "scipy.spatial", "scipy.optimize")))
+assert not loaded, loaded
+inst.network.distance_matrix([inst.network.node_ids[0]])
+assert "scipy.sparse.csgraph" in sys.modules
+"""
+
+
+def test_load_and_solver_free_methods_import_no_scipy(tmp_path):
+    src = tmp_path / "instance.json"
+    save_instance(generate_small_dataset(5, 1, n_nodes=8, n_stations=3, horizon=2)[0], src)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_ROUTE, str(src), str(tmp_path / "copy.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,3 +1,8 @@
+import hashlib
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,3 +130,44 @@ def test_manifest_round_trip(tmp_path):
     assert doc["kind"] == "Simple"
     assert doc["instances"] == entries
 
+
+
+# sha256 of every file the benchmark workloads' seed-1 set-ups write. Network
+# construction and the distance queries generation makes must not change a byte.
+SEED1_SETUP_SHA256 = {
+    "oracle-desk": {
+        "instance_000.json": "7f9b27582a194646ed1644eec3d1c97e1d4742a74ed56c0fce7b88ecaa000012",
+        "instance_001.json": "cdb9767de94c86977109f7e3c204e6f6f3288674dd5d6751a8b1e7de728fe8d9",
+        "instance_002.json": "dd110a2e71312a754ac2f156c0e4170b26678c943b6eed0c60ae6c5217af38bf",
+        "instance_003.json": "7be7a4aef48b8fc88fe6e0a9fb60fd62fc11d5ed54a13824e9647fd7494aa376",
+        "instance_004.json": "0c1c39cbe2264d1c68b196eecb51240ee0097dfbbe413cecfb651d90f6ea9505",
+        "instance_005.json": "b1565644068379e9d1a7a0518fe925d0910e5bc80e1ee5ac458d05db4565192f",
+        "manifest.json": "1cdc0a808cdd25767356b1559732d53c4d6cb41070c1c1a51d8cc3c588f5bef4",
+    },
+    "longspan-grasp": {
+        "instance_000.json": "dc093670f8cad3364446cde52c1bc88bbab16198c787754aa82ccef86e6742b4",
+        "manifest.json": "aa849f10011672aff5efffb1569ab94e1be54b1529dddb6d5dd3cfd54c735494",
+        "network.csv": "78369dd1dd40cca8f3ea696da1d3570e7568866e0ee26a0c6891b9d2ea167443",
+    },
+    "formulations-tiny": {
+        "instance_000.json": "5b641b88245c1c1461cff6f695b76f2d134083af816edb9ae67846639fc96fc7",
+        "instance_001.json": "2db76365a4324539b5b975e8a05a11e1ec96ad305d1304fb28057adcac08993a",
+        "instance_002.json": "fe5bbd15bd9f456a6ea15b0ca0682bb08d7886280b7f2c9c0d7292dd1c078ced",
+        "instance_003.json": "2339269869d1e2520bb1f5adba15f2e69294a717303101b128f20a1fbddf3029",
+        "instance_004.json": "5a67bd49609acfc6b0050a174c318d0cc8cb4c0c309e740e38d579b4e7304535",
+        "instance_005.json": "064c7a5f156d2ede7c61c4a4bebefc70d9139b359b2e61109c46b2c8717de58d",
+        "manifest.json": "d08f2356277dc50f2757841cbd65004ec31221301ea59aac6e1e6d155b495178",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED1_SETUP_SHA256))
+def test_benchmark_setup_files_are_unchanged(tmp_path, workload):
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    import workloads
+
+    workloads.generate(workloads.WORKLOADS[workload], 1, tmp_path)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in os.listdir(tmp_path)}
+    assert got == SEED1_SETUP_SHA256[workload]

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from evcover.datasets import generate_small_instance
-from evcover.network import (Edge, Network, NetworkError, Node, generate_network,
-                             load_network, network_from_text, network_to_text,
-                             save_network)
+from evcover.network import (Edge, Network, NetworkError, Node, _component_labels,
+                             generate_network, load_network, network_from_text,
+                             network_to_text, save_network)
 
 from conftest import line_network
 
@@ -128,3 +132,99 @@ def test_two_node_network_has_one_edge():
     assert distances_from(net, "n0")["n1"] == pytest.approx(net.edges[0].length)
     inst = generate_small_instance(1, n_nodes=2, n_stations=2)
     assert inst.n_stations == 2
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([Edge("a", "b", 1.0), Edge("b", "a", 1.0), Edge("b", "c", 1.0)],
+     r"edge \(b, a\): repeated; an earlier edge already joins b and a"),
+    ([Edge("a", "b", 1.0), Edge("b", "c", 1.0), Edge("a", "b", 2.0)],
+     r"edge \(a, b\): repeated; an earlier edge already joins a and b"),
+])
+def test_repeated_edge_is_refused(edges, message):
+    # summed into one CSR entry, a repeat would double the edge's length
+    nodes = [Node("a", 0, 0, 1), Node("b", 1, 0, 1), Node("c", 2, 0, 1)]
+    with pytest.raises(NetworkError, match=message):
+        Network(nodes, edges)
+
+
+def test_self_loop_is_refused():
+    nodes = [Node("a", 0, 0, 1), Node("b", 1, 0, 1)]
+    with pytest.raises(NetworkError, match=r"edge \(b, b\): self-loop"):
+        Network(nodes, [Edge("a", "b", 1.0), Edge("b", "b", 1.0)])
+
+
+def test_repeated_edge_in_network_file_names_the_file(tmp_path):
+    text = network_to_text(generate_network(6, seed=1))
+    first_edge = text.splitlines()[text.splitlines().index("[edges]") + 2]
+    a, b, length = first_edge.split(",")
+    path = tmp_path / "net.csv"
+    path.write_text(text + f"{b},{a},{length}\n")
+    with pytest.raises(NetworkError, match=f"^{path}: edge \\({b}, {a}\\): repeated"):
+        load_network(path)
+
+
+def csr_of(net):
+    """The symmetric CSR of edge lengths, built apart from the network's own."""
+    rows = [net.index_of[e.node_a] for e in net.edges] + [net.index_of[e.node_b] for e in net.edges]
+    cols = rows[len(net.edges):] + rows[:len(net.edges)]
+    vals = [e.length for e in net.edges] * 2
+    return csr_matrix((vals, (rows, cols)), shape=(len(net), len(net)))
+
+
+@st.composite
+def random_graphs(draw):
+    """(n, edge index pairs): up to 14 nodes, isolated ones and several components included."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p))),
+                         max_size=2 * n))
+    return n, draw(st.permutations(sorted(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_component_labels_equal_scipy_connected_components(graph):
+    n, pairs = graph
+    rows = [a for a, _ in pairs]
+    cols = [b for _, b in pairs]
+    ncomp, labels = connected_components(
+        csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n)), directed=False)
+    assert _component_labels(n, pairs) == (ncomp, labels.tolist())
+
+
+@st.composite
+def random_networks(draw):
+    """Connected networks of up to 12 nodes: a random tree plus extra edges, random lengths."""
+    n = draw(st.integers(2, 12))
+    lengths = st.floats(0.01, 50.0)
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), max_size=n))
+    nodes = [Node(f"n{i}", float(i), 0.0, 1.0) for i in range(n)]
+    edges = [Edge(f"n{a}", f"n{b}", draw(lengths)) for a, b in sorted(pairs)]
+    return Network(nodes, edges)
+
+
+def assert_distances_equal_direct_dijkstra(net):
+    want = dijkstra(csr_of(net), directed=False, indices=np.arange(len(net)))
+    assert np.array_equal(net.distance_matrix(net.node_ids), want)
+
+
+def test_distance_matrix_equals_direct_dijkstra_at_paper_scale():
+    assert_distances_equal_direct_dijkstra(generate_network(317, seed=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_networks())
+def test_distance_matrix_equals_direct_dijkstra_on_random_networks(net):
+    assert_distances_equal_direct_dijkstra(net)
+
+
+def test_sparse_graph_is_built_on_first_distance_query_and_kept():
+    net = generate_network(20, seed=3)
+    rebuilt = Network(net.nodes, net.edges)
+    assert "_adjacency" not in vars(rebuilt)
+    first = rebuilt.distance_matrix(["n0"])
+    graph = rebuilt._adjacency
+    assert np.array_equal(rebuilt.distance_matrix(["n0"]), first)
+    assert rebuilt._adjacency is graph

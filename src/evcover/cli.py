@@ -234,6 +234,8 @@ def _in_pool(tasks, workers):
     A worker that dies breaks the pool and every task still in it, or not yet
     submitted to it, so the unfinished tasks are rerun in two halves, each in a
     fresh pool: only a task that breaks a pool of its own gets an error row."""
+    if not tasks:
+        return []
     futures = []
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         try:

@@ -339,7 +339,6 @@ class SwapBasis:
         g2 = np.bitwise_or.reduce(twice, axis=1)
         np.bitwise_or.accumulate(twice, axis=1, out=twice)
         g3 = np.bitwise_or.reduce(np.bitwise_and(top[:, 2:], twice[:, :-1], out=y[:, 2:]), axis=1)
-        self.held = g1 | forced                          # bits the schedule holds
 
         # X = G1 except where b & ~G2, Y = G2 except where b & ~G3 (G3 ⊆ G2 ⊆ G1)
         np.bitwise_and(top, (g1 ^ g2)[:, None], out=x)

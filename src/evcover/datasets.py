@@ -70,16 +70,16 @@ def _place_stations(network, n_stations, max_outlets, seed):
         raise InstanceError(f"need {n_stations} station nodes, network has {len(network)}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x57A7]))
     chosen = [int(rng.integers(len(network)))]
-    dist_to_chosen = network.distance_matrix([network.node_ids[chosen[0]]])[0]
+    rows = [network.distance_matrix([network.node_ids[chosen[0]]])[0]]
+    dist_to_chosen = rows[0]
     while len(chosen) < n_stations:
         nxt = int(np.argmax(dist_to_chosen))
         chosen.append(nxt)
-        d = network.distance_matrix([network.node_ids[nxt]])[0]
-        dist_to_chosen = np.minimum(dist_to_chosen, d)
-    station_nodes = [network.node_ids[i] for i in chosen]
-    stations = [Station(id=si + 1, node_id=nid, max_outlets=max_outlets)
-                for si, nid in enumerate(station_nodes)]
-    return stations, network.distance_matrix(station_nodes)  # (|M|, n_nodes)
+        rows.append(network.distance_matrix([network.node_ids[nxt]])[0])
+        dist_to_chosen = np.minimum(dist_to_chosen, rows[-1])
+    stations = [Station(id=si + 1, node_id=network.node_ids[i], max_outlets=max_outlets)
+                for si, i in enumerate(chosen)]
+    return stations, np.stack(rows)  # (|M|, n_nodes)
 
 
 def _build_classes(spec: DatasetSpec, station_dist, station_ids):

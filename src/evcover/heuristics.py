@@ -217,16 +217,16 @@ def grasp_filter(candidate_f, incumbent_f, max_observed_rel_increase) -> bool:
 # planes filled from the first of those periods on serve it too. The stations
 # after a pass's last accepted move were searched from the levels that pass
 # ended with and gained nothing, so the next pass stops when it reaches them
-# with those levels unchanged. Move building, budgets and coverage run over
-# arrays. Batched values only screen the moves: a move is decided with the
-# arithmetic of `CoverageTensor.period_values` unless its screened gain is far
-# from the acceptance threshold, so the accepted moves and f are exact.
+# with those levels unchanged. Move building, budgets, coverage and values run
+# over arrays. Each (move, changed period) pair is valued with `np.vecdot`,
+# the same per-row dot product as `CoverageTensor.value_of_words`, so every
+# move is decided on its exact value and the accepted moves and f are those
+# of valuing one candidate at a time.
 
 ADD, TRANSFER, SPLIT = 0, 1, 2
 MOVE_NAMES = ("add", "transfer", "split")
 MIN_GAIN = 1e-12               # a move is accepted when it gains more than this
-SCREEN_REL_MARGIN = 1e-6       # screened gains decide only this far (times f) from MIN_GAIN
-CHUNK_WORDS = 1 << 13          # (move, period) cover words screened together
+CHUNK_WORDS = 1 << 13          # (move, period) cover words valued together
 BATCH_SLOTS = 1 << 12          # (move, period) slots built together
 EPS = float(np.finfo(float).eps)
 
@@ -257,7 +257,7 @@ class _SearchTables:
         self.rel_err = 2.0 * (J * K + 4 * K + 8) * EPS
         self.ladder = own.sum(axis=1).max(axis=0) if J else np.zeros(T)
         self.periods, self.stations, self.outlets = np.arange(T), np.arange(J + 1), np.arange(K)
-        self.weights = coverage.trip.word_weights.reshape(T, -1).T    # (period words, T)
+        self.weights = coverage.trip.word_weights.reshape(T, -1)      # (T, period words)
 
         # one row of moves per station, the rows repeated for every period
         # (`period` counts the repeats): the moves of stations j0..j1-1 and of
@@ -421,12 +421,11 @@ def _batch_moves(instance, tab, levels, spent, t_idx, j0, j1, later=0):
     return moves
 
 
-def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, j1, mv,
-                  trace):
+def _search_batch(tab, levels, values, f_cur, t_idx, j0, j1, mv, trace):
     """Try the moves of period t and stations j0..j1-1 in batch `mv` (see the
     section comment), which were built from `levels`. Returns the levels, f
-    and the station whose moves were accepted, None when none was. `spent`
-    is period_costs(instance, levels); `values` is updated in place."""
+    and the station whose moves were accepted, None when none was. `values`
+    holds the period values of `levels` and is updated in place."""
     cand = np.flatnonzero(mv.ok & (mv.start == t_idx) & (mv.j >= j0) & (mv.j < j1))
     if not cand.size:
         return levels, f_cur, None
@@ -437,11 +436,7 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
     if basis.levels is not levels or basis.t_from > t:  # levels are replaced, never edited
         basis.update(levels, t)
     b_off = t - basis.t_from
-    held_counts = np.bitwise_count(basis.held[b_off:])
-    weights = tab.weights[:, t_idx:]
-    base_values = values[t_idx:].copy()
-    base_sum = base_values.sum()
-    margin = SCREEN_REL_MARGIN * max(abs(f_cur), 1.0)
+    weights = tab.weights[t_idx:]
 
     # (move, period) pairs where a move changes a level, in move order, cut
     # into chunks at station boundaries
@@ -450,51 +445,43 @@ def _search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, 
     pair_start = np.searchsorted(row, np.arange(len(cand) + 1))
     station = mv.j[cand]
     ends = [len(cand)]
-    if len(row) * held_counts.shape[1] > CHUNK_WORDS:
+    if len(row) * weights.shape[1] > CHUNK_WORDS:
         words = np.bincount(station - station[0],
-                            weights=differs.sum(axis=1) * held_counts.shape[1])
+                            weights=differs.sum(axis=1) * weights.shape[1])
         chunk = ((np.cumsum(words) - words) // CHUNK_WORDS)[station - station[0]]
         ends = np.append(np.flatnonzero(np.diff(chunk)) + 1, len(cand))
 
     a = 0
     for b in ends:
-        # screened tails of moves a..b-1; `same` where every changed period
-        # keeps the popcount of every word, so its value is the base value:
-        # it gains nothing before an acceptance and loses after one
+        # period values of moves a..b-1: those of `levels` (a chunk is only
+        # reached while none was accepted), with each changed period valued
+        # as `value_of_words` values it
         pa, pb = pair_start[a], pair_start[b]
         rows, per = cand[row[pa:pb]], period[pa:pb]
         counts = np.bitwise_count(basis.words(per + b_off, mv.j[rows], mv.jp[rows],
                                               mv.new[rows, 0, per + off],
                                               mv.new[rows, 1, per + off]))
-        unchanged = (counts == held_counts[per]).all(axis=1)
-        screened = (counts.astype(np.float64) @ weights)[np.arange(pb - pa), per]
-        local = row[pa:pb] - a
-        tails = base_sum + np.bincount(local, weights=np.where(unchanged, 0.0,
-                                                               screened - base_values[per]),
-                                       minlength=b - a)
-        same = np.bincount(local, weights=~unchanged, minlength=b - a) == 0
+        tails = np.tile(values[t_idx:], (b - a, 1))
+        tails[row[pa:pb] - a, per] = np.vecdot(counts.astype(np.float64), weights[per])
+        sums = tails.sum(axis=1)
 
         pos, stop, accepted = a, b, None
         while pos < stop:
-            d = tails[pos - a:stop - a] - values[t_idx:].sum()
-            hits = np.flatnonzero(~same[pos - a:stop - a] & (d >= MIN_GAIN - margin))
+            d = sums[pos - a:stop - a] - values[t_idx:].sum()
+            hits = np.flatnonzero(d > MIN_GAIN)
             if not hits.size:
                 break
             i = pos + int(hits[0])
             r = cand[i]
-            cand_levels = mv.levels(r, base_levels, frame)
-            tail = coverage.period_values(cand_levels, t)
-            d = float(tail.sum() - values[t_idx:].sum())
-            if d > MIN_GAIN:
-                if accepted is None:
-                    accepted = int(station[i])
-                    stop = a + int(np.searchsorted(station[a:b], accepted, side="right"))
-                levels, values[t_idx:] = cand_levels, tail
-                f_cur += d
-                if trace is not None:
-                    jp = None if mv.kind[r] == ADD else int(mv.jp[r])
-                    trace.append({"period": t, "move": (MOVE_NAMES[mv.kind[r]], int(mv.j[r]), jp),
-                                  "f": f_cur})
+            if accepted is None:
+                accepted = int(station[i])
+                stop = a + int(np.searchsorted(station[a:b], accepted, side="right"))
+            levels, values[t_idx:] = mv.levels(r, base_levels, frame), tails[i - a]
+            f_cur += float(d[hits[0]])
+            if trace is not None:
+                jp = None if mv.kind[r] == ADD else int(mv.jp[r])
+                trace.append({"period": t, "move": (MOVE_NAMES[mv.kind[r]], int(mv.j[r]), jp),
+                              "f": f_cur})
             pos = i + 1
         if accepted is not None:
             return levels, f_cur, accepted
@@ -542,8 +529,8 @@ def _local_search(instance, coverage, levels, deadline=None, trace=None, tables=
                                       later)
                     if whole:
                         carried = (levels, t_idx, t_idx + later, mv)
-                levels, f_cur, j_star = _search_batch(instance, coverage, tab, levels, spent,
-                                                      values, f_cur, t_idx, j0, j_end, mv, trace)
+                levels, f_cur, j_star = _search_batch(tab, levels, values, f_cur, t_idx, j0,
+                                                      j_end, mv, trace)
                 if j_star is None:
                     j0 = j1
                     continue

@@ -91,6 +91,16 @@ def test_generate_count_zero(tmp_path):
     assert doc["instances"] == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_solving_an_empty_manifest_writes_only_the_header(tmp_path, threads):
+    data = tmp_path / "empty"
+    assert main(["generate", "Simple", "--nodes", "10", "--count", "0", "--out", str(data)]) == 0
+    runs = tmp_path / "runs"
+    assert main(["solve", str(data / "manifest.json"), "--method", "greedy-m",
+                 "--threads", threads, "--out", str(runs)]) == 0
+    assert (runs / "rows.greedy-m.csv").read_text().splitlines() == [",".join(cli.ROW_FIELDS)]
+
+
 def test_solve_greedy_then_exact_gaps_nonnegative(tmp_path, tiny_manifest):
     manifest, insts = tiny_manifest
     out = tmp_path / "runs"

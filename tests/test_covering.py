@@ -11,7 +11,7 @@ from evcover.covering import (CoverageError, CoverageTensor, SwapBasis, TripletI
                               score_hyperoptic, score_myopic, station_utility_at_k)
 from evcover.datasets import DatasetSpec, generate_dataset, generate_small_instance
 from evcover.exact import random_feasible_solution
-from evcover.heuristics import _local_search
+from evcover.heuristics import _local_search, _SearchTables
 from evcover.instance import HOME, OPT_OUT, InstanceError, SolutionX
 from evcover.network import generate_network
 
@@ -414,36 +414,78 @@ def level_vectors(draw):
     return inst, levels, rng
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(case=level_vectors())
-def test_plane_derived_words_match_held_words(case):
-    inst, levels, rng = case
-    cov = build_coverage(inst)
+def random_moves(inst, levels, t_from, rng, n=12):
+    """n moves of one station (jp = J) or of two distinct ones, each in a
+    period from t_from on: (period from t_from, j, jp, new_j, new_jp) arrays
+    and each move's (t, level vector)."""
     J, T = levels.shape
-    t_from = int(rng.integers(1, T + 1))
-    basis = SwapBasis(cov)
-    basis.update(rng.integers(0, inst.max_outlets[:, None] + 1, levels.shape))  # then reused
-    basis.update(levels, t_from)
-    for p, t in enumerate(range(t_from, T + 1)):
-        np.testing.assert_array_equal(basis.held[p], cov.held_words(levels[:, t - 1], t, t))
-    # moves of one station (jp = J) or of two distinct ones; with six stations
-    # some bits are covered three times
-    n = 12
     j = rng.integers(0, J, n)
     jp = np.where(rng.random(n) < 0.3, J, (j + rng.integers(1, max(J, 2), n)) % max(J, 1))
     jp[jp == j] = J
     period = rng.integers(0, T - t_from + 1, n)
     caps = np.append(inst.max_outlets, 0)
     new_j, new_jp = rng.integers(0, caps[j] + 1), rng.integers(0, caps[jp] + 1)
-    got = basis.words(period, j, jp, new_j, new_jp)
+    moved = []
     for i in range(n):
         t = t_from + int(period[i])
-        moved = levels[:, t - 1].copy()
-        moved[j[i]] = new_j[i]
+        lv = levels[:, t - 1].copy()
+        lv[j[i]] = new_j[i]
         if jp[i] < J:
-            moved[jp[i]] = new_jp[i]
-        np.testing.assert_array_equal(got[i], cov.held_words(moved, t, t))
+            lv[jp[i]] = new_jp[i]
+        moved.append((t, lv))
+    return (period, j, jp, new_j, new_jp), moved
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=level_vectors())
+def test_plane_derived_words_match_held_words(case):
+    inst, levels, rng = case
+    cov = build_coverage(inst)
+    t_from = int(rng.integers(1, levels.shape[1] + 1))
+    basis = SwapBasis(cov)
+    basis.update(rng.integers(0, inst.max_outlets[:, None] + 1, levels.shape))  # then reused
+    basis.update(levels, t_from)
+    # with six stations some bits are covered three times
+    move, moved = random_moves(inst, levels, t_from, rng)
+    got = basis.words(*move)
+    for i, (t, lv) in enumerate(moved):
+        np.testing.assert_array_equal(got[i], cov.held_words(lv, t, t))
+
+
+@st.composite
+def long_period_vectors(draw):
+    """A desk instance of 20-40 classes with up to 200 scenarios each, so a
+    period runs to dozens of words and blocks span up to four of them, and
+    an arbitrary outlet schedule within its caps."""
+    J = draw(st.integers(1, 6))
+    inst = generate_small_instance(draw(st.integers(0, 10_000)), n_nodes=draw(st.integers(20, 40)),
+                                   n_stations=J, horizon=draw(st.integers(1, 3)),
+                                   max_outlets=draw(st.integers(1, 3)),
+                                   max_scenarios=draw(st.integers(64, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    levels = rng.integers(0, inst.max_outlets[:, None] + 1, (inst.n_stations, inst.horizon))
+    return inst, levels, rng
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=st.one_of(level_vectors(), long_period_vectors()))
+def test_batched_move_values_equal_value_of_words(case):
+    """The local search values a stack of (move, period) pairs with np.vecdot
+    of the gathered popcounts against the gathered period word weights; each
+    row must be `value_of_words` of the same bits to the last bit, or a batch
+    could accept a move that one-at-a-time valuation would not."""
+    inst, levels, rng = case
+    cov = build_coverage(inst)
+    tab = _SearchTables(inst, cov)
+    t_from = int(rng.integers(1, levels.shape[1] + 1))
+    tab.basis.update(levels, t_from)
+    move, moved = random_moves(inst, levels, t_from, rng)
+    counts = np.bitwise_count(tab.basis.words(*move))
+    got = np.vecdot(counts.astype(np.float64), tab.weights[t_from - 1:][move[0]])
+    want = [cov.value_of_words(cov.held_words(lv, t, t), t, t) for t, lv in moved]
+    assert got.tolist() == want
 
 
 # -- the stored representation -------------------------------------------------------

@@ -164,10 +164,9 @@ def test_a_pass_stops_where_the_last_pass_found_nothing(monkeypatch, batch_slots
     calls = []
     search_batch, words = heuristics._search_batch, SwapBasis.words
 
-    def recording_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0, *rest):
+    def recording_batch(tab, levels, values, f_cur, t_idx, j0, *rest):
         calls.append({"period": t_idx, "j0": j0, "screened": set()})
-        out = search_batch(instance, coverage, tab, levels, spent, values, f_cur, t_idx, j0,
-                           *rest)
+        out = search_batch(tab, levels, values, f_cur, t_idx, j0, *rest)
         calls[-1]["accepted"] = out[2]
         return out
 

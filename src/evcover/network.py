@@ -8,17 +8,18 @@ are graph shortest paths over these edge lengths, never straight lines
 populations with mean MEAN_POPULATION, and the CENTER_FRACTION of nodes
 closest to the population-weighted centroid form the city centre.
 
-Constructing a network checks connectivity in plain Python. The SciPy
-sparse graph that the shortest paths run on is built on the first distance
-query, and scipy is imported there. Loading an instance therefore imports
-no scipy; generating a network or dataset and building GF data from an
-instance (the first users of distances) do.
+Generated streets form the Gabriel graph of the nodes, found by an exact
+empty-circle test over all pairs, and shortest paths run a heap Dijkstra
+over per-node neighbour lists. Everything here is numpy and the standard
+library: constructing, loading or generating a network and querying its
+distances import no scipy.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import heapq
 import io
 import math
 from dataclasses import dataclass
@@ -55,12 +56,13 @@ class NetworkError(ValueError):
 class Network:
     """Undirected, connected graph of zones.
 
-    Construction validates all structural invariants (unique ids, existing
-    endpoints, positive lengths, no self-loops, no edge listed twice in
-    either orientation, housing mixes summing to 1, connectivity).
-    Connectivity is checked in Python; the SciPy sparse graph is built on
-    the first `distance_matrix` call and kept. Instances are immutable after
-    construction and safe to share across threads.
+    Construction validates all structural invariants (unique ids, finite
+    coordinates and populations, existing endpoints, finite positive
+    lengths, no self-loops, no edge listed twice in either orientation,
+    housing mixes in [0, 1] summing to 1, connectivity). The neighbour
+    lists that `distance_matrix` searches are built on its first call and
+    kept. Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, nodes, edges):
@@ -70,9 +72,14 @@ class Network:
         if len(self.index_of) != len(self.nodes):
             raise NetworkError("duplicate node ids")
         for n in self.nodes:
+            for field in ("x", "y", "population"):
+                if not math.isfinite(getattr(n, field)):
+                    raise NetworkError(f"node {n.id}: {field} must be finite "
+                                       f"(got {getattr(n, field)!r})")
             mix = n.housing_mix
-            if len(mix) != 3 or any(f < -1e-12 or f > 1 + 1e-12 for f in mix):
-                raise NetworkError(f"node {n.id}: housing_mix fractions must lie in [0, 1]")
+            if len(mix) != 3 or not all(-1e-12 <= f <= 1 + 1e-12 for f in mix):
+                raise NetworkError(f"node {n.id}: housing_mix fractions must lie in [0, 1] "
+                                   f"(got {mix!r})")
             if abs(sum(mix) - 1.0) > 1e-9:
                 raise NetworkError(f"node {n.id}: housing_mix must sum to 1 (got {sum(mix)!r})")
             if n.population < 0:
@@ -82,8 +89,9 @@ class Network:
         for e in edges:
             if e.node_a not in self.index_of or e.node_b not in self.index_of:
                 raise NetworkError(f"edge ({e.node_a}, {e.node_b}): unknown endpoint")
-            if e.length <= 0:
-                raise NetworkError(f"edge ({e.node_a}, {e.node_b}): length must be > 0")
+            if not 0 < e.length < math.inf:
+                raise NetworkError(f"edge ({e.node_a}, {e.node_b}): length must be finite "
+                                   f"and > 0 (got {e.length!r})")
             a, b = self.index_of[e.node_a], self.index_of[e.node_b]
             if a == b:
                 raise NetworkError(f"edge ({e.node_a}, {e.node_b}): self-loop")
@@ -116,26 +124,42 @@ class Network:
         return self.nodes[self.index_of[node_id]]
 
     @functools.cached_property
-    def _adjacency(self):
-        """Symmetric CSR matrix of edge lengths, built on the first distance query.
-        Threads that race on that query build equal matrices; one is kept."""
-        from scipy.sparse import csr_matrix
-
-        n = len(self.nodes)
-        rows, cols, vals = [], [], []
+    def _neighbours(self):
+        """(neighbour index, edge length) lists per node, built on the first
+        distance query. Threads that race on that query build equal lists;
+        one is kept."""
+        out = [[] for _ in self.nodes]
         for e in self.edges:
             a, b = self.index_of[e.node_a], self.index_of[e.node_b]
-            rows += [a, b]
-            cols += [b, a]
-            vals += [e.length, e.length]
-        return csr_matrix((vals, (rows, cols)), shape=(n, n))
+            out[a].append((b, e.length))
+            out[b].append((a, e.length))
+        return out
 
     def distance_matrix(self, source_ids):
         """Shortest-path km from each source node to every node, shape (len(sources), n)."""
-        from scipy.sparse.csgraph import dijkstra
+        idx = [self.index_of[s] for s in source_ids]
+        out = np.empty((len(idx), len(self.nodes)))
+        for row, s in zip(out, idx):
+            row[:] = _dijkstra(self._neighbours, s)
+        return out
 
-        idx = np.asarray([self.index_of[s] for s in source_ids], dtype=int)
-        return dijkstra(self._adjacency, directed=False, indices=idx)
+
+def _dijkstra(neighbours, source):
+    """Shortest-path lengths from `source` (Dijkstra 1959, binary heap). Each
+    distance is its predecessor's plus the edge length, summed in path order."""
+    dist = [math.inf] * len(neighbours)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in neighbours[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
 
 
 def _component_labels(n, pairs):
@@ -166,28 +190,65 @@ def euclidean(n1: Node, n2: Node) -> float:
     return math.hypot(n1.x - n2.x, n1.y - n2.y)
 
 
-def _gabriel_edges(points):
-    """Gabriel graph edges (indices): Delaunay edges whose diametral circle is empty."""
-    from scipy.spatial import Delaunay
+_GABRIEL_NEAR = 6    # nearest points of each endpoint that a pair is screened against
+_GABRIEL_BLOCK = 1 << 16  # float elements per array in one block of pair tests
 
-    pts = np.asarray(points)
-    if len(pts) == 2:  # Delaunay needs three points; two nodes share one edge
-        return [(0, 1)]
-    tri = Delaunay(pts)
-    cand = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            i, j = sorted((simplex[a], simplex[(a + 1) % 3]))
-            cand.add((i, j))
-    edges = []
-    for i, j in sorted(cand):
-        mid = (pts[i] + pts[j]) / 2.0
-        rad2 = np.sum((pts[i] - pts[j]) ** 2) / 4.0
-        d2 = np.sum((pts - mid) ** 2, axis=1)
-        d2[i] = d2[j] = np.inf
-        if d2.min() > rad2 - 1e-12:
-            edges.append((i, j))
-    return edges
+
+def _outside(x, y, i, j, k):
+    """True where point k lies outside the diametral circle of points i and j,
+    or is i or j itself. i, j and k are index arrays that broadcast together.
+    Each value is rounded as in the per-pair form mid = (p_i + p_j) / 2,
+    rad2 = sum((p_i - p_j)**2) / 4, d2 = sum((p_k - mid)**2): a sum of two
+    terms rounds the same in either order."""
+    mx, my = (x[i] + x[j]) / 2.0, (y[i] + y[j]) / 2.0
+    rad2 = ((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2) / 4.0
+    d2 = (x[k] - mx) ** 2 + (y[k] - my) ** 2
+    return (d2 > rad2 - 1e-12) | (k == i) | (k == j)
+
+
+def _nearest(x, y, k):
+    """(n, k) indices of each point's k nearest other points, in no set order."""
+    n = len(x)
+    out = np.empty((n, k), dtype=np.intp)
+    rows = max(1, _GABRIEL_BLOCK // n)
+    for a in range(0, n, rows):
+        b = min(n, a + rows)
+        d = (x[a:b, None] - x) ** 2 + (y[a:b, None] - y) ** 2
+        d[np.arange(b - a), np.arange(a, b)] = np.inf
+        out[a:b] = np.argpartition(d, k - 1, axis=1)[:, :k]
+    return out
+
+
+def _gabriel_edges(points):
+    """Gabriel graph edges (i, j), i < j, in lexicographic order: the pairs
+    whose diametral circle holds no other point (Gabriel & Sokal 1969).
+
+    A point k is inside when its squared distance to the pair's midpoint is at
+    most the squared radius less 1e-12. The test runs in two stages, each over
+    blocks of pairs so that memory stays bounded. First every pair is tested
+    against its endpoints' _GABRIEL_NEAR nearest points; a point inside there
+    is inside for the full test too. Then the few survivors are tested
+    against every point. Inputs with exactly cocircular points, such as
+    grids, are out of scope: `generate_network`, the only caller, draws
+    random floats.
+    """
+    x, y = np.asarray(points, dtype=float).T
+    n = len(x)
+    near = _nearest(x, y, min(_GABRIEL_NEAR, n - 1))
+    si, sj = [], []
+    rows = max(1, _GABRIEL_BLOCK // (2 * near.shape[1] * n))
+    for a in range(0, n - 1, rows):
+        i = np.arange(a, min(n, a + rows))[:, None]
+        j = np.arange(a + 1, n)
+        k = np.concatenate(np.broadcast_arrays(near[i], near[j][None]), axis=-1)
+        ii, jj = np.nonzero(_outside(x, y, i[..., None], j[:, None], k).all(axis=-1) & (i < j))
+        si.append(ii + a)
+        sj.append(jj + a + 1)
+    i, j = np.concatenate(si)[:, None], np.concatenate(sj)[:, None]
+    every, step = np.arange(n), max(1, _GABRIEL_BLOCK // n)
+    keep = np.concatenate([_outside(x, y, i[a:a + step], j[a:a + step], every).all(axis=1)
+                           for a in range(0, len(i), step)])
+    return list(zip(i[keep, 0].tolist(), j[keep, 0].tolist()))
 
 
 def generate_network(n_nodes, seed, width_km=30.0, height_km=22.0):

@@ -631,8 +631,7 @@ def test_solve_writes_machine_readable_trace(tmp_path, tiny_manifest):
 
 
 
-# Load, coverage and the solver-free methods need no scipy; the first distance
-# query loads the sparse graph routines.
+# Load, coverage, the solver-free methods and distance queries need no scipy.
 NO_SCIPY_ROUTE = """
 import sys
 from evcover import cli
@@ -649,17 +648,49 @@ loaded = sorted(m for m in sys.modules
                 if m.startswith(("scipy.sparse", "scipy.spatial", "scipy.optimize")))
 assert not loaded, loaded
 inst.network.distance_matrix([inst.network.node_ids[0]])
-assert "scipy.sparse.csgraph" in sys.modules
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+assert not loaded, loaded
 """
+
+# Generating a network and a dataset, and building and writing the GF model of
+# an instance, need no scipy.
+NO_SCIPY_GENERATION = """
+import sys
+from evcover.datasets import DatasetSpec, generate_dataset
+from evcover.growth import GrowthFunction, build_gf_instance
+from evcover.instance import save_instance
+from evcover.lp_io import export_lp
+from evcover.milp import build_gf
+from evcover.network import generate_network
+
+out = sys.argv[1]
+net = generate_network(40, seed=3)
+inst = generate_dataset(DatasetSpec("Distance", net, instance_count=1, base_seed=3))[0]
+save_instance(inst, out + "/instance.json")
+gfi = build_gf_instance(inst, GrowthFunction((0.0, 0.5, 1.0), (1.2, 1.2), (0.1, 0.1)))
+export_lp(build_gf(gfi), out + "/gf.lp")
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_load_and_solver_free_methods_import_no_scipy(tmp_path):
     src = tmp_path / "instance.json"
     save_instance(generate_small_dataset(5, 1, n_nodes=8, n_stations=3, horizon=2)[0], src)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_ROUTE, str(src), str(tmp_path / "copy.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script(NO_SCIPY_ROUTE, src, tmp_path / "copy.json")
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_generation_and_gf_export_import_no_scipy(tmp_path):
+    proc = run_script(NO_SCIPY_GENERATION, tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "instance.json").exists() and (tmp_path / "gf.lp").stat().st_size > 0

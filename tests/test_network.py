@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from evcover.datasets import generate_small_instance
-from evcover.network import (Edge, Network, NetworkError, Node, _component_labels,
-                             generate_network, load_network, network_from_text,
-                             network_to_text, save_network)
+from evcover.network import (_NODE_HEADER, Edge, Network, NetworkError, Node,
+                             _component_labels, _gabriel_edges, generate_network, load_network,
+                             network_from_text, network_to_text, save_network)
 
 from conftest import line_network
+from gabriel_reference import delaunay_gabriel_edges
 
 
 def bellman_ford(network, source):
@@ -220,11 +223,92 @@ def test_distance_matrix_equals_direct_dijkstra_on_random_networks(net):
     assert_distances_equal_direct_dijkstra(net)
 
 
-def test_sparse_graph_is_built_on_first_distance_query_and_kept():
+def test_neighbour_lists_are_built_on_first_distance_query_and_kept():
     net = generate_network(20, seed=3)
     rebuilt = Network(net.nodes, net.edges)
-    assert "_adjacency" not in vars(rebuilt)
+    assert "_neighbours" not in vars(rebuilt)
     first = rebuilt.distance_matrix(["n0"])
-    graph = rebuilt._adjacency
+    lists = rebuilt._neighbours
     assert np.array_equal(rebuilt.distance_matrix(["n0"]), first)
-    assert rebuilt._adjacency is graph
+    assert rebuilt._neighbours is lists
+    assert sorted(len(ns) for ns in lists) == sorted(
+        sum(e.node_a == nid or e.node_b == nid for e in net.edges) for nid in net.node_ids)
+
+
+def test_distance_matrix_of_no_sources_is_empty():
+    assert generate_network(5, seed=1).distance_matrix([]).shape == (0, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, message", [
+    ("x", r"node n3: x must be finite"),
+    ("y", r"node n3: y must be finite"),
+    ("population", r"node n3: population must be finite"),
+    ("frac_single", r"node n3: housing_mix fractions must lie in \[0, 1\]"),
+    ("frac_attached", r"node n3: housing_mix fractions must lie in \[0, 1\]"),
+    ("frac_apartment", r"node n3: housing_mix fractions must lie in \[0, 1\]"),
+])
+def test_non_finite_node_value_is_refused(tmp_path, field, message, bad):
+    net = generate_network(12, seed=1)
+    nodes = list(net.nodes)
+    n3 = nodes[3]
+    if field.startswith("frac_"):
+        mix = list(n3.housing_mix)
+        mix[_NODE_HEADER.index(field) - 5] = bad
+        nodes[3] = replace(n3, housing_mix=tuple(mix))
+    else:
+        nodes[3] = replace(n3, **{field: bad})
+    with pytest.raises(NetworkError, match=message):
+        Network(nodes, net.edges)
+    lines = network_to_text(net).splitlines()
+    at = lines.index("[nodes]") + 2 + 3  # after the section line, its header and n0..n2
+    row = lines[at].split(",")
+    row[_NODE_HEADER.index({"x": "x_km", "y": "y_km"}.get(field, field))] = repr(bad)
+    lines[at] = ",".join(row)
+    path = tmp_path / "net.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NetworkError, match=f"^{path}: {message}"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_edge_length_is_refused(tmp_path, bad):
+    net = generate_network(12, seed=1)
+    e = net.edges[4]
+    message = rf"edge \({e.node_a}, {e.node_b}\): length must be finite and > 0"
+    with pytest.raises(NetworkError, match=message):
+        Network(net.nodes, [*net.edges[:4], replace(e, length=bad), *net.edges[5:]])
+    lines = network_to_text(net).splitlines()
+    at = lines.index("[edges]") + 2 + 4
+    lines[at] = f"{e.node_a},{e.node_b},{bad!r}"
+    path = tmp_path / "net.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NetworkError, match=f"^{path}: {message}"):
+        load_network(path)
+
+
+@st.composite
+def generator_points(draw):
+    """2-60 random points in one of the boxes `generate_network` draws from:
+    its default 30 x 22 km city, or the 9 x 7 km desk-scale one."""
+    n = draw(st.integers(2, 60))
+    box = draw(st.sampled_from([(30.0, 22.0), (9.0, 7.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((n, 2)) * box
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_points())
+def test_gabriel_edges_equal_the_delaunay_reference(pts):
+    assert _gabriel_edges(pts) == delaunay_gabriel_edges(pts)
+
+
+@pytest.mark.parametrize("n, seed, sha256", [
+    (317, 8, "7d29cd6a9d0c38077c476a42348a9012d27bd2ecd5ea83792206a9fe4cb9bd1f"),
+    (80, 1, "b72c25e2ebb75e214428ca45b395780cdb43fe66330a507a7c22ded2deb72749"),
+    (1000, 8, "a7104e1774573309295be206c7b6cc68d142f3c68ae2b4108024dada74417455"),
+])
+def test_generated_network_file_is_unchanged(n, seed, sha256):
+    # recorded when the streets were Delaunay edges filtered by the same test
+    text = network_to_text(generate_network(n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256

@@ -1,4 +1,4 @@
-"""The two exact formulations, exported as LP text and solved through an LP file.
+"""The two exact formulations, exported as LP text and solved.
 
 The single-level (SL) model carries the full utility machinery: Big-M
 discounting for closed stations and a linearised argmax step per triplet.
@@ -14,7 +14,7 @@ import tempfile
 from evcover import build_coverage, build_mc, build_sl, compute_bounds, evaluate
 from evcover.datasets import generate_small_instance
 from evcover.exact import brute_force_optimum
-from evcover.lp_io import export_lp, parse_lp
+from evcover.lp_io import export_lp
 from evcover.milp import extract_solution_x, sl_objective_complement
 from evcover.solver import solve_external
 
@@ -34,12 +34,11 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nLP export ({size:,} bytes), first lines:")
     for line in head:
         print(f"  {line}")
-    back = parse_lp(open(lp_path).read())
-    print(f"re-parsed: {back.n_variables} variables, {back.n_rows} rows (round trip)")
 
 # the solver adapter runs any LP-file solver via a command template; without
-# EVCOVER_SOLVER_CMD it solves the LP file with the bundled scipy/HiGHS solver,
-# in this process
+# EVCOVER_SOLVER_CMD it solves the built model with the bundled scipy/HiGHS
+# solver, in this process (wrap the call in a process of its own to keep a
+# large solve's memory out of the caller)
 res_mc = solve_external(mc, time_limit_s=60)
 res_sl = solve_external(sl, time_limit_s=300)
 total = sl_objective_complement(inst)

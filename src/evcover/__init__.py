@@ -2,10 +2,8 @@
 demand: dataset generation, coverage preprocessing, MILP formulations (SL,
 MC, GF), an exact period-state DP oracle, and greedy / GRASP / rolling-horizon heuristics.
 
-The names below are imported from their modules on first use. Importing the
-package alone therefore imports none of its modules, and
-`python -m evcover.solver` runs the solver module without it having been
-imported before.
+The names below are imported from their modules on first use, so importing
+the package alone imports none of its modules.
 """
 
 import importlib
@@ -28,7 +26,7 @@ _EXPORTS = {
                  "validate_solution"),
     "milp": ("BigMBounds", "MilpModel", "build_gf", "build_mc", "build_sl", "compute_bounds",
              "extract_solution_x"),
-    "lp_io": ("export_lp", "parse_lp", "parse_solution_file"),
+    "lp_io": ("export_lp", "parse_solution_file"),
     "network": ("Network", "generate_network", "load_network", "save_network"),
     "solver": ("SolveResult", "solve_external"),
 }

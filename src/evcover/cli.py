@@ -4,10 +4,12 @@ reports, run the growth-function comparison, export formulations.
 Every command is deterministic given its inputs, seed and config (solver
 wall times excepted). Outputs are plain files: instances as a JSON header
 line followed by the raw error tensors, manifests as JSON, rows and reports
-as CSV, models as LP text, per-node results as CSV and GeoJSON. Exit code 2 flags runs in which at least one instance was
-skipped because a prerequisite (a configured solver, or an enumeration
-within its cap) was missing, or failed with an error (a solver that ran and
-failed, say); every other instance of the batch is still solved.
+as CSV, models as LP text, per-node results as CSV and GeoJSON. `solve`
+runs every instance in a worker process, so a solve that kills its process
+costs only that instance's row. Exit code 2 flags runs in which at least one
+instance was skipped because a prerequisite (a configured solver, or an
+enumeration within its cap) was missing, or failed with an error (a solver
+that ran and failed, say); every other instance of the batch is still solved.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .instance import Instance, InstanceError, load_instance, save_instance
 from .milp import ModelError, build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
-from .solver import checked_number, positive_seconds, resolve_solver_command, solve_external
+from .solver import SolverCommandError, resolve_solver_command, solve_external
 
 METHODS = ("exact-enum", "mc-external", "sl-external", "greedy-m", "greedy-h",
            "grasp-m", "grasp-h", "rh-even", "rh-geom")
@@ -212,9 +214,9 @@ def _solve_one(args):
     failed included, gives an "error" row, so one bad instance never sinks
     the batch."""
     path, method, options = args
-    if method.endswith("-external") and resolve_solver_command(options["solver_cmd"]) is None:
-        return _failed_row(path, method, "skipped", "external solver not configured"), None
     try:
+        if method.endswith("-external") and resolve_solver_command(options["solver_cmd"]) is None:
+            return _failed_row(path, method, "skipped", "external solver not configured"), None
         inst = load_instance(path)
         cov = build_coverage(inst)
         x, f, wall, termination, detail, trace = run_method(inst, cov, method, **options)
@@ -230,10 +232,11 @@ def _solve_one(args):
 
 
 def _in_pool(tasks, workers):
-    """Each task's `_solve_one` result from a pool of up to `workers` processes.
-    A worker that dies breaks the pool and every task still in it, or not yet
-    submitted to it, so the unfinished tasks are rerun in two halves, each in a
-    fresh pool: only a task that breaks a pool of its own gets an error row."""
+    """Each task's `_solve_one` result from a pool of up to `workers` processes,
+    so no solve runs in the calling process. A worker that dies breaks the pool
+    and every task still in it, or not yet submitted to it, so the unfinished
+    tasks are rerun in two halves, each in a fresh pool: only a task that
+    breaks a pool of its own gets an error row."""
     if not tasks:
         return []
     futures = []
@@ -293,9 +296,8 @@ def cmd_solve(args):
     options = {"time_limit": args.time_limit, "solver_cmd": args.solver_cmd,
                "alpha": args.alpha, "seed": args.seed}
     tasks = [(p, args.method, options) for p in paths]
-    results = _in_pool(tasks, args.threads) if args.threads > 1 else [_solve_one(t) for t in tasks]
     rows = []
-    for row, sol in results:
+    for row, sol in _in_pool(tasks, args.threads):
         rows.append(row)
         if sol is not None:
             trace = sol.pop("trace")
@@ -432,6 +434,33 @@ def cmd_export(args):
 # -- argument parsing -----------------------------------------------------------------
 
 
+def checked_number(convert, accept, what):
+    """An argparse type: `convert(text)` when `accept` holds for it. Any other
+    text raises argparse.ArgumentTypeError naming `what`, so the parser
+    refuses it (exit 2) before a command runs."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+def solver_template(text):
+    """An argparse type: a --solver-cmd that resolves, so a malformed
+    template is refused (exit 2) before a command runs."""
+    try:
+        resolve_solver_command(text)
+    except SolverCommandError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+POSITIVE_SECONDS = checked_number(float, lambda v: math.isfinite(v) and v > 0,
+                                  "a positive, finite number of seconds")
 ALPHA = checked_number(float, lambda a: 0.0 <= a <= 1.0, "a number in [0, 1]")
 THREADS = checked_number(int, lambda n: n >= 1, "a whole number of at least 1")
 RADIUS_KM = checked_number(float, lambda r: r >= 0.0, "a non-negative number of km")
@@ -456,8 +485,8 @@ def make_parser():
     s.add_argument("manifest")
     s.add_argument("--method", choices=METHODS, required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--time-limit", type=positive_seconds, default=DEFAULT_TIME_LIMIT)
-    s.add_argument("--solver-cmd", default=None,
+    s.add_argument("--time-limit", type=POSITIVE_SECONDS, default=DEFAULT_TIME_LIMIT)
+    s.add_argument("--solver-cmd", type=solver_template, default=None,
                    help="command template with {lp_path} {sol_path} {time_limit}; "
                         "'none' disables the solver")
     s.add_argument("--alpha", type=ALPHA, default=0.85)
@@ -473,8 +502,8 @@ def make_parser():
     c = sub.add_parser("compare-gf", help="growth-function vs covering comparison")
     c.add_argument("manifest")
     c.add_argument("--out", required=True)
-    c.add_argument("--time-limit", type=positive_seconds, default=DEFAULT_TIME_LIMIT)
-    c.add_argument("--solver-cmd", default=None)
+    c.add_argument("--time-limit", type=POSITIVE_SECONDS, default=DEFAULT_TIME_LIMIT)
+    c.add_argument("--solver-cmd", type=solver_template, default=None)
     c.add_argument("--mc-method", choices=METHODS, default="greedy-h")
     c.add_argument("--radius", type=RADIUS_KM, default=10.0)
     c.add_argument("--seed", type=int, default=0)
@@ -496,7 +525,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (OSError, InstanceError, NetworkError, ErrorSimError, GrowthError, RowsError,
-            ModelError, HeuristicError, EnumerationCapExceeded) as exc:
+            ModelError, HeuristicError, EnumerationCapExceeded, SolverCommandError) as exc:
         print(f"evcover {args.command}: {exc}", file=sys.stderr)
         return 1
 

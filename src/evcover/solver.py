@@ -1,4 +1,4 @@
-"""MILP solver adapter, plus a bundled LP-file solver.
+"""MILP solver adapter.
 
 `solve_external` writes the model as LP text and hands it to a solver that
 accepts an LP file and writes a solution file. Any such solver is run
@@ -8,36 +8,32 @@ placeholders, e.g.
     cbc {lp_path} sec {time_limit} solve solu {sol_path}
 
 The template is taken from the call, else from the EVCOVER_SOLVER_CMD
-environment variable, else it falls back to the bundled solver below. Set
+environment variable; unset or empty, it selects the bundled solver. Set
 EVCOVER_SOLVER_CMD=none to declare that no solver is available; callers
-then receive a 'not-configured' status and can skip or fall back.
+then receive a 'not-configured' status and can skip or fall back. A template
+is checked when it is resolved: it must split into words, name a program and
+use no placeholder but those three.
 
-Bundled solver: scipy's HiGHS-backed MILP routine at zero MIP gap. On the
-bundled template `solve_external` still writes the LP file, then solves the
-model it was given in the calling process, with no solution file. Other
-templates can spawn the same solver as `evcover-lp-solve LP SOL [TIME_LIMIT]`
-(`python -m evcover.solver`), which parses the LP file (only the dialect
-`export_lp` writes) and writes a name/value solution file. Both routes give
-the same numbers, because LP text and solution files carry every float
-and the model's column order exactly, and `solve_model_inprocess` drops the
-zeros that LP text leaves out.
+Bundled solver: scipy's HiGHS-backed MILP routine at zero MIP gap, run in
+the calling process on the model as it was built (the LP file is still
+written, and nothing reads it back). A caller that needs a large solve kept
+out of its own memory runs `solve_external` in a process of its own, as
+`evcover solve` does for every instance.
 """
 
 from __future__ import annotations
 
-import argparse
-import math
 import os
 import shlex
+import string
 import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_io import export_lp, parse_lp, parse_solution_file, write_solution_pairs
+from .lp_io import export_lp, parse_solution_file
 from .milp import CONTINUOUS, MilpModel
 
 SOLVER_ENV_VAR = "EVCOVER_SOLVER_CMD"
@@ -66,17 +62,50 @@ class SolveResult:
         return self.status in (STATUS_OPTIMAL, STATUS_TIMEOUT)
 
 
-def bundled_solver_command():
-    return f"{shlex.quote(sys.executable)} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}}"
+BUNDLED = ""  # the resolved template of the bundled solver
+_PLACEHOLDERS = ("lp_path", "sol_path", "time_limit")
+
+
+class SolverCommandError(ValueError):
+    pass
+
+
+def _template_problem(cmd):
+    """Why `cmd` cannot be run as a command template, or None when it can."""
+    try:
+        words = shlex.split(cmd)
+    except ValueError as exc:
+        return f"cannot be split into words: {exc}"
+    if not words:
+        return "names no program"
+    for word in words:
+        try:
+            fields = [(name, conv, spec) for _, name, spec, conv in string.Formatter().parse(word)
+                      if name is not None]
+        except ValueError as exc:
+            return f"{word!r}: {exc}"
+        for name, conv, spec in fields:
+            if name not in _PLACEHOLDERS or conv or spec:
+                text = name + (f"!{conv}" if conv else "") + (f":{spec}" if spec else "")
+                return f"{{{text}}} is not one of {{lp_path}}, {{sol_path}} and {{time_limit}}"
+    return None
 
 
 def resolve_solver_command(solver_command=None):
-    """Resolve to a command template, or None when solving is disabled."""
-    cmd = solver_command if solver_command is not None else os.environ.get(SOLVER_ENV_VAR)
+    """Resolve to a command template: BUNDLED for the bundled solver, None
+    when solving is disabled. A template that cannot be run raises
+    SolverCommandError naming its source and the problem."""
+    source = "solver command"
+    cmd = solver_command
+    if cmd is None:
+        source, cmd = SOLVER_ENV_VAR, os.environ.get(SOLVER_ENV_VAR)
     if cmd is None or cmd == "":
-        return bundled_solver_command()
+        return BUNDLED
     if cmd.strip().lower() == NOT_CONFIGURED:
         return None
+    problem = _template_problem(cmd)
+    if problem is not None:
+        raise SolverCommandError(f"{source} {cmd!r}: {problem}")
     return cmd
 
 
@@ -92,7 +121,10 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
     reported objective includes the model's objective constant (which is
     not representable in LP text).
     """
-    command = resolve_solver_command(solver_command)
+    try:
+        command = resolve_solver_command(solver_command)
+    except SolverCommandError as exc:
+        return SolveResult(STATUS_ERROR, detail=str(exc))
     if command is None:
         return SolveResult(STATUS_NOT_CONFIGURED, detail="external solver not configured")
     limit = float(time_limit_s) if time_limit_s is not None else 1e7
@@ -105,10 +137,10 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
         lp_path = os.path.join(tmp, f"{model.name}.lp")
         sol_path = os.path.join(tmp, f"{model.name}.sol")
         export_lp(model, lp_path)
-        if command == bundled_solver_command():
+        if command == BUNDLED:
             try:
                 status, objective, values = solve_model_inprocess(model, limit)
-            except Exception as exc:  # the spawned program would exit without a solution
+            except Exception as exc:  # noqa: BLE001 - a failed solve is an error result
                 return failed(f"bundled solver failed: {type(exc).__name__}: {exc}")
             detail = BUNDLED_DETAIL
         else:
@@ -143,9 +175,7 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
 def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     """Solve a MilpModel with scipy's MILP (HiGHS) in this process; returns
     (status, objective_without_constant, values). HiGHS gets the columns in
-    `model.variables` order, no zero coefficient and no negative zero
-    (`+ 0.0`), so a model and `parse_lp`'s reading of its LP text get the
-    same answer."""
+    `model.variables` order."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
@@ -166,7 +196,6 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
         lo[ri] = -np.inf if row.sense == "<=" else row.rhs
         hi[ri] = np.inf if row.sense == ">=" else row.rhs
     A = csr_matrix((vals, (rows, cols)), shape=(len(model.rows), n))
-    A.eliminate_zeros()
 
     integrality = np.array([v.kind != CONTINUOUS for v in model.variables], dtype=np.uint8)
     lb = np.array([v.lb for v in model.variables])
@@ -174,8 +203,8 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     options = {"mip_rel_gap": 0.0, "presolve": True}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
-    res = milp(c=sign * c + 0.0, constraints=LinearConstraint(A, lo + 0.0, hi + 0.0),
-               integrality=integrality, bounds=Bounds(lb + 0.0, ub + 0.0), options=options)
+    res = milp(c=sign * c, constraints=LinearConstraint(A, lo, hi), integrality=integrality,
+               bounds=Bounds(lb, ub), options=options)
 
     status = {0: STATUS_OPTIMAL, 1: STATUS_TIMEOUT, 2: STATUS_INFEASIBLE,
               3: STATUS_UNBOUNDED}.get(res.status, STATUS_ERROR)
@@ -184,50 +213,3 @@ def solve_model_inprocess(model: MilpModel, time_limit_s=None):
     objective = float(sign * res.fun)
     values = {v.name: float(val) for v, val in zip(model.variables, res.x)}
     return status, objective, values
-
-
-def checked_number(convert, accept, what):
-    """An argparse type: `convert(text)` when `accept` holds for it. Any other
-    text raises argparse.ArgumentTypeError naming `what`, so the parser
-    refuses it (exit 2) before a command runs."""
-    def parse(text):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
-        return value
-    return parse
-
-
-# a time limit: the type of the CLI's --time-limit and of evcover-lp-solve's TIME_LIMIT_S
-positive_seconds = checked_number(float, lambda v: math.isfinite(v) and v > 0,
-                                  "a positive, finite number of seconds")
-
-
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    usage = "usage: evcover-lp-solve LP_FILE SOL_FILE [TIME_LIMIT_S]"
-    if len(argv) not in (2, 3):
-        print(usage, file=sys.stderr)
-        return 2
-    try:
-        time_limit = positive_seconds(argv[2]) if len(argv) == 3 else None
-    except argparse.ArgumentTypeError as exc:
-        print(f"{usage}\nevcover-lp-solve: {exc}", file=sys.stderr)
-        return 2
-    lp_path, sol_path = argv[0], argv[1]
-    try:  # nothing is written when the LP file cannot be read or parsed or the solve fails
-        with open(lp_path, "r", encoding="utf-8") as fh:
-            model = parse_lp(fh.read())
-        status, objective, values = solve_model_inprocess(model, time_limit)
-        write_solution_pairs(sol_path, status, objective, values)
-    except Exception as exc:  # malformed input must not crash silently
-        print(f"failed to solve {lp_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,10 +22,10 @@ from evcover.datasets import MANIFEST_SCHEMA, generate_small_dataset, write_mani
 from evcover.exact import brute_force_optimum
 from evcover.growth import GrowthError, growth_from_csv
 from evcover.instance import SolutionX, load_instance, save_instance
-from evcover.lp_io import parse_lp
 from evcover.network import generate_network, save_network
 from evcover.solver import BUNDLED_DETAIL
 
+from lp_reference import parse_lp
 from mc_reference import cover_patterns
 
 SOLVE_ONE = cli._solve_one
@@ -191,7 +191,8 @@ def _dies_on_instance_000(task):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched solve reaches the workers only when they are forked")
-def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypatch, threads):
     manifest, insts = tiny_manifest
     root = tmp_path / "ds"
     root.mkdir()
@@ -204,7 +205,7 @@ def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypa
     assert main(["solve", str(six), "--method", "greedy-m", "--out", str(tmp_path / "serial")]) == 0
     monkeypatch.setattr(cli, "_solve_one", _dies_on_instance_000)
     out = tmp_path / "runs"
-    assert main(["solve", str(six), "--method", "greedy-m", "--threads", "2",
+    assert main(["solve", str(six), "--method", "greedy-m", "--threads", threads,
                  "--out", str(out)]) == 2
     rows = read_rows_csv(out / "rows.greedy-m.csv")
     assert [r["status"] for r in rows] == ["error"] + ["ok"] * 5
@@ -532,6 +533,48 @@ def test_threads_below_one_are_refused(tmp_path, tiny_manifest, capsys, threads)
     refused_with_exit_2(["solve", str(tiny_manifest[0]), "--method", "greedy-m", "--out", str(out),
                          f"--threads={threads}"], out,
                         f"{threads!r} is not a whole number of at least 1", capsys)
+
+
+def test_solve_refuses_a_solver_cmd_with_an_unknown_placeholder(tmp_path, tiny_manifest,
+                                                               capsys):
+    out = tmp_path / "out"
+    refused_with_exit_2(["solve", str(tiny_manifest[0]), "--method", "mc-external",
+                         "--out", str(out), "--solver-cmd", "cbc {lp_path} {foo}"], out,
+                        "argument --solver-cmd: solver command 'cbc {lp_path} {foo}': {foo} is "
+                        "not one of {lp_path}, {sol_path} and {time_limit}", capsys)
+
+
+def test_compare_gf_refuses_a_solver_cmd_that_names_no_program(tmp_path, tiny_manifest,
+                                                               capsys):
+    out = tmp_path / "out"
+    refused_with_exit_2(["compare-gf", str(tiny_manifest[0]), "--out", str(out),
+                         "--solver-cmd", "   "], out,
+                        "argument --solver-cmd: solver command '   ': names no program", capsys)
+
+
+@pytest.mark.parametrize("method", ["mc-external", "rh-even"])
+def test_a_malformed_solver_template_in_the_environment_gives_error_rows(
+        tmp_path, tiny_manifest, monkeypatch, method):
+    monkeypatch.setenv("EVCOVER_SOLVER_CMD", "cbc {lp_path} {foo}")
+    manifest, insts = tiny_manifest
+    out = tmp_path / "runs"
+    assert main(["solve", str(manifest), "--method", method, "--out", str(out)]) == 2
+    rows = read_rows_csv(out / f"rows.{method}.csv")
+    assert [r["status"] for r in rows] == ["error"] * len(insts)
+    assert {r["detail"] for r in rows} == {
+        "SolverCommandError: EVCOVER_SOLVER_CMD 'cbc {lp_path} {foo}': {foo} is not one of "
+        "{lp_path}, {sol_path} and {time_limit}"}
+
+
+def test_compare_gf_with_a_malformed_solver_template_in_the_environment_is_one_error_line(
+        tmp_path, tiny_manifest, monkeypatch, capsys):
+    monkeypatch.setenv("EVCOVER_SOLVER_CMD", "   ")
+    out = tmp_path / "cmp"
+    assert main(["compare-gf", str(tiny_manifest[0]), "--out", str(out),
+                 "--mc-method", "greedy-m"]) == 1
+    assert capsys.readouterr().err == \
+        "evcover compare-gf: EVCOVER_SOLVER_CMD '   ': names no program\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("radius", ["-5", "nan", "abc"])

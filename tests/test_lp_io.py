@@ -12,11 +12,13 @@ from evcover.covering import build_coverage
 from evcover.datasets import generate_small_dataset, generate_small_instance
 from evcover.growth import GrowthFunction, _solve_gf_model, build_gf_instance
 from evcover.instance import Instance
-from evcover.lp_io import (LpParseError, model_to_lp, parse_lp, parse_solution_pairs,
-                           parse_solution_sections, write_solution_pairs, parse_solution_file)
+from evcover.lp_io import (model_to_lp, parse_solution_pairs, parse_solution_sections,
+                           parse_solution_file)
 from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, ModelError, build_gf,
                           build_mc, build_sl, compute_bounds)
 from evcover.network import Network
+
+from lp_reference import LpParseError, parse_lp
 
 
 def toy_model():
@@ -127,9 +129,17 @@ def test_long_rows_wrap_and_reparse():
 # -- solution files ------------------------------------------------------------
 
 
+def write_pairs(path, status, objective, values):
+    """A pairs-style solution file: a status line, an objective line when there
+    is one, then one `name value` line per column, each float as repr writes it."""
+    lines = [f"status {status}"] + ([] if objective is None else [f"objective {objective!r}"])
+    path.write_text("\n".join(lines + [f"{name} {value!r}" for name, value in values.items()])
+                    + "\n", encoding="utf-8")
+
+
 def test_pairs_style_own_format(tmp_path):
     path = tmp_path / "a.sol"
-    write_solution_pairs(path, "optimal", 181.25, {"x_1_1_1": 1.0, "w_c0_r0_t1": 0.5})
+    write_pairs(path, "optimal", 181.25, {"x_1_1_1": 1.0, "w_c0_r0_t1": 0.5})
     status, obj, values = parse_solution_file(path)
     assert status == "optimal"
     assert obj == pytest.approx(181.25)
@@ -191,7 +201,7 @@ def bits(value):
        st.none() | _EXACT, st.dictionaries(_SOLUTION_NAMES, _EXACT, max_size=8))
 def test_solution_pairs_read_back_bit_for_bit(tmp_path_factory, status, objective, values):
     path = tmp_path_factory.mktemp("sol") / "m.sol"
-    write_solution_pairs(path, status, objective, values)
+    write_pairs(path, status, objective, values)
     got_status, got_objective, got_values = parse_solution_file(path)
     assert (got_status, bits(got_objective)) == (status, bits(objective))
     assert [(n, bits(v)) for n, v in got_values.items()] == \

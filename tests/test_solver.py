@@ -1,5 +1,4 @@
 import math
-import os
 import shlex
 import sys
 
@@ -14,15 +13,15 @@ from evcover.datasets import generate_small_instance
 from evcover.exact import brute_force_optimum
 from evcover.growth import build_gf_instance, generate_growth_function
 from evcover.heuristics import GreedyConfig, greedy
-from evcover.lp_io import export_lp, model_to_lp, parse_lp
+from evcover.lp_io import model_to_lp
 from evcover.milp import (BINARY, CONTINUOUS, INTEGER, MilpModel, build_gf, build_mc,
                           build_mc_period, build_sl, compute_bounds, extract_solution_x)
-from evcover.solver import (BUNDLED_DETAIL, STATUS_ERROR, STATUS_INFEASIBLE,
+from evcover.solver import (BUNDLED, BUNDLED_DETAIL, STATUS_ERROR, STATUS_INFEASIBLE,
                             STATUS_NOT_CONFIGURED, STATUS_OPTIMAL, STATUS_TIMEOUT,
-                            bundled_solver_command, resolve_solver_command, solve_external,
+                            SolverCommandError, resolve_solver_command, solve_external,
                             solve_model_inprocess)
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from lp_reference import parse_lp
 
 
 def infeasible_toy():
@@ -73,7 +72,35 @@ def test_not_configured_paths(monkeypatch):
     monkeypatch.setenv("EVCOVER_SOLVER_CMD", "custom {lp_path} {sol_path} {time_limit}")
     assert resolve_solver_command(None).startswith("custom ")
     monkeypatch.delenv("EVCOVER_SOLVER_CMD")
-    assert resolve_solver_command(None) == bundled_solver_command()
+    assert resolve_solver_command(None) == BUNDLED
+    assert solve_external(infeasible_toy(), BUNDLED).detail == BUNDLED_DETAIL
+
+
+MALFORMED_TEMPLATES = [
+    ("cbc {lp_path} {foo} {sol_path}",
+     "{foo} is not one of {lp_path}, {sol_path} and {time_limit}"),
+    ("   ", "names no program"),
+    ("echo {lp_path} {0}", "{0} is not one of {lp_path}, {sol_path} and {time_limit}"),
+    ("cbc {lp_path", "'{lp_path': expected '}' before end of string"),
+    ("cbc 'a {lp_path}", "cannot be split into words: No closing quotation"),
+    ("cbc {lp_path!r} {sol_path}", "{lp_path!r} is not one of"),
+]
+
+
+@pytest.mark.parametrize("template, problem", MALFORMED_TEMPLATES)
+def test_a_malformed_template_is_refused_when_resolved(template, problem):
+    with pytest.raises(SolverCommandError) as refused:
+        resolve_solver_command(template)
+    assert str(refused.value).startswith(f"solver command {template!r}: {problem}")
+
+
+@pytest.mark.parametrize("template, problem", MALFORMED_TEMPLATES)
+def test_a_malformed_template_in_the_environment_is_an_error_result(monkeypatch, template,
+                                                                    problem):
+    monkeypatch.setenv("EVCOVER_SOLVER_CMD", template)
+    res = solve_external(infeasible_toy(), time_limit_s=5)
+    assert res.status == STATUS_ERROR and not res.ok
+    assert res.detail.startswith(f"EVCOVER_SOLVER_CMD {template!r}: {problem}")
 
 
 def test_solver_subprocess_failure_reports_error():
@@ -131,41 +158,6 @@ def test_timeout_returns_incumbent():
         assert res.objective is not None
 
 
-def test_bundled_cli_main(tmp_path):
-    from evcover.lp_io import export_lp, parse_solution_file
-    from evcover.solver import main
-    lp = tmp_path / "m.lp"
-    sol = tmp_path / "m.sol"
-    export_lp(infeasible_toy(), lp)
-    assert main([str(lp), str(sol), "10"]) == 0
-    status, _, _ = parse_solution_file(sol)
-    assert status == STATUS_INFEASIBLE
-    assert main([str(tmp_path / "missing.lp"), str(sol)]) == 1
-
-
-@pytest.mark.parametrize("limit", ["0", "-5", "nan", "abc"])
-def test_bundled_cli_main_refuses_a_time_limit_that_is_not_positive_seconds(tmp_path, capsys,
-                                                                           limit):
-    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
-    export_lp(infeasible_toy(), lp)
-    assert solver.main([str(lp), str(sol), limit]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: evcover-lp-solve LP_FILE SOL_FILE [TIME_LIMIT_S]\n")
-    assert f"{limit!r} is not a positive, finite number of seconds" in err
-    assert not sol.exists()
-
-
-# -- the in-process bundled route against the spawned program it replaces ----------
-
-
-@pytest.fixture
-def child_env(monkeypatch):
-    """The spawned bundled program imports evcover from this checkout."""
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
-
-
 def reference_models(small_dataset):
     """MC, SL and first-period MC models of three tiny instances, a GF model
     and the infeasible toy."""
@@ -184,31 +176,12 @@ def reference_models(small_dataset):
     return models
 
 
-def test_inprocess_route_equals_spawned_program(small_dataset, child_env):
-    # the bundled program, spelled differently (trailing space) so that it is spawned
-    python = shlex.quote(sys.executable)
-    spawned = f"{python} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}} "
-    assert resolve_solver_command(spawned) != bundled_solver_command()
+def test_built_models_solve_as_their_lp_text(small_dataset):
+    # an LP-file solver reads the text, which leaves out zero coefficients (the
+    # SL models hold some); repr compares every float bit for bit
     for model in reference_models(small_dataset):
-        here = solve_external(model, time_limit_s=60)
-        child = solve_external(model, spawned, time_limit_s=60)
-        assert here.detail == BUNDLED_DETAIL
-        assert (here.status, here.objective, here.values) == \
-            (child.status, child.objective, child.values), model.name
-    assert [here.status, child.status] == [STATUS_INFEASIBLE] * 2
-
-
-def test_spawned_bundled_program_prints_nothing_on_success(child_env):
-    one = MilpModel("one", "max")
-    one.add_var("x", 0, 1, BINARY)
-    one.add_row("cap", {"x": 2.0}, "<=", 1.5)
-    one.set_objective({"x": 1.0})
-    python = shlex.quote(sys.executable)
-    spawned = f"{python} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}} "
-    res = solve_external(one, spawned, time_limit_s=30)
-    assert res.status == STATUS_OPTIMAL and res.values == {"x": 0.0}
-    assert "RuntimeWarning" not in res.detail
-    assert res.detail == ""
+        assert repr(solve_model_inprocess(model, 60)) == \
+            repr(solve_model_inprocess(parse_lp(model_to_lp(model)), 60)), model.name
 
 
 def test_default_route_starts_no_process(monkeypatch):
@@ -244,9 +217,10 @@ def thirds_model():
     return m
 
 
-def test_objective_is_the_exact_sum_on_both_routes(child_env):
-    python = shlex.quote(sys.executable)
-    spawned = f"{python} -m evcover.solver {{lp_path}} {{sol_path}} {{time_limit}} "
+def test_objective_is_the_exact_sum_on_both_routes():
+    # a spawned solver's file without an objective line: the adapter sums the values
+    writer = "import sys; open(sys.argv[1], 'w').write('status optimal\\na 1\\nb 1\\n')"
+    spawned = f"{shlex.quote(sys.executable)} -c \"{writer}\" {{sol_path}}"
     for command in (None, spawned):
         res = solve_external(thirds_model(), command, time_limit_s=30)
         assert res.status == STATUS_OPTIMAL and res.values == {"a": 1.0, "b": 1.0}
@@ -259,18 +233,18 @@ def test_default_route_reads_and_writes_no_solution_file(monkeypatch):
 
     monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
     monkeypatch.setattr(solver, "parse_solution_file", boom)
-    monkeypatch.setattr(solver, "write_solution_pairs", boom)
     res = solve_external(thirds_model(), time_limit_s=30)
     assert res.status == STATUS_OPTIMAL and res.detail == BUNDLED_DETAIL
     assert res.objective == 1 / 3 + 1234567.891234567 + 0.1
 
 
 def test_default_route_solves_the_model_it_was_given(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("the in-process route must not read LP text back")
+    def garbage(model, path):  # what the LP file holds does not reach the solve
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("not an LP file\n")
 
     monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
-    monkeypatch.setattr(solver, "parse_lp", boom)
+    monkeypatch.setattr(solver, "export_lp", garbage)
     res = solve_external(thirds_model(), time_limit_s=30)
     assert res.status == STATUS_OPTIMAL and res.detail == BUNDLED_DETAIL
     assert res.values == {"a": 1.0, "b": 1.0}

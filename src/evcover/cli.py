@@ -5,11 +5,16 @@ Every command is deterministic given its inputs, seed and config (solver
 wall times excepted). Outputs are plain files: instances as a JSON header
 line followed by the raw error tensors, manifests as JSON, rows and reports
 as CSV, models as LP text, per-node results as CSV and GeoJSON. `solve`
-runs every instance in a worker process, so a solve that kills its process
-costs only that instance's row. Exit code 2 flags runs in which at least one
-instance was skipped because a prerequisite (a configured solver, or an
-enumeration within its cap) was missing, or failed with an error (a solver
-that ran and failed, say); every other instance of the batch is still solved.
+hands one instance at a time to each of up to `--threads` worker processes.
+Each worker caps its address space at its share of physical memory, and a
+worker that dies, or has no result `--time-limit` + SOLVER_GRACE_S after it
+took its instance, is killed with everything it started: that instance gets
+an error row, a fresh worker takes the next one, and no instance is solved
+twice. Exit code 2 flags runs in which at least one instance was skipped
+because a prerequisite (a configured solver, or an enumeration within its
+cap) was missing, or failed with an error (a solver that ran and failed, a
+dead or overrunning worker, say); every other instance of the batch is still
+solved.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import os
+import resource
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -41,7 +48,8 @@ from .instance import Instance, InstanceError, load_instance, save_instance
 from .milp import ModelError, build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
-from .solver import SolverCommandError, resolve_solver_command, solve_external
+from .solver import (SOLVER_GRACE_S, SolverCommandError, resolve_solver_command,
+                     solve_external)
 
 METHODS = ("exact-enum", "mc-external", "sl-external", "greedy-m", "greedy-h",
            "grasp-m", "grasp-h", "rh-even", "rh-geom")
@@ -231,30 +239,97 @@ def _solve_one(args):
             "wall_time_s": wall, "termination": termination, "detail": detail}, sol
 
 
-def _in_pool(tasks, workers):
-    """Each task's `_solve_one` result from a pool of up to `workers` processes,
-    so no solve runs in the calling process. A worker that dies breaks the pool
-    and every task still in it, or not yet submitted to it, so the unfinished
-    tasks are rerun in two halves, each in a fresh pool: only a task that
-    breaks a pool of its own gets an error row."""
-    if not tasks:
-        return []
-    futures = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        try:
-            for task in tasks:
-                futures.append(pool.submit(_solve_one, task))
-        except BrokenProcessPool:
-            pass
-    if len(tasks) == 1 and futures[0].exception() is not None:
-        return [(_error_row(tasks[0][0], tasks[0][1], futures[0].exception()), None)]
-    results = [f.result() if f.exception() is None else None for f in futures]
-    results += [None] * (len(tasks) - len(futures))
-    broken = [i for i, result in enumerate(results) if result is None]
-    for half in (broken[:len(broken) // 2], broken[len(broken) // 2:]):
-        if half:
-            for i, result in zip(half, _in_pool([tasks[i] for i in half], workers)):
-                results[i] = result
+def _address_space_cap(workers):
+    """Each worker's address-space cap in bytes: an equal share of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // workers
+
+
+def _work(conn, supervisor_end, cap):
+    """A worker: it leads a process group of its own, so a solver it starts is
+    killed with it, caps its address space at `cap` bytes, so an over-large
+    solve fails in this worker, and then solves one task at a time. It closes
+    its copy of the supervisor's end of the pipe, so that it sees the end of
+    the pipe, and exits, when the supervisor is gone."""
+    supervisor_end.close()
+    os.setpgid(0, 0)
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY or soft > cap:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        while True:
+            conn.send(_solve_one(conn.recv()))
+    except (EOFError, BrokenPipeError):  # the supervisor is gone
+        pass
+
+
+def _start_worker(ctx, cap):
+    conn, child = ctx.Pipe()
+    process = ctx.Process(target=_work, args=(child, conn, cap))
+    process.start()
+    child.close()
+    return process, conn
+
+
+def _kill_group(process):
+    """Kill a worker and every process it started, and reap it."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the worker has not made its group yet
+        process.kill()
+    process.join()
+
+
+def _supervise(tasks, workers, deadline_s):
+    """Each task's `_solve_one` result, from up to `workers` worker processes
+    that are handed one task at a time, so no solve runs in the calling
+    process. A task whose worker dies, or that has no result `deadline_s`
+    after it was handed over, gets an error row; its worker is killed with
+    its process group, a fresh worker takes the next task, and no task runs
+    twice. Every worker is killed before this returns or raises."""
+    results = [None] * len(tasks)
+    n = min(workers, len(tasks))
+    ctx = multiprocessing.get_context()
+    todo = list(reversed(range(len(tasks))))
+    idle, busy = [], {}  # busy: result pipe -> (worker, task index, deadline)
+    try:
+        while todo or busy:
+            while todo and len(busy) < n:
+                process, conn = idle.pop() if idle else _start_worker(ctx, _address_space_cap(n))
+                i = todo.pop()
+                try:
+                    conn.send(tasks[i])
+                except OSError:  # a worker killed while idle is found dead below
+                    pass
+                busy[conn] = (process, i, time.monotonic() + deadline_s)
+            soonest = min(deadline for _, _, deadline in busy.values())
+            ready = wait([*busy, *(process.sentinel for process, _, _ in busy.values())],
+                         max(0.0, soonest - time.monotonic()))
+            for conn, (process, i, deadline) in list(busy.items()):
+                dead = process.sentinel in ready
+                if conn.poll():  # a result, or the end of a dead worker's pipe
+                    try:
+                        result = conn.recv()
+                    except (EOFError, OSError):
+                        dead = True
+                    else:
+                        results[i] = result
+                        del busy[conn]
+                        idle.append((process, conn))
+                        continue
+                if not dead and time.monotonic() < deadline:
+                    continue
+                del busy[conn]
+                _kill_group(process)
+                if not dead:
+                    detail = f"worker killed: no result within {deadline_s:g} s"
+                elif process.exitcode >= 0:
+                    detail = f"worker died: exit code {process.exitcode}"
+                else:
+                    detail = f"worker died: signal {-process.exitcode}"
+                results[i] = _failed_row(tasks[i][0], tasks[i][1], "error", detail), None
+    finally:
+        for process in [p for p, _ in idle] + [p for p, _, _ in busy.values()]:
+            _kill_group(process)
     return results
 
 
@@ -297,7 +372,7 @@ def cmd_solve(args):
                "alpha": args.alpha, "seed": args.seed}
     tasks = [(p, args.method, options) for p in paths]
     rows = []
-    for row, sol in _in_pool(tasks, args.threads):
+    for row, sol in _supervise(tasks, args.threads, args.time_limit + SOLVER_GRACE_S):
         rows.append(row)
         if sol is not None:
             trace = sol.pop("trace")

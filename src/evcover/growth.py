@@ -433,7 +433,7 @@ def write_node_ev_csv(instance: Instance, node_ev: dict, path):
         w = csv.writer(fh)
         w.writerow(["node_id", "x_km", "y_km", "population", "ev", "ev_pct"])
         for node in instance.network.nodes:
-            ev = node_ev.get(node.id, 0.0)
+            ev = float(node_ev.get(node.id, 0.0))
             pct = 100.0 * ev / node.population if node.population > 0 else 0.0
             w.writerow([node.id, repr(node.x), repr(node.y), repr(node.population),
-                        repr(float(ev)), repr(pct)])
+                        repr(ev), repr(pct)])

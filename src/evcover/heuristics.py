@@ -11,8 +11,9 @@ additions whose gain is at least alpha times the best gain; the local search
 takes the first improving move and leaves a period once a pass gains less
 than LOCAL_SEARCH_MIN_REL_GAIN of f; the GRASP filter acts after FILTER_WARMUP
 searched candidates and stops GRASP at MAX_FILTERED filtered ones; geometric
-rolling-horizon allocation gives period 1 FIRST_PERIOD_SHARE_S seconds and
-halves it every period.
+rolling-horizon allocation gives period 1 FIRST_PERIOD_SHARE_S seconds, or
+half the total time limit when that is less, and halves it every period, so
+every period gets a positive share and the shares stay within the total.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ HYPEROPTIC = "hyperoptic"
 FILTER_WARMUP = 10                 # searched candidates before the GRASP filter acts
 MAX_FILTERED = 500                 # GRASP stops after this many filtered candidates
 LOCAL_SEARCH_MIN_REL_GAIN = 1e-4   # a period's search stops below this relative gain
-FIRST_PERIOD_SHARE_S = 3600.0      # geometric allocation: period 1, halved every period
+FIRST_PERIOD_SHARE_S = 3600.0      # geometric allocation: period 1 at most, halved every period
 
 
 class HeuristicError(RuntimeError):
@@ -623,14 +624,8 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
 def _period_time_limits(config: RollingHorizonConfig, T):
     if config.allocation == "even":
         return [config.total_time_limit_s / T] * T
-    limits, remaining = [], config.total_time_limit_s
-    share = FIRST_PERIOD_SHARE_S
-    for _ in range(T):
-        lim = min(share, remaining)
-        limits.append(lim)
-        remaining -= lim
-        share /= 2.0
-    return limits
+    first = min(FIRST_PERIOD_SHARE_S, config.total_time_limit_s / 2.0)
+    return [first / 2.0 ** t for t in range(T)]
 
 
 def rolling_horizon(instance: Instance, coverage: CoverageTensor,

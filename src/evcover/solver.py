@@ -17,8 +17,10 @@ use no placeholder but those three.
 Bundled solver: scipy's HiGHS-backed MILP routine at zero MIP gap, run in
 the calling process on the model as it was built (the LP file is still
 written, and nothing reads it back). A caller that needs a large solve kept
-out of its own memory runs `solve_external` in a process of its own, as
-`evcover solve` does for every instance.
+out of its own memory, or cut off when HiGHS overruns its time limit, runs
+`solve_external` in a process of its own: `evcover solve` hands every
+instance to a worker process whose address space is capped, and kills the
+worker SOLVER_GRACE_S after the instance's time limit.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ STATUS_ERROR = "error"
 STATUS_NOT_CONFIGURED = "not-configured"
 
 BUNDLED_DETAIL = "bundled solver, in-process"
+
+SOLVER_GRACE_S = 60.0  # a solve still running this long after its time limit is killed
 
 
 @dataclass
@@ -113,13 +117,13 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
     """Write the model as LP and solve the LP file.
 
     The bundled solver runs in the calling process on the given model and
-    its answer is returned as HiGHS gives it; it has no grace timeout beyond
-    HiGHS's own time limit, and an exception inside it becomes an 'error'
-    result. Any other template runs as a subprocess, killed 60 s after the
-    time limit when one is given; `detail` keeps the tail of its output, and
-    a solution file that cannot be parsed is an 'error' result too. The
-    reported objective includes the model's objective constant (which is
-    not representable in LP text).
+    its answer is returned as HiGHS gives it; here it has no grace timeout
+    beyond HiGHS's own time limit, and an exception inside it becomes an
+    'error' result. Any other template runs as a subprocess, killed
+    SOLVER_GRACE_S after the time limit when one is given; `detail` keeps the
+    tail of its output, and a solution file that cannot be parsed is an
+    'error' result too. The reported objective includes the model's
+    objective constant (which is not representable in LP text).
     """
     try:
         command = resolve_solver_command(solver_command)
@@ -149,8 +153,8 @@ def solve_external(model: MilpModel, solver_command=None, time_limit_s=None) -> 
                 for part in shlex.split(command)
             ]
             try:
-                proc = subprocess.run(argv, capture_output=True, text=True,
-                                      timeout=None if time_limit_s is None else limit + 60.0)
+                timeout = None if time_limit_s is None else limit + SOLVER_GRACE_S
+                proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
             except subprocess.TimeoutExpired:
                 return failed("solver subprocess exceeded the grace timeout")
             except OSError as exc:

@@ -5,10 +5,10 @@ import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +147,14 @@ def test_a_solver_that_runs_and_fails_gives_error_rows(tmp_path, tiny_manifest, 
     assert f"{method}: 0 solved, 0 skipped, {len(insts)} failed" in capsys.readouterr().out
 
 
+def test_rh_geom_under_an_hour_solves_every_period(tmp_path, tiny_manifest):
+    manifest, insts = tiny_manifest
+    out = tmp_path / "rh"
+    assert main(["solve", str(manifest), "--method", "rh-geom", "--time-limit", "60",
+                 "--out", str(out)]) == 0
+    assert [r["status"] for r in read_rows_csv(out / "rows.rh-geom.csv")] == ["ok"] * len(insts)
+
+
 def test_mc_external_rows_say_where_the_answer_came_from(tmp_path, tiny_manifest,
                                                          monkeypatch):
     monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
@@ -182,17 +190,14 @@ def test_one_corrupt_instance_does_not_sink_the_batch(tmp_path, tiny_manifest, t
     assert (out / "instance_000.greedy-m.solution.json").exists()
 
 
-def _dies_on_instance_000(task):
-    if task[0].endswith("instance_000.json"):
-        os._exit(1)
-    time.sleep(0.2)  # the other tasks are still in the pool when its worker dies
-    return SOLVE_ONE(task)
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched solve reaches the workers only when they are forked")
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched solve reaches the workers only when they are forked")
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypatch, threads):
+@pytest.fixture
+def six_instances(tmp_path, tiny_manifest):
+    """A manifest of six instances (the tiny three, twice) and its serial greedy-m rows."""
     manifest, insts = tiny_manifest
     root = tmp_path / "ds"
     root.mkdir()
@@ -203,78 +208,189 @@ def test_a_dying_worker_costs_only_its_own_row(tmp_path, tiny_manifest, monkeypa
         entries.append({"path": name, "seed": 81, "index": idx})
     six = write_manifest(root, "small", 81, entries)
     assert main(["solve", str(six), "--method", "greedy-m", "--out", str(tmp_path / "serial")]) == 0
+    return six, read_rows_csv(tmp_path / "serial" / "rows.greedy-m.csv")
+
+
+def _only_instance_000_fails(rows, serial, detail):
+    assert [r["status"] for r in rows] == ["error"] + ["ok"] * 5
+    assert rows[0]["detail"] == detail
+    assert [r["f"] for r in rows[1:]] == [r["f"] for r in serial[1:]]
+    assert not multiprocessing.active_children()
+
+
+def _dies_on_instance_000(task):
+    if task[0].endswith("instance_000.json"):
+        os._exit(1)
+    time.sleep(0.2)  # the other worker is still solving when instance 0's worker dies
+    return SOLVE_ONE(task)
+
+
+@FORK_ONLY
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_dying_worker_costs_only_its_own_row(tmp_path, six_instances, monkeypatch, threads):
+    six, serial = six_instances
     monkeypatch.setattr(cli, "_solve_one", _dies_on_instance_000)
     out = tmp_path / "runs"
     assert main(["solve", str(six), "--method", "greedy-m", "--threads", threads,
                  "--out", str(out)]) == 2
-    rows = read_rows_csv(out / "rows.greedy-m.csv")
-    assert [r["status"] for r in rows] == ["error"] + ["ok"] * 5
-    assert rows[0]["detail"].startswith("BrokenProcessPool: ")
-    serial = read_rows_csv(tmp_path / "serial" / "rows.greedy-m.csv")
-    assert [r["f"] for r in rows[1:]] == [r["f"] for r in serial[1:]]
+    _only_instance_000_fails(read_rows_csv(out / "rows.greedy-m.csv"), serial,
+                             "worker died: exit code 1")
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched solve reaches the workers only when they are forked")
-def test_a_broken_pool_reruns_no_survivor_in_a_pool_of_its_own(tmp_path, tiny_manifest,
-                                                                 monkeypatch):
-    """Six tasks in two workers, and instance 0's worker dies: the unfinished
-    tasks are rerun in halves, so each of the other five completes in a pool
-    of two workers, and only instance 0 is left alone in a one-worker pool."""
-    pools = []  # (workers, instances completed) of every pool made
-
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.done = []
-            pools.append((max_workers, self.done))
-
-        def submit(self, fn, task):
-            future = super().submit(fn, task)
-            future.add_done_callback(
-                lambda f: f.exception() is None and self.done.append(Path(task[0]).name))
-            return future
-
-    manifest, insts = tiny_manifest
-    root = tmp_path / "ds"
-    root.mkdir()
-    entries = []
-    for idx in range(6):
-        name = f"instance_{idx:03d}.json"
-        shutil.copy(Path(manifest).parent / f"instance_{idx % len(insts):03d}.json", root / name)
-        entries.append({"path": name, "seed": 81, "index": idx})
-    six = write_manifest(root, "small", 81, entries)
-    monkeypatch.setattr(cli, "_solve_one", _dies_on_instance_000)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    assert main(["solve", str(six), "--method", "greedy-m", "--threads", "2",
-                 "--out", str(tmp_path / "runs")]) == 2
-    done = {name: workers for workers, names in pools for name in names}
-    assert done == {f"instance_{idx:03d}.json": 2 for idx in range(1, 6)}
-    assert [workers for workers, _ in pools].count(1) == 1
+def _sleeps_on_instance_000(task):
+    if task[0].endswith("instance_000.json"):
+        time.sleep(60)
+    return SOLVE_ONE(task)
 
 
-def test_tasks_a_broken_pool_refused_are_rerun(tmp_path, tiny_manifest, monkeypatch):
-    """A worker can die while tasks are still being submitted, and the pool
-    then refuses the rest: they are rerun like the tasks it broke."""
-    manifest, insts = tiny_manifest
-    assert main(["solve", str(manifest), "--method", "greedy-m", "--out",
-                 str(tmp_path / "serial")]) == 0
-    submitted = []
-
-    class RefusesTheSecondTask(cli.ProcessPoolExecutor):
-        def submit(self, fn, task):
-            submitted.append(task)
-            if len(submitted) == 2:
-                raise BrokenProcessPool("A child process terminated abruptly")
-            return super().submit(fn, task)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RefusesTheSecondTask)
+@FORK_ONLY
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_solve_past_its_deadline_costs_only_its_own_row(tmp_path, six_instances, monkeypatch,
+                                                          threads):
+    six, serial = six_instances
+    monkeypatch.setattr(cli, "_solve_one", _sleeps_on_instance_000)
+    monkeypatch.setattr(cli, "SOLVER_GRACE_S", 0.5)
     out = tmp_path / "runs"
-    assert main(["solve", str(manifest), "--method", "greedy-m", "--threads", "2",
-                 "--out", str(out)]) == 0
-    assert len(submitted) == len(insts) + 1
-    serial = read_rows_csv(tmp_path / "serial" / "rows.greedy-m.csv")
-    assert [r["f"] for r in read_rows_csv(out / "rows.greedy-m.csv")] == [r["f"] for r in serial]
+    start = time.monotonic()
+    assert main(["solve", str(six), "--method", "greedy-m", "--threads", threads,
+                 "--time-limit", "1", "--out", str(out)]) == 2
+    assert time.monotonic() - start < 30
+    _only_instance_000_fails(read_rows_csv(out / "rows.greedy-m.csv"), serial,
+                             "worker killed: no result within 1.5 s")
+
+
+def _address_space_in_use():
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+
+
+@FORK_ONLY
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_solve_past_the_memory_cap_costs_only_its_own_row(tmp_path, six_instances, monkeypatch,
+                                                            threads):
+    """Instance 0 asks for more address space than its worker's cap leaves:
+    the allocation fails in that solve, and the same worker goes on to solve
+    other instances."""
+    six, serial = six_instances
+    cap = _address_space_in_use() + (1 << 30)
+
+    def load_past_the_cap(path):
+        if path.endswith("instance_000.json"):
+            np.empty(cap, dtype=np.uint8)  # address space only: no page is touched
+        return load_instance(path)
+
+    def solve_naming_the_worker(task):
+        row, sol = SOLVE_ONE(task)
+        return dict(row, detail=f"{os.getpid()} {row['detail']}"), sol
+
+    monkeypatch.setattr(cli, "_address_space_cap", lambda workers: cap)
+    monkeypatch.setattr(cli, "load_instance", load_past_the_cap)
+    monkeypatch.setattr(cli, "_solve_one", solve_naming_the_worker)
+    out = tmp_path / "runs"
+    assert main(["solve", str(six), "--method", "greedy-m", "--threads", threads,
+                 "--out", str(out)]) == 2
+    rows = read_rows_csv(out / "rows.greedy-m.csv")
+    pids = [r["detail"].split(" ", 1)[0] for r in rows]
+    assert len(set(pids)) == int(threads) and pids[0] in pids[1:]  # no worker was replaced
+    assert "MemoryError: Unable to allocate" in rows[0]["detail"]
+    _only_instance_000_fails(rows, serial, rows[0]["detail"])
+
+
+def _gone(pid):
+    """Whether process `pid` has exited (a zombie that no one has reaped yet counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+        return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@FORK_ONLY
+def test_a_deadline_kills_the_solver_a_worker_started(tmp_path, tiny_manifest, monkeypatch):
+    """Instance 0's solve runs a command-template solver that sleeps: at the
+    deadline its worker and the solver are killed, and the other instances
+    are solved by the bundled solver as in the serial run."""
+    manifest, insts = tiny_manifest
+    pid_file = tmp_path / "solver.pid"
+    sleeper = (f"{shlex.quote(sys.executable)} -c "
+               + shlex.quote("import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid()));"
+                             " time.sleep(120)")
+               + f" {shlex.quote(str(pid_file))} {{lp_path}}")
+
+    def solve_instance_000_with_the_sleeper(task):
+        path, method, options = task
+        if path.endswith("instance_000.json"):
+            options = dict(options, solver_cmd=sleeper)
+        return SOLVE_ONE((path, method, options))
+
+    assert main(["solve", str(manifest), "--method", "mc-external", "--out",
+                 str(tmp_path / "serial")]) == 0
+    serial = read_rows_csv(tmp_path / "serial" / "rows.mc-external.csv")
+    monkeypatch.setattr(cli, "_solve_one", solve_instance_000_with_the_sleeper)
+    monkeypatch.setattr(cli, "SOLVER_GRACE_S", 1.0)
+    out = tmp_path / "runs"
+    assert main(["solve", str(manifest), "--method", "mc-external", "--threads", "2",
+                 "--time-limit", "4", "--out", str(out)]) == 2
+    rows = read_rows_csv(out / "rows.mc-external.csv")
+    assert [r["status"] for r in rows] == ["error"] + ["ok"] * (len(insts) - 1)
+    assert rows[0]["detail"] == "worker killed: no result within 5 s"
+    assert [r["f"] for r in rows[1:]] == [r["f"] for r in serial[1:]]
+    assert not multiprocessing.active_children()
+    deadline = time.monotonic() + 10
+    while not _gone(int(pid_file.read_text())) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(int(pid_file.read_text()))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_workers_exit_after_their_solve_when_the_supervisor_is_killed(tmp_path, tiny_manifest):
+    """`evcover solve` killed outright runs no `finally`: each worker finishes
+    the solve it holds, finds the supervisor gone and exits."""
+    manifest, _ = tiny_manifest
+    marks = tmp_path / "marks"  # the sleeping solver names the worker that started it
+    marks.mkdir()
+    sleeper = (f"{shlex.quote(sys.executable)} -c "
+               + shlex.quote("import os, sys, time; "
+                             "open(os.path.join(sys.argv[1], str(os.getppid())), 'w').close(); "
+                             "time.sleep(2)")
+               + f" {shlex.quote(str(marks))} {{lp_path}}")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.Popen([sys.executable, "-m", "evcover.cli", "solve", str(manifest),
+                             "--method", "mc-external", "--threads", "2", "--solver-cmd", sleeper,
+                             "--out", str(tmp_path / "runs")],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(marks)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait()
+    workers = [int(name) for name in os.listdir(marks)]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 30
+    while not all(map(_gone, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if not _gone(pid)]
+    for pid in left:
+        os.killpg(pid, signal.SIGKILL)
+    assert not left
+
+
+def test_no_worker_outlives_a_supervisor_that_fails(tmp_path, tiny_manifest, monkeypatch):
+    manifest, _ = tiny_manifest
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", str(manifest), "--method", "greedy-m", "--threads", "2",
+              "--out", str(tmp_path / "runs")])
+    assert not multiprocessing.active_children()
 
 
 def test_solve_mc_external_matches_exact(tmp_path, tiny_manifest):
@@ -611,8 +727,12 @@ def test_compare_gf_workflow(tmp_path, tiny_manifest):
     inst_path = os.path.join(os.path.dirname(manifest), "instance_000.json")
     assert main(["export", inst_path, "--formulation", "gf",
                  "--growth", str(out / "growth_function.csv"), "--out", str(tmp_path / "gf.lp")]) == 0
-    assert (out / "nodes_gf.csv").exists()
-    assert (out / "nodes_mc.csv").exists()
+    for name in ("nodes_gf.csv", "nodes_mc.csv"):
+        with open(out / name, encoding="utf-8") as fh:
+            nodes = list(csv.DictReader(fh))
+        assert [r["node_id"] for r in nodes] == list(insts[0].network.node_ids)
+        for row in nodes:
+            [float(row[c]) for c in ("x_km", "y_km", "population", "ev", "ev_pct")]
     geo = json.loads((out / "nodes_mc.geojson").read_text())
     assert geo["type"] == "FeatureCollection"
     assert len(geo["features"]) == len(insts[0].network.nodes)

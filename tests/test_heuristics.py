@@ -225,8 +225,9 @@ def test_rolling_horizon_allocations():
     assert even == [1800.0] * 4
     geo = _period_time_limits(RollingHorizonConfig("geometric", 7200.0), 4)
     assert geo == [3600.0, 1800.0, 900.0, 450.0]
-    capped = _period_time_limits(RollingHorizonConfig("geometric", 5000.0), 4)
-    assert capped[0] == 3600.0 and capped[1] == 1400.0 and capped[2] == 0.0
+    # under two hours, period 1 gets half the total, so every period gets a positive share
+    short = _period_time_limits(RollingHorizonConfig("geometric", 60.0), 3)
+    assert short == [30.0, 15.0, 7.5]
 
 
 def test_rolling_horizon_never_beats_brute_force():

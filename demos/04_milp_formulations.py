@@ -1,7 +1,9 @@
 """The two exact formulations, exported as LP text and solved.
 
 The single-level (SL) model carries the full utility machinery: Big-M
-discounting for closed stations and a linearised argmax step per triplet.
+discounting for closed stations and a linearised argmax step per triplet,
+over the stations that can cover the triplet (a triplet no station covers
+only adds its mass to the objective constant).
 The maximum-covering (MC) reformulation precomputes who covers whom and
 keeps only covering rows, which is why it solves orders of magnitude
 faster. Their optima are complementary: MC_max + SL_min equals the total

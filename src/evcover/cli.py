@@ -483,6 +483,7 @@ def cmd_compare_gf(args):
     mc_nodes = per_node_ev(instances[0], coverages[0], mc_xs[0])
     write_node_ev_csv(instances[0], mc_nodes, os.path.join(args.out, "nodes_mc.csv"))
     write_node_geojson(instances[0], mc_nodes, os.path.join(args.out, "nodes_mc.geojson"))
+    print(f"GF solve: {gf_sol.status}, objective {gf_sol.objective!r}")
     print(f"comparison -> {summary_path}")
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .covering import CoverageTensor, build_coverage, evaluate_per_period
 from .exact import period_extensions
 from .instance import Instance, SolutionX
 from .milp import build_gf
-from .solver import resolve_solver_command, solve_external
+from .solver import STATUS_OPTIMAL, resolve_solver_command, solve_external
 
 
 # GF prices: every outlet, and the opening of a station with no outlets yet
@@ -292,6 +292,8 @@ def build_gf_instance(instance: Instance, growth: GrowthFunction,
 class GfSolution:
     open: np.ndarray     # (J, T) bool
     outlets: np.ndarray  # (J, T) cumulative outlet counts, as in the model
+    status: str = ""                # how the solve that found it ended; "" when given by hand
+    objective: float | None = None  # that solve's objective: final-year EVs
 
 
 def extract_gf_solution(gf: GfInstance, values: dict) -> GfSolution:
@@ -347,12 +349,16 @@ def gf_forward_recursion(gf: GfInstance, solution: GfSolution) -> GfOutcome:
 
 
 def _solve_gf_model(gf_inst, solver_cmd, time_limit):
-    """Solve the GF model externally, or by enumeration when no solver is configured."""
+    """Solve the GF model externally, or by enumeration when no solver is
+    configured. The solution carries the solver's status and objective
+    ("feasible-timeout" when it stopped at its limit); an enumeration is
+    exhaustive, so its status is "optimal"."""
     command = resolve_solver_command(solver_cmd)
     if command is not None:
         result = solve_external(build_gf(gf_inst), command, time_limit_s=time_limit)
         if result.ok:
-            return extract_gf_solution(gf_inst, result.values)
+            return replace(extract_gf_solution(gf_inst, result.values),
+                           status=result.status, objective=result.objective)
         raise GrowthError(f"GF solve failed: {result.status} {result.detail}")
     return _solve_gf_by_enumeration(gf_inst)
 
@@ -392,7 +398,7 @@ def _solve_gf_by_enumeration(gf_inst):
             levels.pop()
 
     walk(0, [])
-    return best
+    return replace(best, status=STATUS_OPTIMAL, objective=float(best_total))
 
 
 def adjust_solution_max_outlets(gf: GfInstance, solution: GfSolution) -> SolutionX:

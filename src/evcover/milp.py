@@ -11,9 +11,13 @@ Variable name scheme (documented, relied on by the solution extractors):
   x_{station}_{k}_{t}          binary outlet-ladder variables
   w_t{t}_p{n}                  MC covering variables (continuous in [0, 1]), one per
                                covering pattern n of period t, in row cover_t{t}_p{n}
-  w_c{ci}_r{r}_t{t}_a{alt}     SL selection variables (binary; a-1 denotes home)
+  w_c{ci}_r{r}_t{t}_a{alt}     SL selection variables (binary; a0 is the opt-out)
   u_c{ci}_r{r}_t{t}_a{alt}     SL utilities (free)
   alpha_c{ci}_r{r}_t{t}        SL max-utility variables (free)
+                               The SL variables exist only for the triplets some
+                               station covers, and only for the opt-out and the
+                               stations that cover them; the N/R of a triplet no
+                               station covers is the SL objective constant.
   gx_{station}_t{t}, gy_{station}_t{t}, gw_s{s}_t{t}, gz_s{s}_t{t},
   gh_{node}_{station}_t{t}     GF outlet counts, openings, segment picks,
                                segment loads and per-node EV loads
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import CoverageTensor, compute_abar, preprocess_home_charging
+from .covering import CoverageTensor, build_coverage, compute_abar
 from .instance import HOME, OPT_OUT, Instance, SolutionX
 
 BINARY = "binary"
@@ -262,15 +266,26 @@ def compute_bounds(instance: Instance) -> BigMBounds:
 def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
     """Single-level model: minimise the opt-out mass subject to the ladder
     block, Big-M utility discounting, and the KKT-linearised choice step.
+
+    Only the (triplet, station) pairs a choice can reach get a block: the
+    stations that cover the triplet at some outlet count (`min_k > 0` in
+    `build_coverage`, whose `cum >= gap` compare is the one definition of
+    covering). Any other station stays strictly below the opt-out utility
+    even at its top outlet count, and a closed one at `abar` does too, so
+    `pick` could never choose it and its `amax` row is implied by the
+    opt-out's. A triplet that no station covers always picks the opt-out:
+    its N/R is the objective constant, and it gets no variables or rows.
     Home-forced triplets are dropped (their choice can never be opt-out).
     The open-utility upper row needs no slack for a closed station, because
     abar <= kappa + eps for every considered station and scenario: abar is
     their minimum, and compute_bounds only ever lowers it."""
     model = MilpModel("sl", "min")
     _add_x_block(model, instance, range(1, instance.horizon + 1), instance.initial_levels)
-    pre = preprocess_home_charging(instance)
+    coverage = build_coverage(instance)
+    trip = coverage.trip
+    forced = _forced(coverage, np.arange(trip.n_triplets))
     T = instance.horizon
-    obj = {}
+    obj, uncovered = {}, 0.0
 
     for ci, uc in enumerate(instance.user_classes):
         alt_index = instance.choice_sets.alt_index[ci]
@@ -278,17 +293,23 @@ def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
         bet = instance.utility_params.beta[ci]
         eps = instance.error_tensor[ci]
         weight = [uc.populations[t] / uc.scenario_count for t in range(T)]
-        forced = pre.forced[ci]
         for t in range(1, T + 1):
-            stations_t = [a for a in instance.choice_sets.c1[ci][t - 1]]
+            stations_t = np.array(instance.choice_sets.c1[ci][t - 1], dtype=int)
+            p0 = trip.triplet_id(ci, t - 1, 0)
+            reach = coverage.min_k[[instance.station_index[a] for a in stations_t],
+                                   p0:p0 + uc.scenario_count] > 0
             for r in range(uc.scenario_count):
-                if forced is not None and forced[r, t - 1]:
+                if forced[p0 + r]:
+                    continue
+                reached = [int(a) for a in stations_t[reach[:, r]]]
+                if not reached:
+                    uncovered += weight[t - 1]
                     continue
                 tag = f"c{ci}_r{r}_t{t}"
-                alts_block = [OPT_OUT] + stations_t
+                alts_block = [OPT_OUT] + reached
                 names_w, names_u = {}, {}
                 for alt in alts_block:
-                    a_tag = f"{tag}_a{alt if alt != HOME else -1}"
+                    a_tag = f"{tag}_a{alt}"
                     names_w[alt] = model.add_var(f"w_{a_tag}", lb=0.0, ub=1.0, kind=BINARY)
                     names_u[alt] = model.add_var(f"u_{a_tag}", lb=-math.inf, ub=math.inf)
                 alpha = model.add_var(f"alpha_{tag}", lb=-math.inf, ub=math.inf)
@@ -297,7 +318,7 @@ def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
                 o = alt_index[OPT_OUT]
                 model.add_row(f"uexo_{tag}", {names_u[OPT_OUT]: 1.0}, "=",
                               kap[o, t - 1] + eps[o, r, t - 1])
-                for alt in stations_t:
+                for alt in reached:
                     pos = alt_index[alt]
                     m_j = instance.stations[instance.station_index[alt]].max_outlets
                     nu = bounds.nu[ci][pos, r, t - 1]
@@ -323,7 +344,7 @@ def build_sl(instance: Instance, bounds: BigMBounds) -> MilpModel:
                 for alt in alts_block:
                     model.add_row(f"amax_{tag}_a{alt}",
                                   {alpha: 1.0, names_u[alt]: -1.0}, ">=", 0.0)
-    model.set_objective(obj)
+    model.set_objective(obj, constant=uncovered)
     return model
 
 
@@ -359,7 +380,7 @@ def _add_cover_rows(model, coverage, t, obj):
     trip = coverage.trip
     b0, b1 = trip.block(0, t - 1), trip.block(0, t)
     p = np.arange(trip.bit_start[b0], trip.bit_start[b1])
-    forced = np.unpackbits(coverage.forced_bits.view(np.uint8), bitorder="little")[trip.bit_of(p)]
+    forced = _forced(coverage, p)
     cols = coverage.min_k[:, p]
     keep = (forced == 0) & cols.any(axis=0)
     patterns, first, inverse = np.unique(cols[:, keep], axis=1, return_index=True,
@@ -374,6 +395,12 @@ def _add_cover_rows(model, coverage, t, obj):
         coeffs[w] = -1.0
         model.add_row(f"cover_t{t}_p{n}", coeffs, ">=", 0.0)
     return coverage.value_of_words(coverage.forced_bits[trip.word_slice(t)], t, t)
+
+
+def _forced(coverage, p):
+    """1 where triplet p is home-forced, else 0, for each triplet id in p."""
+    bits = np.unpackbits(coverage.forced_bits.view(np.uint8), bitorder="little")
+    return bits[coverage.trip.bit_of(p)]
 
 
 def build_mc_period(instance: Instance, coverage: CoverageTensor, t: int,

@@ -738,6 +738,32 @@ def test_compare_gf_workflow(tmp_path, tiny_manifest):
     assert len(geo["features"]) == len(insts[0].network.nodes)
 
 
+def test_compare_gf_says_how_its_gf_solve_ended(tmp_path, tiny_manifest, capsys, monkeypatch):
+    monkeypatch.delenv("EVCOVER_SOLVER_CMD", raising=False)
+    # a foreign solver that stops at its limit with an incumbent and no values
+    script = "import sys; open(sys.argv[1], 'w').write('feasible-timeout 123.5')"
+    timed_out = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)} {{sol_path}}"
+    said = {}
+    for route, solver_cmd in (("bundled", []), ("enumerated", ["--solver-cmd", "none"]),
+                              ("timed-out", ["--solver-cmd", timed_out])):
+        out = tmp_path / route
+        assert main(["compare-gf", str(tiny_manifest[0]), "--out", str(out),
+                     "--mc-method", "greedy-m", "--time-limit", "60", *solver_cmd]) == 0
+        *_, said[route], last = capsys.readouterr().out.splitlines()
+        assert last == f"comparison -> {out / 'comparison_summary.csv'}"
+        # the comparison tables keep their columns
+        with open(out / "comparison_rows.csv", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == ["instance", "gf", "gf_adjusted", "mc"]
+    assert said["timed-out"] == "GF solve: feasible-timeout, objective 123.5"
+    objective = {}
+    for route in ("bundled", "enumerated"):
+        status, value = re.fullmatch(r"GF solve: (\S+), objective (\S+)", said[route]).groups()
+        assert status == "optimal"
+        objective[route] = float(value)
+    assert objective["bundled"] == pytest.approx(objective["enumerated"], abs=1e-6)
+    assert objective["bundled"] > 0
+
+
 def test_compare_gf_runs_the_mc_method_once_per_instance(tmp_path, tiny_manifest,
                                                          monkeypatch):
     import evcover.cli as cli

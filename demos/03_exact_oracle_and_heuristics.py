@@ -2,8 +2,10 @@
 
 f is a sum of per-period terms and each period's options depend only on the
 previous period's outlet levels, so the optimum is a longest path over
-(period, level-vector) states. Valuing each reachable state once gives a
-certified optimum to measure greedy, GRASP and rolling horizon against.
+(period, level-vector) states. More outlets never lose coverage, so only
+budget-saturated states (no station can afford another outlet) need a value.
+Valuing each of those once gives a certified optimum to measure greedy, GRASP
+and rolling horizon against.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ inst = generate_small_instance(11, n_stations=3, horizon=2)
 cov = build_coverage(inst)
 
 n_states = sum(map(len, reachable_states(inst)))
-print(f"feasible schedules: {count_feasible(inst)}, reachable (period, levels) states: {n_states}")
+print(f"feasible schedules: {count_feasible(inst)}, "
+      f"budget-saturated (period, levels) states the DP values: {n_states}")
 x_star, f_star = brute_force_optimum(inst, cov)
 print(f"exact optimum f* = {f_star:.2f}")
 print("optimal outlet counts per (station, period):")

@@ -48,14 +48,17 @@ from .instance import Instance, InstanceError, load_instance, save_instance
 from .milp import ModelError, build_gf, build_mc, build_sl, compute_bounds, extract_solution_x
 from .network import NetworkError, generate_network, load_network, save_network
 from .lp_io import export_lp
-from .solver import (SOLVER_GRACE_S, SolverCommandError, resolve_solver_command,
-                     solve_external)
+from .solver import (SOLVER_GRACE_S, STATUS_TIMEOUT, SolverCommandError,
+                     resolve_solver_command, solve_external)
 
 METHODS = ("exact-enum", "mc-external", "sl-external", "greedy-m", "greedy-h",
            "grasp-m", "grasp-h", "rh-even", "rh-geom")
 
 DEFAULT_TIME_LIMIT = 7200.0
 BEST_EQUAL_TOL = 1e-9
+# terminations of a row whose method stopped at its time limit, with an answer
+# it did not finish: a solver's incumbent, or GRASP's incumbent so far
+CUT_SHORT = (STATUS_TIMEOUT, "time_limit")
 
 ROW_FIELDS = ["instance", "method", "status", "f", "wall_time_s", "termination", "detail"]
 
@@ -74,7 +77,8 @@ def nearest_rank_percentile(values, p):
 
 
 class RunReport:
-    """Per-instance rows plus per-method aggregates (times, gaps, # of best)."""
+    """Per-instance rows plus per-method aggregates (times, gaps, # of best,
+    # of rows cut short at a time limit)."""
 
     def __init__(self, rows):
         self.rows = [dict(r) for r in rows]
@@ -108,6 +112,7 @@ class RunReport:
                 "time_p5": nearest_rank_percentile(times, 5),
                 "time_avg": float(np.mean(times)),
                 "time_p95": nearest_rank_percentile(times, 95),
+                "n_cut": sum(r["termination"] in CUT_SHORT for r in rows),
             }
         return out
 
@@ -152,7 +157,7 @@ def read_rows_csv(path):
 
 def write_report_csv(path, aggregates):
     cols = ["method", "n", "gap_p5", "gap_avg", "gap_median", "gap_p95", "n_best",
-            "time_p5", "time_avg", "time_p95"]
+            "time_p5", "time_avg", "time_p95", "n_cut"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
@@ -406,12 +411,12 @@ def cmd_report(args):
     agg = report.aggregates()
     write_report_csv(args.out, agg)
     header = f"{'method':<14} {'n':>3} {'gap%_p5':>8} {'gap%_avg':>9} {'gap%_p95':>9} " \
-             f"{'#best':>5} {'t_p5':>8} {'t_avg':>8} {'t_p95':>8}"
+             f"{'#best':>5} {'t_p5':>8} {'t_avg':>8} {'t_p95':>8} {'#cut':>4}"
     print(header)
     for method, a in agg.items():
         print(f"{method:<14} {a['n']:>3} {a['gap_p5']:>8.3f} {a['gap_avg']:>9.3f} "
               f"{a['gap_p95']:>9.3f} {a['n_best']:>5} {a['time_p5']:>8.2f} "
-              f"{a['time_avg']:>8.2f} {a['time_p95']:>8.2f}")
+              f"{a['time_avg']:>8.2f} {a['time_p95']:>8.2f} {a['n_cut']:>4}")
     if report.skipped:
         print(f"({len(report.skipped)} skipped rows excluded)")
     print(f"report -> {args.out}")

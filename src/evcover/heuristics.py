@@ -98,19 +98,39 @@ def _initial_levels(instance):
     return np.repeat(instance.initial_levels[:, None], instance.horizon, axis=1)
 
 
-def _construct(instance, coverage, mode, select, trace=None, clock=None):
+class _ConstructTable:
+    """One run's construction tables: the price of each station's next
+    outlet, per level and period, the period limits, and what each
+    construction state scored so far led to.
+
+    A state is (period, levels.tobytes(), spend). Its levels fix the covered
+    bits and so the gains, and its spend fixes which stations can still
+    afford an outlet, so the state fixes its restricted candidate list (RCL):
+    the stations, their gains and their slot rows. A state with no RCL ends
+    its period, and the table holds that period's covered words instead. The
+    table serves one mode and one pick rule, as a run has."""
+
+    def __init__(self, instance):
+        cost = instance.cost_budget.outlet_cost
+        J, K, T = cost.shape
+        self.price = np.full((J, K + 1, T), np.inf)      # of the outlet after k; inf past m_j
+        self.price[:, :K] = np.where(np.arange(K)[:, None] < instance.max_outlets[:, None, None],
+                                     cost, np.inf)
+        self.limits = instance.cost_budget.budgets + BUDGET_TOL
+        self.states = {}
+
+
+def _construct(instance, coverage, mode, pick, trace=None, clock=None, table=None):
     """Common greedy skeleton: per period, repeatedly add one affordable outlet
-    chosen by `select` from the positive-score candidates, until no candidate
-    remains or no candidate gains anything. Returns the levels and their
-    covered bits, `coverage.cover_words(levels)`."""
+    drawn by `pick` from the RCL of the positive-score candidates, until no
+    candidate remains or no candidate gains anything. A state in `table` (a
+    fresh one by default) is not scored again: its RCL, or its period's
+    covered words, come from the table. Returns the levels and their covered
+    bits, `coverage.cover_words(levels)`."""
+    table = table or _ConstructTable(instance)
     J, T = instance.n_stations, instance.horizon
     levels = _initial_levels(instance)
-    cost = instance.cost_budget.outlet_cost
-    limits = instance.cost_budget.budgets + BUDGET_TOL
-    K, stations = cost.shape[1], np.arange(J)
-    price = np.full((J, K + 1, T), np.inf)      # of the outlet after k; inf past m_j
-    price[:, :K] = np.where(np.arange(K)[:, None] < instance.max_outlets[:, None, None], cost,
-                            np.inf)
+    stations = np.arange(J)
     words = np.empty(coverage.trip.n_words, dtype=np.uint64)
     for t in range(1, T + 1):
         if t > 1:
@@ -118,30 +138,42 @@ def _construct(instance, coverage, mode, select, trace=None, clock=None):
         lv = levels[:, t - 1]
         spent = 0.0
         t_to = t if mode == MYOPIC else T
-        span = coverage.trip.word_slice(t, t_to)
-        held = coverage.held_words(lv, t, t_to)
-        next_price = price[stations, lv, t - 1]
+        span, period = coverage.trip.word_slice(t, t_to), coverage.trip.word_slice(t)
+        # covered bits over t..t_to and each station's next price, kept from
+        # the period's first unscored state on
+        held = next_price = None
         while True:
-            cand_j = (spent + next_price <= limits[t - 1]).nonzero()[0]
-            if not cand_j.size:
+            key = (t, lv.tobytes(), spent)
+            entry = table.states.get(key)
+            if entry is None:
+                if held is None:
+                    held = coverage.held_words(lv, t, t_to)
+                    next_price = table.price[stations, lv, t - 1]
+                cand_j = (spent + next_price <= table.limits[t - 1]).nonzero()[0]
+                if cand_j.size:
+                    cand_rows = coverage.slot_base[cand_j] + lv[cand_j]      # slot (j, lv + 1)
+                    gains = coverage.slot_gains(cand_rows, held, t, t_to)
+                    keep = pick.rule(gains)
+                    if keep is not None:
+                        entry = cand_j[keep], gains[keep], cand_rows[keep]
+                if entry is None:
+                    entry = held[:period.stop - period.start].copy()
+                table.states[key] = entry
+            if isinstance(entry, np.ndarray):  # the period ends: its covered words
+                words[period] = entry
                 break
-            cand_rows = coverage.slot_base[cand_j] + lv[cand_j]      # slot (j, lv + 1)
-            gains = coverage.slot_gains(cand_rows, held, t, t_to)
-            pick = select(gains)
-            if pick is None:
-                break
-            j = int(cand_j[pick])
+            i = pick.draw(len(entry[0]))
+            j = int(entry[0][i])
             k = int(lv[j])
-            spent += next_price[j]
+            spent += float(table.price[j, k, t - 1])
             lv[j] = k + 1
-            next_price[j] = price[j, k + 1, t - 1]
-            held |= coverage.a_bits[cand_rows[pick], span]  # a[j][k] ⊆ a[j][k+1]: held_words(lv)
+            if held is not None:
+                held |= coverage.a_bits[entry[2][i], span]  # a[j][k] ⊆ a[j][k+1]: held_words(lv)
+                next_price[j] = table.price[j, k + 1, t - 1]
             if trace is not None:
                 trace.append({"period": t, "station": instance.stations[j].id,
-                              "k": k + 1, "score": float(gains[pick]),
+                              "k": k + 1, "score": float(entry[1][i]),
                               "elapsed": 0.0 if clock is None else time.perf_counter() - clock})
-        period = coverage.trip.word_slice(t)
-        words[period] = held[:period.stop - period.start]
     return levels, words
 
 
@@ -151,7 +183,7 @@ def greedy(instance: Instance, coverage: CoverageTensor, config: GreedyConfig | 
     config = config or GreedyConfig()
     start = time.perf_counter()
     trace = []
-    levels, words = _construct(instance, coverage, config.mode, _rcl_pick(1.0, None), trace, start)
+    levels, words = _construct(instance, coverage, config.mode, _RclPick(1.0, None), trace, start)
     f = coverage.value_of_words(words)
     for row in trace:
         row["f"] = None
@@ -165,21 +197,29 @@ def _solution(instance, levels):
     return SolutionX.from_levels(levels, int(instance.max_outlets.max(initial=0)))
 
 
-def _rcl_pick(alpha, rng):
-    """GRASP's pick: uniform from the restricted candidate list of
-    positive-gain additions within alpha of the best. With alpha = 1 it is
-    greedy's pick, the first best gain, and draws nothing (greedy's rng is None)."""
-    def pick(gains):
+class _RclPick:
+    """GRASP's pick in two parts. `rule` keeps the restricted candidate list
+    of positive-gain additions within alpha of the best, as indices into the
+    gains, or None when no gain is positive: a function of the gains alone,
+    which a construction table caches. `draw` takes one of the list's n
+    entries uniformly from the rng. With alpha = 1 the list is greedy's
+    pick, the first best gain, and nothing is drawn (greedy's rng is None)."""
+
+    def __init__(self, alpha, rng):
+        self.alpha, self.rng = alpha, rng
+
+    def rule(self, gains):
         if gains.size == 0:
             return None
         best = gains.max()
         if best <= 0.0:
             return None
-        if alpha >= 1.0:
-            return int(np.argmax(gains))
-        rcl = ((gains > 0.0) & (gains >= alpha * best - 1e-12)).nonzero()[0]
-        return int(rcl[rng.integers(len(rcl))])  # the draw rng.choice(rcl) makes
-    return pick
+        if self.alpha >= 1.0:
+            return [int(np.argmax(gains))]
+        return ((gains > 0.0) & (gains >= self.alpha * best - 1e-12)).nonzero()[0]
+
+    def draw(self, n):
+        return 0 if self.alpha >= 1.0 else int(self.rng.integers(n))  # the draw rng.choice makes
 
 
 def grasp_construct(instance, coverage, alpha, mode, rng) -> SolutionX:
@@ -187,7 +227,7 @@ def grasp_construct(instance, coverage, alpha, mode, rng) -> SolutionX:
     list of positive-gain additions within alpha of the best. With alpha = 1
     the greedy tie-break applies, so the output is exactly the greedy
     solution."""
-    levels, _ = _construct(instance, coverage, mode, _rcl_pick(alpha, rng))
+    levels, _ = _construct(instance, coverage, mode, _RclPick(alpha, rng))
     return _solution(instance, levels)
 
 
@@ -555,16 +595,18 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
     Terminates when max_solutions candidates have been examined, MAX_FILTERED
     candidates have been filtered out, or the time limit is reached. The local
     search is a function of its start, so a constructed schedule that was
-    searched before reuses that search's outcome.
+    searched before reuses that search's outcome. The constructions share one
+    table of the states they scored (`_ConstructTable`).
     """
     config = config or GraspConfig()
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     deadline = start + config.time_limit_s
-    pick = _rcl_pick(config.alpha, rng)
+    pick = _RclPick(config.alpha, rng)
 
     incumbent, incumbent_f = None, -np.inf
     searched = {}                      # start schedule bytes -> (levels, f)
+    constructs = _ConstructTable(instance)
     tables = _SearchTables(instance, coverage)
     examined = filtered = 0
     warmup_ratios: list[float] = []
@@ -586,7 +628,7 @@ def grasp(instance: Instance, coverage: CoverageTensor, config: GraspConfig | No
             if time.perf_counter() >= deadline:
                 termination = "time_limit"
                 break
-            levels_c, words = _construct(instance, coverage, config.mode, pick)
+            levels_c, words = _construct(instance, coverage, config.mode, pick, table=constructs)
             examined += 1
             f_c = coverage.value_of_words(words)
             if grasp_filter(f_c, incumbent_f, max_rel):

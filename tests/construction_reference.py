@@ -64,7 +64,7 @@ def reference_rcl_pick(alpha, rng):
 
 
 def reference_greedy_pick(gains):
-    """Greedy's pick before it became `_rcl_pick(1.0, None)`: None when no
+    """Greedy's pick before it became `_RclPick(1.0, None)`: None when no
     gain is positive, else the first best gain (lowest station index)."""
     if gains.size == 0 or gains.max() <= 0.0:
         return None

@@ -429,6 +429,28 @@ def test_an_ok_row_without_a_finite_number_is_one_error_line(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_report_counts_rows_cut_short(tmp_path):
+    """A row that stopped at its time limit is counted in n_cut, the last
+    column of report.csv, after the columns the report always had."""
+    row = {"method": "sl-external", "status": "ok", "wall_time_s": 10.2, "detail": ""}
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, [
+        {**row, "instance": "i0", "f": 49.30259733333334, "termination": "feasible-timeout"},
+        {**row, "instance": "i1", "f": 20.0, "termination": "optimal"},
+        {**row, "instance": "i0", "method": "exact-enum", "f": 60.0, "termination": "completed"},
+        {**row, "instance": "i0", "method": "grasp-m", "f": 55.0, "termination": "time_limit"},
+        {**row, "instance": "i1", "method": "grasp-m", "f": 20.0, "termination": "max_filtered"},
+    ])
+    out = tmp_path / "report.csv"
+    assert main(["report", str(path), "--out", str(out)]) == 0
+    with open(out) as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["method", "n", "gap_p5", "gap_avg", "gap_median", "gap_p95", "n_best",
+                      "time_p5", "time_avg", "time_p95", "n_cut"]
+    cut = {r[0]: (int(r[1]), int(r[-1])) for r in rows}
+    assert cut == {"exact-enum": (1, 0), "grasp-m": (2, 1), "sl-external": (2, 1)}
+
+
 def test_nearest_rank_definition():
     values = list(range(101))  # 0..100
     assert nearest_rank_percentile(values, 5) == 5

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from evcover.exact import (EnumerationCapExceeded, brute_force_optimum, count_fe
 from evcover.instance import BUDGET_TOL, SolutionX, validate_solution
 
 from conftest import enumerate_feasible, enumeration_optimum, manual_instance
+from dp_reference import reference_optimum, reference_reachable_states
 
 
 def recursive_count_oracle(inst):
@@ -133,6 +135,30 @@ def states_per_period(inst):
     return [len(s) for s in seen]
 
 
+def is_saturated(inst, base, vec, t_idx):
+    """vec extends base within period t_idx's budget, and no station of vec
+    can afford its next outlet."""
+    cost, limit = inst.cost_budget.outlet_cost[:, :, t_idx], inst.cost_budget.budgets[t_idx]
+    spend = sum(float(cost[j, base[j]:vec[j]].sum()) for j in range(inst.n_stations))
+    return spend <= limit + BUDGET_TOL and all(
+        vec[j] == inst.stations[j].max_outlets or spend + cost[j, vec[j]] > limit + BUDGET_TOL
+        for j in range(inst.n_stations))
+
+
+def saturated_states_per_period(inst):
+    """Independent count: distinct period-t level vectors reached from the
+    initial levels along saturated extensions, found by testing every level
+    vector of every period."""
+    layer, counts = {tuple(int(v) for v in inst.initial_levels)}, []
+    for t_idx in range(inst.horizon):
+        layer = {vec for base in layer
+                 for vec in itertools.product(*(range(b, s.max_outlets + 1)
+                                                for b, s in zip(base, inst.stations)))
+                 if is_saturated(inst, base, vec, t_idx)}
+        counts.append(len(layer))
+    return counts
+
+
 @st.composite
 def dp_instances(draw):
     """2-4 stations, horizon 1-3, at most 2 outlets; budgets from zero through
@@ -159,35 +185,49 @@ def dp_instances(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(inst=dp_instances())
 def test_dp_optimum_matches_enumeration(inst):
+    """The saturated DP against the DP over every state (`dp_reference.py`)
+    and against plain enumeration: the same f, from a feasible x whose f is
+    its own, over the saturated states only."""
     cov = build_coverage(inst)
     x, f = brute_force_optimum(inst, cov)
-    x_ref, f_ref = enumeration_optimum(inst, cov)
+    _, f_ref = reference_optimum(inst, cov)
+    _, f_enum = enumeration_optimum(inst, cov)
     assert validate_solution(inst, x).ok
     assert f == evaluate(inst, cov, x)
-    tol = 1e-12 * max(1.0, abs(f_ref))
-    assert abs(f - f_ref) <= tol
-    if not np.array_equal(x.levels, x_ref.levels):
-        # only a float near-tie may resolve differently from enumeration order
-        assert abs(evaluate(inst, cov, x_ref) - f) <= tol
-    assert sum(map(len, reachable_states(inst))) == sum(states_per_period(inst))
+    assert f == f_ref
+    assert abs(f - f_enum) <= 1e-12 * max(1.0, abs(f_enum))
+    states = sum(map(len, reachable_states(inst)))
+    assert states == sum(saturated_states_per_period(inst))
+    assert states <= sum(map(len, reference_reachable_states(inst))) \
+        == sum(states_per_period(inst))
 
 
 def test_dp_returns_enumeration_optimum_on_desk_instances():
+    """On the oracle-desk instances the saturated DP values 30 states where
+    the full one values 404, and returns the same f* from a saturated x.
+    That x is not enumeration's first optimum, which leaves budget unspent."""
     for seed in (1003, 1004):
         inst = generate_small_instance(seed, n_nodes=12, n_stations=5, horizon=4,
                                        max_outlets=2, max_scenarios=15, budget=250.0)
         cov = build_coverage(inst)
         x, f = brute_force_optimum(inst, cov)
-        x_ref, f_ref = enumeration_optimum(inst, cov)
-        assert f == f_ref
-        np.testing.assert_array_equal(x.levels, x_ref.levels)
-        assert sum(map(len, reachable_states(inst))) == 404
+        x_ref, f_ref = reference_optimum(inst, cov)
+        assert f == f_ref == enumeration_optimum(inst, cov)[1]
+        assert validate_solution(inst, x).ok
+        assert f == evaluate(inst, cov, x)
+        base = tuple(int(v) for v in inst.initial_levels)
+        for t_idx in range(inst.horizon):
+            assert is_saturated(inst, base, tuple(x.levels[:, t_idx]), t_idx)
+            base = tuple(x.levels[:, t_idx])
+        assert not np.array_equal(x.levels, x_ref.levels)
+        assert sum(map(len, reachable_states(inst))) == 30
+        assert sum(map(len, reference_reachable_states(inst))) == 404
 
 
 def test_state_cap_refuses_before_any_valuation(monkeypatch):
     inst = generate_small_instance(45, n_stations=3, horizon=3, budget=250.0)
     cov = build_coverage(inst)
-    per_period = states_per_period(inst)
+    per_period = saturated_states_per_period(inst)
     total = sum(per_period)
     assert per_period[0] >= 2
 
@@ -211,14 +251,15 @@ def test_state_cap_refuses_before_any_valuation(monkeypatch):
 
 
 def test_state_cap_refuses_inside_a_later_layer(monkeypatch):
-    inst = generate_small_instance(45, n_stations=3, horizon=3, budget=250.0)
+    inst = generate_small_instance(45, n_stations=4, horizon=3, budget=250.0)
     layers = reachable_states(inst)
-    # distinct period-2 states after each period-1 parent, in layer order
+    assert [len(layer) for layer in layers] == saturated_states_per_period(inst)
+    # distinct saturated period-2 states after each period-1 parent, in layer order
     reached, merged = {}, []
     for base in layers[0]:
         reached.update(dict.fromkeys(exact.period_extensions(
             base, inst.cost_budget.outlet_cost[:, :, 1], inst.max_outlets,
-            inst.cost_budget.budgets[1])))
+            inst.cost_budget.budgets[1], saturated=True)))
         merged.append(len(reached))
     assert list(reached) == layers[1]
     crossing = next(k for k, n in enumerate(merged) if n > merged[0])
@@ -237,10 +278,11 @@ def test_state_cap_refuses_inside_a_later_layer(monkeypatch):
 
 
 def test_state_cap_holds_at_most_the_cap_of_one_parents_extensions(monkeypatch):
-    # one parent, the initial levels, with every one of 4 ** 8 vectors affordable
-    inst = generate_small_instance(3, n_nodes=9, n_stations=8, horizon=1, max_outlets=3,
-                                   budget=1e6)
-    assert count_feasible(inst) == 4 ** 8
+    # one parent, the initial levels, with 68,971 saturated extensions
+    inst = generate_small_instance(3, n_nodes=10, n_stations=10, horizon=1, max_outlets=3,
+                                   budget=1500.0)
+    base = tuple(int(v) for v in inst.initial_levels)
+    assert sum(1 for _ in exact._instance_extensions(inst, base, 0, True)) == 68_971
     pulled = []
     extensions = exact._instance_extensions
 
@@ -260,9 +302,9 @@ def test_state_cap_holds_at_most_the_cap_of_one_parents_extensions(monkeypatch):
         tracemalloc.stop()
     assert err.value.cap == 100
     assert "by period 1" in str(err.value)
-    # refused at the first state past the cap, not after walking all 65,536
+    # refused at the first state past the cap, not after walking all 68,971
     assert len(pulled) <= 101
-    # the 65,536 tuples of the whole extension set would take ~15 MB
+    # the 68,971 tuples of the whole saturated set would take ~10 MB
     assert peak < 2_000_000
 
 
@@ -291,3 +333,28 @@ def test_period_extensions_match_plain_recursion():
         want = list(grow(0, (), 0.0))
         assert list(exact.period_extensions(base, cost, caps, budget)) == want
         assert want == sorted(want)
+
+
+def test_saturated_extensions_are_the_saturated_ones_among_all():
+    """Pruning inside the odometer and the grown lists keeps exactly the
+    extensions where no station can afford its next outlet, in the same
+    order, with free outlets, ceilings and budgets that fit nothing."""
+    rng = np.random.default_rng(6)
+    for _ in range(600):
+        J = int(rng.integers(0, exact.GROWN_STATIONS + 5))
+        caps = rng.integers(0, 4, J)
+        base = tuple(int(rng.integers(0, m + 1)) for m in caps)
+        if rng.random() < 0.5:
+            cost = np.round(rng.uniform(0.0, 100.0, (J, 4)), 2)
+        else:
+            cost = rng.choice([0.0, 50.0, 100.0, 150.0], (J, 4))
+        budget = float(rng.choice([0.0, 100.0, 150.0, rng.uniform(0.0, 400.0)]))
+        limit = budget + BUDGET_TOL
+
+        def saturated(vec):
+            spend = sum(float(cost[j, base[j]:vec[j]].sum()) for j in range(J))
+            return all(vec[j] == caps[j] or spend + cost[j, vec[j]] > limit for j in range(J))
+
+        want = [v for v in exact.period_extensions(base, cost, caps, budget) if saturated(v)]
+        assert want
+        assert list(exact.period_extensions(base, cost, caps, budget, saturated=True)) == want

@@ -12,9 +12,11 @@ afford its next outlet. Prices are non-negative and coverage nests
 s' >= s and c extends s, then max(c, s') extends s', costs no more and is
 worth no less. Every extension is below a saturated one (add affordable
 outlets until none is left), so the best saturated extension is a best
-extension, and the optimum over saturated paths is the optimum.
-`MAX_STATES` caps the reachable saturated states: the forward pass refuses at
-the first state past it, before any state is valued.
+extension, and the optimum over saturated paths is the optimum. The DP's
+backward pass and each period of the solver-less rolling horizon choose
+through one step, `_best_extension` (a period's covered mass is monotone
+too). `MAX_STATES` caps the reachable saturated states: the forward pass
+refuses at the first state past it, before any state is valued.
 """
 
 from __future__ import annotations
@@ -213,6 +215,21 @@ def _initial_state(instance):
     return tuple(int(v) for v in instance.initial_levels)
 
 
+def _best_extension(instance, base, t_idx, value):
+    """The first strict maximiser of `value` over base's saturated period-t_idx
+    extensions, and its value: a maximiser over all of them when `value` is
+    monotone in the level vector (module docstring). Refused at option
+    MAX_STATES + 1."""
+    best, best_v = None, -math.inf
+    for n, option in enumerate(_instance_extensions(instance, base, t_idx, True)):
+        if n == MAX_STATES:
+            raise EnumerationCapExceeded(MAX_STATES, f"options in period {t_idx + 1}")
+        v = value(option)
+        if v > best_v:
+            best, best_v = option, v
+    return best, best_v
+
+
 def brute_force_optimum(instance: Instance, coverage: CoverageTensor):
     """Maximiser of f over all feasible schedules: among the schedules whose
     every period is a saturated extension of the one before, the first
@@ -220,11 +237,10 @@ def brute_force_optimum(instance: Instance, coverage: CoverageTensor):
 
     Backward over the layers of `reachable_states`, V(s) is the period value
     of state s plus the best V among its saturated extensions, which is the
-    best V among all its extensions (module docstring). Keeping the first
-    strict maximum in period_extensions order and following the best choices
-    forward yields the lexicographically first saturated optimum. Each state
-    is valued once; MAX_STATES caps the reachable states before any is
-    valued."""
+    best V among all its extensions (module docstring). Choosing each state's
+    `_best_extension` under V and following the choices forward yields the
+    lexicographically first saturated optimum. Each state is valued once;
+    MAX_STATES caps the reachable states before any is valued."""
     layers = reachable_states(instance)
     T = len(layers)
     best_child = [None] * T
@@ -236,14 +252,9 @@ def brute_force_optimum(instance: Instance, coverage: CoverageTensor):
             v = [a + b for a, b in zip(v, v_next)]
         index = {s: i for i, s in enumerate(states)}
         parents = layers[t - 2] if t > 1 else [_initial_state(instance)]
-        v_next, choice = [], []
-        for base in parents:
-            kids = [index[e] for e in _instance_extensions(instance, base, t - 1, True)]
-            vals = [v[k] for k in kids]
-            best = max(vals)
-            v_next.append(best)
-            choice.append(kids[vals.index(best)])
-        best_child[t - 1] = np.array(choice, dtype=np.int64)
+        steps = [_best_extension(instance, base, t - 1, lambda s: v[index[s]]) for base in parents]
+        v_next = [best_v for _, best_v in steps]
+        best_child[t - 1] = np.array([index[best] for best, _ in steps], dtype=np.int64)
 
     levels = np.zeros((instance.n_stations, T), dtype=int)
     i = 0

@@ -2,9 +2,9 @@
 
 All heuristics work on outlet-count schedules (levels[j, t]) and only ever
 emit feasible solutions. Greedy is deterministic; GRASP is reproducible from
-its seed; rolling horizon delegates each period to the external solver (or
-to per-period enumeration, capped at `exact.MAX_STATES` options, when no
-solver is configured).
+its seed; rolling horizon delegates each period to the external solver or,
+when no solver is configured, to the exact DP's period step (the period's
+best budget-saturated extension, capped at `exact.MAX_STATES` options).
 
 The search rules are fixed: the GRASP restricted candidate list keeps the
 additions whose gain is at least alpha times the best gain; the local search
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import CoverageTensor, SwapBasis, evaluate
-from .exact import MAX_STATES, EnumerationCapExceeded, _instance_extensions
+from .exact import _best_extension
 from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
 from .solver import resolve_solver_command, solve_external
@@ -676,8 +676,8 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
     """Fix one period at a time: solve the period-t MC restriction under its
     time share, freeze the outcome, move on. Each period model carries the
     previous configuration as fixed lower bounds, which is also its warm
-    start. Falls back to per-period enumeration when no solver is configured;
-    a period with more than MAX_STATES options is refused."""
+    start. With no solver configured, each period takes the DP's exact step
+    (`exact._best_extension`), refused past MAX_STATES options."""
     config = config or RollingHorizonConfig()
     start = time.perf_counter()
     T = instance.horizon
@@ -698,7 +698,9 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
             trace.append({"period": t, "limit_s": limits[t - 1], "status": result.status,
                           "objective": result.objective, "wall_time": result.wall_time})
         else:
-            new_levels = _best_period_by_enumeration(instance, coverage, t, base)
+            new_levels = np.asarray(_best_extension(
+                instance, tuple(int(v) for v in base), t - 1,
+                lambda opt: coverage.value_of_words(coverage.held_words(opt, t, t), t, t))[0])
             trace.append({"period": t, "limit_s": limits[t - 1], "status": "enumerated",
                           "objective": None, "wall_time": None})
         levels[:, t - 1:] = new_levels[:, None]
@@ -707,18 +709,3 @@ def rolling_horizon(instance: Instance, coverage: CoverageTensor,
     f = evaluate(instance, coverage, x)
     return HeuristicResult(x, f, time.perf_counter() - start, trace,
                            termination="completed")
-
-
-def _best_period_by_enumeration(instance, coverage, t, base):
-    """The first strict maximiser of period t's value among the affordable
-    level vectors >= base, valued as they come; refused at option
-    MAX_STATES + 1."""
-    best_v, best = -np.inf, None
-    options = _instance_extensions(instance, tuple(int(v) for v in base), t - 1)
-    for n, opt in enumerate(options):
-        if n == MAX_STATES:
-            raise EnumerationCapExceeded(MAX_STATES, f"options in period {t}")
-        v = coverage.value_of_words(coverage.held_words(opt, t, t), t, t)
-        if v > best_v:
-            best_v, best = v, opt
-    return np.asarray(best, dtype=int)

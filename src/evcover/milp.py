@@ -40,6 +40,7 @@ CONTINUOUS = "continuous"
 INTEGER = "integer"
 
 _SENSES = ("<=", ">=", "=")
+ABAR_MARGIN = 1e-5  # compute_bounds lowers a failing abar this far below min_r u0
 # A name is one LP token: no space, colon, sign or relational character, and
 # no leading digit.
 _NAME = re.compile(r"[A-Za-z!\"#$%&(),;?@_'`{}|~.][A-Za-z0-9!\"#$%&(),;?@_'`{}|~.]*")
@@ -237,7 +238,7 @@ def compute_bounds(instance: Instance) -> BigMBounds:
         u0_min = base[o].min(axis=0)  # (T,)
         for t in range(T):
             if not np.isnan(abar[ci, t]) and abar[ci, t] >= u0_min[t]:
-                abar[ci, t] = u0_min[t] - 1e-6
+                abar[ci, t] = u0_min[t] - ABAR_MARGIN
                 adjusted.append((ci, t))
 
         n_alts = kap.shape[0]
@@ -256,7 +257,7 @@ def compute_bounds(instance: Instance) -> BigMBounds:
     if adjusted:
         warnings.warn(
             f"abar >= opt-out utility for {len(adjusted)} (class, period) pairs; "
-            "lowered to min_r u0 - 1e-6 to keep the Big-M sound", stacklevel=2)
+            f"lowered to min_r u0 - {ABAR_MARGIN:g} to keep the Big-M sound", stacklevel=2)
     return BigMBounds(abar, tuple(b_all), tuple(nu_all), tuple(mu_all), adjusted)
 
 

@@ -355,8 +355,8 @@ SCENARIO_COUNTS = st.one_of(st.integers(1, 70), st.sampled_from([63, 64, 65, 128
 
 
 @st.composite
-def tiny_instances(draw):
-    horizon = draw(st.integers(1, 3))
+def tiny_instances(draw, horizons=st.integers(1, 3)):
+    horizon = draw(horizons)
     max_outlets = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 10_000))
     if draw(st.booleans()):

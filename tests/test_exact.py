@@ -11,10 +11,12 @@ from evcover.covering import CoverageTensor, build_coverage, evaluate
 from evcover.datasets import generate_small_instance
 from evcover.exact import (EnumerationCapExceeded, brute_force_optimum, count_feasible,
                            random_feasible_solution, reachable_states)
+from evcover.heuristics import rolling_horizon
 from evcover.instance import BUDGET_TOL, SolutionX, validate_solution
 
 from conftest import enumerate_feasible, enumeration_optimum, manual_instance
 from dp_reference import reference_optimum, reference_reachable_states
+from test_covering import tiny_instances
 
 
 def recursive_count_oracle(inst):
@@ -358,3 +360,40 @@ def test_saturated_extensions_are_the_saturated_ones_among_all():
         want = [v for v in exact.period_extensions(base, cost, caps, budget) if saturated(v)]
         assert want
         assert list(exact.period_extensions(base, cost, caps, budget, saturated=True)) == want
+
+
+# -- the one period step of the DP and the solver-less rolling horizon -------------
+
+
+def period_value(cov, t):
+    return lambda levels: cov.value_of_words(cov.held_words(levels, t, t), t, t)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(inst=tiny_instances(), seed=st.integers(0, 10_000))
+def test_best_saturated_extension_is_a_best_extension(inst, seed):
+    """From a random feasible schedule's period t-1 levels, the best period-t
+    value over the saturated extensions is the best over every extension."""
+    cov = build_coverage(inst)
+    rng = np.random.default_rng(seed)
+    levels = random_feasible_solution(inst, rng).levels
+    t = int(rng.integers(1, inst.horizon + 1))
+    base = tuple(int(v) for v in (levels[:, t - 2] if t > 1 else inst.initial_levels))
+    best, best_v = exact._best_extension(inst, base, t - 1, period_value(cov, t))
+    assert is_saturated(inst, base, best, t - 1)
+    assert best_v == period_value(cov, t)(best)
+    assert best_v == max(map(period_value(cov, t),
+                             exact._instance_extensions(inst, base, t - 1, saturated=False)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(inst=tiny_instances(horizons=st.just(1)))
+def test_one_period_rolling_horizon_is_the_dp(inst):
+    """Over one period both routes take the same step from the initial levels."""
+    cov = build_coverage(inst)
+    x, f = brute_force_optimum(inst, cov)
+    res = rolling_horizon(inst, cov, solver="none")
+    np.testing.assert_array_equal(res.x.levels, x.levels)
+    assert res.f == f

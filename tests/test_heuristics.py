@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evcover import heuristics
+from evcover import exact, heuristics
 from evcover.covering import build_coverage, evaluate, gap, score_hyperoptic, score_myopic
 from evcover.datasets import generate_small_instance
 from evcover.exact import EnumerationCapExceeded, brute_force_optimum
@@ -250,23 +250,24 @@ def test_rolling_horizon_enumeration_fallback_matches_solver():
 
 def test_rolling_horizon_enumeration_refuses_at_the_first_option_past_the_cap(monkeypatch):
     # period 1 has no budget, so its one option is the initial levels; period 2
-    # can afford every one of the 4 ** 4 level vectors
+    # has 16 saturated options (of 31 affordable level vectors)
     inst = manual_instance(n_stations=4, max_outlets=3, horizon=2)
-    cost = CostBudget(inst.cost_budget.outlet_cost, [0.0, 1e6])
+    cost = CostBudget(inst.cost_budget.outlet_cost, [0.0, 350.0])
     inst = Instance(inst.network, inst.stations, inst.user_classes, inst.horizon, cost,
                     inst.utility_params, inst.choice_sets, inst.error_tensor, inst.metadata)
     cov = build_coverage(inst)
+    extensions = exact._instance_extensions
+    assert sum(1 for _ in extensions(inst, (0, 0, 0, 0), 1, True)) == 16
     pulled = []
-    extensions = heuristics._instance_extensions
 
-    def counted(instance, base, t_idx):
+    def counted(*args):
         pulled.append(0)
-        for option in extensions(instance, base, t_idx):
+        for option in extensions(*args):
             pulled[-1] += 1
             yield option
 
-    monkeypatch.setattr(heuristics, "_instance_extensions", counted)
-    monkeypatch.setattr(heuristics, "MAX_STATES", 10)
+    monkeypatch.setattr(exact, "_instance_extensions", counted)
+    monkeypatch.setattr(exact, "MAX_STATES", 10)
     with pytest.raises(EnumerationCapExceeded) as err:
         rolling_horizon(inst, cov, solver="none")
     assert str(err.value) == "more than 10 options in period 2"

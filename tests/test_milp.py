@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evcover.covering import build_coverage, compute_abar, evaluate, optout_utility, \
@@ -81,7 +81,7 @@ def test_abar_patched_when_r_too_small():
     inst = manual_instance(kappa_station=6.0, kappa_optout=1.0)
     with pytest.warns(UserWarning, match="abar"):
         bounds = compute_bounds(inst)
-    assert bounds.abar[0, 0] == pytest.approx(1.0 - 1e-6)
+    assert bounds.abar[0, 0] == pytest.approx(1.0 - 1e-5, abs=1e-12)
     assert (0, 0) in bounds.abar_adjusted
     bounds.verify()  # still sound
 
@@ -411,14 +411,24 @@ def _sl_optimum(model):
     return obj + model.objective_constant
 
 
+def test_sl_solves_where_abar_is_lowered():
+    """With abar lowered only 1e-6 below the opt-out utility, HiGHS called
+    this instance's SL model infeasible (the reference model's too)."""
+    inst = _home_instance(np.random.default_rng(7), n_stations=1, horizon=2, scenarios=2)
+    with pytest.warns(UserWarning, match="abar"):
+        bounds = compute_bounds(inst)
+    assert bounds.abar_adjusted
+    cov = build_coverage(inst)
+    demand = sum(float(np.sum(uc.populations)) for uc in inst.user_classes)
+    f_star = brute_force_optimum(inst, cov)[1]
+    for model in (build_sl(inst, bounds), reference_build_sl(inst, bounds)):
+        assert _sl_optimum(model) + f_star == pytest.approx(demand, abs=1e-6)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=sl_cases())
 def test_sl_over_reachable_pairs_keeps_the_full_models_optimum(inst):
     with warnings.catch_warnings(record=True):
         bounds = compute_bounds(inst)
-    # where compute_bounds lowers abar to 1e-6 below an opt-out utility, the
-    # bundled HiGHS now and then calls the reference and the reduced model alike
-    # infeasible, or fails, on tiny instances (a known fault of that edge)
-    assume(not bounds.abar_adjusted)
     assert _sl_optimum(build_sl(inst, bounds)) == pytest.approx(
         _sl_optimum(reference_build_sl(inst, bounds)), abs=1e-6)

@@ -38,7 +38,8 @@ res = grasp(inst, cov, GraspConfig(alpha=0.85, mode="myopic", max_solutions=300,
 n_filtered = sum(1 for r in res.trace if r.get("filtered"))
 rows.append((f"GRASP ({res.termination}, {n_filtered} filtered)", res.f, res.wall_time))
 
-# rolling horizon: one period at a time through the bundled MILP solver
+# rolling horizon: one period at a time, each by the DP's exact step; only a
+# period past exact.MAX_STATES options would go to the bundled MILP solver
 rh = rolling_horizon(inst, cov, RollingHorizonConfig(total_time_limit_s=60.0))
 rows.append(("rolling horizon (even)", rh.f, rh.wall_time))
 

@@ -13,10 +13,10 @@ s' >= s and c extends s, then max(c, s') extends s', costs no more and is
 worth no less. Every extension is below a saturated one (add affordable
 outlets until none is left), so the best saturated extension is a best
 extension, and the optimum over saturated paths is the optimum. The DP's
-backward pass and each period of the solver-less rolling horizon choose
-through one step, `_best_extension` (a period's covered mass is monotone
-too). `MAX_STATES` caps the reachable saturated states: the forward pass
-refuses at the first state past it, before any state is valued.
+backward pass and each period of the rolling horizon choose through one
+step, `_best_extension` (a period's covered mass is monotone too).
+`MAX_STATES` caps the reachable saturated states: the forward pass refuses
+at the first state past it, before any state is valued.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 GROWN_STATIONS = 5  # period_extensions grows this many trailing stations per run
 
 # Reachable (period, level-vector) states of the DP oracle, and options of one
-# period for the solver-less rolling horizon, refused past this. The oracle's
-# peak RSS grows by about 335 bytes per state at 30 stations (270 at 10), so
-# the cap admits at most ~1.3 GB.
+# rolling-horizon period, refused past this. The oracle's peak RSS grows by
+# about 335 bytes per state at 30 stations (270 at 10), so the cap admits at
+# most ~1.3 GB. A rolling-horizon period past the cap goes to the configured
+# solver (skipped without one), after its walk of MAX_STATES options.
 MAX_STATES = 4_000_000
 
 

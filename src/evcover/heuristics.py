@@ -2,9 +2,9 @@
 
 All heuristics work on outlet-count schedules (levels[j, t]) and only ever
 emit feasible solutions. Greedy is deterministic; GRASP is reproducible from
-its seed; rolling horizon delegates each period to the external solver or,
-when no solver is configured, to the exact DP's period step (the period's
-best budget-saturated extension, capped at `exact.MAX_STATES` options).
+its seed; rolling horizon takes the exact DP's period step in each period
+(the period's best budget-saturated extension), and hands a period to the
+configured solver only when it has more than `exact.MAX_STATES` options.
 
 The search rules are fixed: the GRASP restricted candidate list keeps the
 additions whose gain is at least alpha times the best gain; the local search
@@ -14,10 +14,12 @@ searched candidates and stops GRASP at MAX_FILTERED filtered ones; geometric
 rolling-horizon allocation gives period 1 FIRST_PERIOD_SHARE_S seconds, or
 half the total time limit when that is less, and halves it every period, so
 every period gets a positive share and the shares stay within the total.
+Only a period that goes to the solver uses its share.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covering import CoverageTensor, SwapBasis, evaluate
-from .exact import _best_extension
+from .exact import EnumerationCapExceeded, _best_extension
 from .instance import BUDGET_TOL, Instance, SolutionX, period_costs
 from .milp import build_mc_period, extract_solution_x
 from .solver import resolve_solver_command, solve_external
@@ -70,6 +72,7 @@ class GraspConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.mode not in (MYOPIC, HYPEROPTIC):
             raise ValueError(f"unknown search mode {self.mode!r}")
+        _check_time_limit("time_limit_s", self.time_limit_s)
 
 
 @dataclass
@@ -80,6 +83,14 @@ class RollingHorizonConfig:
     def __post_init__(self):
         if self.allocation not in ("even", "geometric"):
             raise ValueError("allocation must be 'even' or 'geometric'")
+        _check_time_limit("total_time_limit_s", self.total_time_limit_s)
+
+
+def _check_time_limit(name, seconds):
+    """A NaN limit would slip past every comparison, and a limit of zero or
+    less would end a run before it starts or reach a solver as no limit."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{name} must be a positive, finite number of seconds, not {seconds!r}")
 
 
 @dataclass
@@ -673,39 +684,39 @@ def _period_time_limits(config: RollingHorizonConfig, T):
 def rolling_horizon(instance: Instance, coverage: CoverageTensor,
                     config: RollingHorizonConfig | None = None,
                     solver=None) -> HeuristicResult:
-    """Fix one period at a time: solve the period-t MC restriction under its
-    time share, freeze the outcome, move on. Each period model carries the
-    previous configuration as fixed lower bounds, which is also its warm
-    start. With no solver configured, each period takes the DP's exact step
-    (`exact._best_extension`), refused past MAX_STATES options."""
+    """Fix one period at a time: choose its levels, freeze them, move on. A
+    period takes the DP's exact step (`exact._best_extension`); only a period
+    past MAX_STATES options solves its MC restriction, with the previous
+    levels as fixed lower bounds, under its time share. With no solver
+    configured, that period's EnumerationCapExceeded propagates."""
     config = config or RollingHorizonConfig()
     start = time.perf_counter()
-    T = instance.horizon
-    limits = _period_time_limits(config, T)
+    limits = _period_time_limits(config, instance.horizon)
     command = resolve_solver_command(solver)
     levels = _initial_levels(instance)
-    base = instance.initial_levels.copy()
+    base = instance.initial_levels
     trace = []
-    for t in range(1, T + 1):
-        if command is not None:
-            model = build_mc_period(instance, coverage, t, base)
-            result = solve_external(model, command, time_limit_s=limits[t - 1])
+    for t in range(1, instance.horizon + 1):
+        period_start = time.perf_counter()
+        try:
+            new_levels, objective = _best_extension(
+                instance, tuple(int(v) for v in base), t - 1,
+                lambda opt: coverage.value_of_words(coverage.held_words(opt, t, t), t, t))
+            status = "enumerated"
+        except EnumerationCapExceeded:
+            if command is None:
+                raise
+            result = solve_external(build_mc_period(instance, coverage, t, base), command,
+                                    time_limit_s=limits[t - 1])
             if not result.ok:
                 raise HeuristicError(
                     f"period {t}: solver failed with status {result.status} ({result.detail})")
-            x_t = extract_solution_x(instance, result.values)
-            new_levels = x_t.levels[:, t - 1]
-            trace.append({"period": t, "limit_s": limits[t - 1], "status": result.status,
-                          "objective": result.objective, "wall_time": result.wall_time})
-        else:
-            new_levels = np.asarray(_best_extension(
-                instance, tuple(int(v) for v in base), t - 1,
-                lambda opt: coverage.value_of_words(coverage.held_words(opt, t, t), t, t))[0])
-            trace.append({"period": t, "limit_s": limits[t - 1], "status": "enumerated",
-                          "objective": None, "wall_time": None})
-        levels[:, t - 1:] = new_levels[:, None]
-        base = new_levels
+            new_levels = extract_solution_x(instance, result.values).levels[:, t - 1]
+            status, objective = result.status, result.objective
+        trace.append({"period": t, "limit_s": limits[t - 1], "status": status,
+                      "objective": objective, "wall_time": time.perf_counter() - period_start})
+        base = np.asarray(new_levels)
+        levels[:, t - 1:] = base[:, None]
     x = _solution(instance, levels)
-    f = evaluate(instance, coverage, x)
-    return HeuristicResult(x, f, time.perf_counter() - start, trace,
-                           termination="completed")
+    return HeuristicResult(x, evaluate(instance, coverage, x), time.perf_counter() - start,
+                           trace, termination="completed")

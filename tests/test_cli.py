@@ -118,22 +118,29 @@ def test_solve_greedy_then_exact_gaps_nonnegative(tmp_path, tiny_manifest):
     assert (out / "instance_000.greedy-m.solution.json").exists()
 
 
-def test_solve_skips_without_solver(tmp_path, tiny_manifest, monkeypatch):
-    manifest, _ = tiny_manifest
+@pytest.mark.parametrize("method, detail", [
+    ("mc-external", "external solver not configured"),
+    # period 1 of every instance has more than one option
+    ("rh-even", "more than 1 options in period 1"),
+])
+def test_solve_skips_without_solver(tmp_path, tiny_manifest, monkeypatch, method, detail):
+    monkeypatch.setattr(exact, "MAX_STATES", 1)
+    manifest, insts = tiny_manifest
     out = tmp_path / "skip"
-    rc = main(["solve", str(manifest), "--method", "mc-external",
+    rc = main(["solve", str(manifest), "--method", method,
                "--solver-cmd", "none", "--out", str(out)])
     assert rc == 2  # nonzero summary flag
-    rows = read_rows_csv(out / "rows.mc-external.csv")
-    assert all(r["status"] == "skipped" for r in rows)
-    assert all("not configured" in r["detail"] for r in rows)
+    rows = read_rows_csv(out / f"rows.{method}.csv")
+    assert [(r["status"], r["detail"]) for r in rows] == [("skipped", detail)] * len(insts)
 
 
 @pytest.mark.parametrize("method", ["mc-external", "rh-even"])
 def test_a_solver_that_runs_and_fails_gives_error_rows(tmp_path, tiny_manifest, capsys,
-                                                       method):
+                                                       monkeypatch, method):
     # the solver runs, exits 0 and writes no solution file: a failure, not a
-    # missing prerequisite
+    # missing prerequisite. Under a cap of one option, every rh-even period
+    # with a choice to make goes to the solver.
+    monkeypatch.setattr(exact, "MAX_STATES", 1)
     manifest, insts = tiny_manifest
     out = tmp_path / "failed"
     rc = main(["solve", str(manifest), "--method", method, "--out", str(out),
@@ -147,12 +154,20 @@ def test_a_solver_that_runs_and_fails_gives_error_rows(tmp_path, tiny_manifest, 
     assert f"{method}: 0 solved, 0 skipped, {len(insts)} failed" in capsys.readouterr().out
 
 
-def test_rh_geom_under_an_hour_solves_every_period(tmp_path, tiny_manifest):
+def test_rh_geom_under_an_hour_solves_every_period(tmp_path, tiny_manifest, monkeypatch):
+    # each period of these instances has at least two saturated options, so
+    # under a cap of one every period goes to the solver
+    monkeypatch.setattr(exact, "MAX_STATES", 1)
     manifest, insts = tiny_manifest
     out = tmp_path / "rh"
     assert main(["solve", str(manifest), "--method", "rh-geom", "--time-limit", "60",
                  "--out", str(out)]) == 0
     assert [r["status"] for r in read_rows_csv(out / "rows.rh-geom.csv")] == ["ok"] * len(insts)
+    for inst in insts:
+        name = f"instance_{inst.metadata['instance_index']:03d}.rh-geom.trace.jsonl"
+        periods = [json.loads(ln) for ln in (out / name).read_text().splitlines()]
+        assert [p["status"] for p in periods] == ["optimal"] * inst.horizon
+        assert [p["limit_s"] for p in periods] == [30.0 / 2 ** t for t in range(inst.horizon)]
 
 
 def test_mc_external_rows_say_where_the_answer_came_from(tmp_path, tiny_manifest,
@@ -842,7 +857,8 @@ def test_solve_writes_machine_readable_trace(tmp_path, tiny_manifest):
 
 
 
-# Load, coverage, the solver-free methods and distance queries need no scipy.
+# Load, coverage, the solver-free methods, a rolling horizon whose periods all
+# stay below the option cap, and distance queries need no scipy.
 NO_SCIPY_ROUTE = """
 import sys
 from evcover import cli
@@ -853,8 +869,9 @@ src, copy = sys.argv[1:3]
 save_instance(load_instance(src), copy)
 inst = load_instance(copy)
 cov = build_coverage(inst)
-for method in ("greedy-m", "grasp-m", "exact-enum", "rh-even"):
-    cli.run_method(inst, cov, method, solver_cmd="none", time_limit=2.0)
+for method, solver_cmd in (("greedy-m", "none"), ("grasp-m", "none"), ("exact-enum", "none"),
+                           ("rh-even", "none"), ("rh-even", None)):
+    cli.run_method(inst, cov, method, solver_cmd=solver_cmd, time_limit=2.0)
 loaded = sorted(m for m in sys.modules
                 if m.startswith(("scipy.sparse", "scipy.spatial", "scipy.optimize")))
 assert not loaded, loaded

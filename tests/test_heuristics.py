@@ -1,3 +1,7 @@
+import math
+import shlex
+import sys
+
 import numpy as np
 import pytest
 
@@ -197,7 +201,8 @@ def test_grasp_termination_reasons(monkeypatch):
     by_examined = grasp(inst, cov, GraspConfig(max_solutions=3, seed=0))
     assert by_examined.termination == "max_solutions"
     assert len([r for r in by_examined.trace]) == 3
-    by_time = grasp(inst, cov, GraspConfig(max_solutions=10**6, time_limit_s=0.0, seed=0))
+    # a limit that has passed before the first construction
+    by_time = grasp(inst, cov, GraspConfig(max_solutions=10**6, time_limit_s=1e-9, seed=0))
     assert by_time.termination == "time_limit"
     # filtering path: after the warmup every weaker candidate gets filtered
     monkeypatch.setattr(heuristics, "MAX_FILTERED", 5)
@@ -240,12 +245,37 @@ def test_rolling_horizon_never_beats_brute_force():
         assert len(res.trace) == inst.horizon
 
 
-def test_rolling_horizon_enumeration_fallback_matches_solver():
+def test_rolling_horizon_solves_only_the_period_past_the_cap(monkeypatch):
+    # period 1 has 3 saturated options and period 2 has 2, so a cap of 2
+    # sends period 1 alone to the solver
     inst, cov = tiny(334)
-    with_solver = rolling_horizon(inst, cov, RollingHorizonConfig(total_time_limit_s=60.0))
-    fallback = rolling_horizon(inst, cov, RollingHorizonConfig(), solver="none")
-    assert fallback.f == pytest.approx(with_solver.f, abs=1e-6)
-    assert fallback.trace[0]["status"] == "enumerated"
+    stepped = rolling_horizon(inst, cov, solver="none")
+    monkeypatch.setattr(exact, "MAX_STATES", 2)
+    res = rolling_horizon(inst, cov, RollingHorizonConfig(total_time_limit_s=60.0))
+    assert [r["status"] for r in res.trace] == ["optimal", "enumerated"]
+    # both routes solve period 1's problem to its optimum
+    assert res.trace[0]["objective"] == pytest.approx(stepped.trace[0]["objective"], abs=1e-6)
+    assert validate_solution(inst, res.x).ok
+    with pytest.raises(EnumerationCapExceeded, match="^more than 2 options in period 1$"):
+        rolling_horizon(inst, cov, solver="none")
+
+
+@pytest.mark.parametrize("solver", [None, "failing", "none"])
+def test_rolling_horizon_below_the_cap_builds_no_model(monkeypatch, solver):
+    def no_model(*args):
+        raise AssertionError("a period below the cap built a MILP")
+
+    monkeypatch.setattr(heuristics, "build_mc_period", no_model)
+    if solver == "failing":  # runs, exits 0 and writes no solution file
+        solver = f"{shlex.quote(sys.executable)} -c pass {{lp_path}}"
+    for seed in (332, 334):
+        inst, cov = tiny(seed)
+        stepped = rolling_horizon(inst, cov, solver="none")
+        res = rolling_horizon(inst, cov, RollingHorizonConfig(total_time_limit_s=60.0),
+                              solver=solver)
+        assert np.array_equal(res.x.levels, stepped.x.levels) and res.f == stepped.f
+        assert [r["status"] for r in res.trace] == ["enumerated"] * inst.horizon
+        assert all(r["wall_time"] >= 0.0 for r in res.trace)
 
 
 def test_rolling_horizon_enumeration_refuses_at_the_first_option_past_the_cap(monkeypatch):
@@ -272,6 +302,19 @@ def test_rolling_horizon_enumeration_refuses_at_the_first_option_past_the_cap(mo
         rolling_horizon(inst, cov, solver="none")
     assert str(err.value) == "more than 10 options in period 2"
     assert pulled == [1, 11]
+    # with a solver, the period past the cap is solved instead
+    res = rolling_horizon(inst, cov, RollingHorizonConfig(total_time_limit_s=60.0))
+    assert [r["status"] for r in res.trace] == ["enumerated", "optimal"]
+    assert validate_solution(inst, res.x).ok
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -5.0, 0.0])
+def test_a_time_limit_that_is_not_positive_and_finite_is_refused(seconds):
+    with pytest.raises(ValueError, match="positive, finite number of seconds"):
+        GraspConfig(time_limit_s=seconds)
+    for allocation in ("even", "geometric"):
+        with pytest.raises(ValueError, match="positive, finite number of seconds"):
+            RollingHorizonConfig(allocation, seconds)
 
 
 # -- cross-cutting invariants ------------------------------------------------------------
